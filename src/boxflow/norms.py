@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.fft
 
 from . import spectral_core
 from .errors import DataError, UsageError
@@ -73,9 +72,7 @@ def spectral_moment(f: Field, weight, diff: bool = False) -> float:
     comps = f.physical[None] if f.rank == "scalar" else f.physical
     total = 0.0
     for c in comps:
-        ch = scipy.fft.rfftn(
-            c, norm="forward", workers=spectral_core.get_default_workers()
-        )
+        ch = spectral_core._rfftn(c)
         total += float(np.sum(w * (ch.real**2 + ch.imag**2)))
     return g.volume * total
 

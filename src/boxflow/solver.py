@@ -1,28 +1,29 @@
 """Strong-solution time integration of incompressible Navier-Stokes on Q_alpha.
 
-The state marches in spectral space with an integrating-factor RK4: the
-viscous semigroup e^{-nu |k|^2 dt} is applied exactly (true |k|^2, Nyquist
-included), so only the nonlinear term is under the Runge-Kutta clock.  The
-nonlinear term is evaluated pseudo-spectrally in convective form
-(u . grad) u (rotational form available as a cross-check), 2/3-dealiased,
-Leray-projected, and its zero mode is zeroed — analytically it already
-vanishes, and zeroing the roundoff makes momentum conservation bit-exact.
+The state is the rfftn half-spectrum of the velocity, shape (3, N, N, N/2+1),
+marched by an integrating-factor RK4: the viscous semigroup e^{-nu |k|^2 dt}
+is applied exactly (true |k|^2, Nyquist included), so only the nonlinear term
+is under the Runge-Kutta clock.  That term is omega x u (rotational form) of
+the state truncated to the 2/3-rule modes, so products of kept modes alias
+only onto dropped ones (Orszag's condition); it is masked, Leray-projected,
+and its zero mode is zeroed, which makes momentum conservation bit-exact.
+A stage costs nine real transforms.  The stored state keeps every mode.
 
 Each audit point records energy, enstrophy, ||Delta u||, max |u|, the
 running energy-equality residual, and the pressure-gradient-to-nonlinearity
-ratio; `energy_audit` / `enstrophy_audit` replay those series against the
-energy equality and the enstrophy differential inequality, and
-`existence_time` evaluates the guaranteed-existence horizon
-T = 2 / (9 C^4 M^2) for an H^1 bound M.
+ratio, reusing the next step's first stage: (u . grad) u = omega x u +
+grad(|u|^2 / 2) costs one more transform.  `energy_audit` / `enstrophy_audit`
+replay those series against the energy equality and the enstrophy
+differential inequality, and `existence_time` evaluates the guaranteed-
+existence horizon T = 2 / (9 C^4 M^2) for an H^1 bound M.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import (
     BlowUpError,
@@ -33,15 +34,11 @@ from .errors import (
 )
 from .norms import (
     DiagnosticsRecord,
-    grad_l2_sq,
-    l2_norm,
-    lap_l2_sq,
+    _half_grid_weights,
     relative_divergence,
     sobolev_norm,
 )
-from .spectral_core import BoxGrid, Field
-
-_AXES = (-3, -2, -1)
+from .spectral_core import BoxGrid, Field, _hermitian_fill, _irfftn, _rfftn
 
 DIAGNOSTIC_COLUMNS = (
     "t",
@@ -66,8 +63,6 @@ class SolverConfig:
     dt: float
     t_end: float
     viscosity: float = 1.0
-    dealias: bool = True
-    form: str = "convective"  # or "rotational" (agrees after projection)
     snapshot_times: tuple[float, ...] = ()
     audit_every: int = 1
     blowup_max_u: float = 1e6
@@ -83,10 +78,6 @@ class SolverConfig:
         if not (np.isfinite(self.viscosity) and self.viscosity > 0.0):
             raise ConfigurationError(
                 f"viscosity must be positive, got {self.viscosity!r}"
-            )
-        if self.form not in ("convective", "rotational"):
-            raise ConfigurationError(
-                f"form must be 'convective' or 'rotational', got {self.form!r}"
             )
         if int(self.audit_every) != self.audit_every or self.audit_every < 1:
             raise ConfigurationError(
@@ -140,82 +131,78 @@ class ExistenceEstimate:
     c_agmon: float
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b over the three leading components (entries broadcast)."""
+    x = a[1] * b[2] - a[2] * b[1]
+    y = a[2] * b[0] - a[0] * b[2]
+    return np.stack([x, y, a[0] * b[1] - a[1] * b[0]])
+
+
 class _StepKernel:
-    """Precomputed spectral machinery for repeated steps on one grid."""
+    """Precomputed half-spectrum machinery for repeated steps on one grid."""
 
-    def __init__(self, grid: BoxGrid, cfg: SolverConfig):
+    def __init__(self, grid: BoxGrid, viscosity: float = 1.0):
         self.grid = grid
-        self.cfg = cfg
-        self.kx, self.ky, self.kz = grid.k_axes(diff=True)
+        self.viscosity = viscosity
+        nh = grid.N // 2 + 1
+        k = grid.k1d_diff
+        self.k = (k[:, None, None], k[None, :, None], k[:nh])
+        self.ksq_true = _half_grid_weights(grid, diff=False)[0]
+        self.ksq, self.mult = _half_grid_weights(grid, diff=True)
         with np.errstate(divide="ignore"):
-            self.inv_ksq = np.where(grid.ksq_diff > 0.0, 1.0 / grid.ksq_diff, 0.0)
-        if cfg.dealias:
-            keep = grid.dealias_keep1d
-            self.keep3d = (
-                keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-            )
-        else:
-            self.keep3d = None
-        self._half_decay = {}  # dt -> e^{-nu |k|^2 dt / 2}
+            self.inv_ksq = np.where(self.ksq > 0.0, 1.0 / self.ksq, 0.0)
+        keep = grid.dealias_keep1d
+        self.keep = (keep[:, None, None] & keep[None, :, None] & keep[:nh]) * 1.0
+        self._decay = {}  # dt -> (e^{-nu |k|^2 dt / 2}, e^{-nu |k|^2 dt})
 
-    def half_decay(self, dt: float) -> np.ndarray:
-        got = self._half_decay.get(dt)
-        if got is None:
-            got = np.exp(-0.5 * self.cfg.viscosity * dt * self.grid.ksq)
-            self._half_decay[dt] = got
-        return got
+    def half(self, full: np.ndarray) -> np.ndarray:
+        """The stored columns m_3 = 0..N/2 of a full coefficient array."""
+        return np.ascontiguousarray(full[..., : self.grid.N // 2 + 1])
 
-    def to_physical(self, what: np.ndarray) -> np.ndarray:
-        return sfft.ifftn(what, axes=_AXES, norm="forward").real
+    def sum_sq(self, arrays, weight=1.0) -> float:
+        """sum over the full spectrum of weight |a|^2, from half-spectra."""
+        w = self.mult * weight
+        return float(sum(np.sum(w * (a.real**2 + a.imag**2)) for a in arrays))
 
-    def nonlinear_spectral(self, uhat, u_phys=None, form=None) -> np.ndarray:
-        """F-hat for F = (u.grad)u (or omega x u), dealiased, unprojected."""
-        if u_phys is None:
-            u_phys = self.to_physical(uhat)
-        if form is None:
-            form = self.cfg.form
-        if form == "convective":
-            f = np.empty_like(u_phys)
-            for i in range(3):
-                f[i] = (
-                    u_phys[0] * self.to_physical(1j * self.kx * uhat[i])
-                    + u_phys[1] * self.to_physical(1j * self.ky * uhat[i])
-                    + u_phys[2] * self.to_physical(1j * self.kz * uhat[i])
-                )
-        else:
-            w = np.empty_like(u_phys)
-            w[0] = self.to_physical(1j * (self.ky * uhat[2] - self.kz * uhat[1]))
-            w[1] = self.to_physical(1j * (self.kz * uhat[0] - self.kx * uhat[2]))
-            w[2] = self.to_physical(1j * (self.kx * uhat[1] - self.ky * uhat[0]))
-            f = np.cross(w, u_phys, axis=0)
-        fhat = sfft.fftn(f, axes=_AXES, norm="forward")
-        if self.keep3d is not None:
-            fhat *= self.keep3d
-        return fhat
+    def product(self, uhat):
+        """Masked half-spectrum of omega x u for the truncated state, and u."""
+        v = uhat * self.keep
+        u, w = _irfftn(v, self.grid.N), _irfftn(1j * _cross(self.k, v), self.grid.N)
+        fhat = _rfftn(_cross(w, u))
+        fhat *= self.keep
+        return fhat, u
 
-    def rhs(self, uhat, u_phys=None) -> np.ndarray:
-        """Projected, sign-flipped nonlinear term; zero mode exactly zero."""
-        fhat = self.nonlinear_spectral(uhat, u_phys)
-        div = self.kx * fhat[0] + self.ky * fhat[1] + self.kz * fhat[2]
-        div *= self.inv_ksq
-        fhat[0] -= self.kx * div
-        fhat[1] -= self.ky * div
-        fhat[2] -= self.kz * div
-        fhat[..., 0, 0, 0] = 0.0
-        return -fhat
+    def project(self, fhat) -> np.ndarray:
+        """-P fhat in place, zero mode exactly zero."""
+        div = self.inv_ksq * sum(k * f for k, f in zip(self.k, fhat))
+        for k, f in zip(self.k, fhat):
+            f -= k * div
+        fhat[:, 0, 0, 0] = 0.0
+        return np.negative(fhat, out=fhat)
 
-    def advance(self, uhat, dt: float, u_phys=None) -> np.ndarray:
-        """One integrating-factor RK4 step of length dt."""
-        e = self.half_decay(dt)
-        e2 = e * e
-        a = self.rhs(uhat, u_phys)
+    def rhs(self, uhat) -> np.ndarray:
+        return self.project(self.product(uhat)[0])
+
+    def first_stage(self, uhat, audit: bool):
+        """The RHS at uhat, max |u|, and (audit only) the pressure ratio."""
+        fhat, u = self.product(uhat)
+        pressure = self.pressure_ratio(fhat, u) if audit else None
+        return self.project(fhat), float(np.sqrt(np.sum(u * u, axis=0)).max()), pressure
+
+    def advance(self, uhat, dt: float, a) -> np.ndarray:
+        """One integrating-factor RK4 step of length dt; a = rhs(uhat)."""
+        if dt not in self._decay:
+            e = np.exp(-0.5 * self.viscosity * dt * self.ksq_true)
+            self._decay[dt] = (e, e * e)
+        e, e2 = self._decay[dt]
         b = self.rhs(e * (uhat + (0.5 * dt) * a))
         c = self.rhs(e * uhat + (0.5 * dt) * b)
         d = self.rhs(e2 * uhat + dt * (e * c))
         return e2 * uhat + (dt / 6.0) * (e2 * a + 2.0 * (e * (b + c)) + d)
 
-    def max_speed(self, u_phys) -> float:
-        return float(np.sqrt(np.sum(u_phys * u_phys, axis=0)).max())
+    def moments(self, uhat) -> list[float]:
+        """||u||^2, ||grad u||^2 and ||lap u||^2 from the half-spectrum."""
+        return [self.grid.volume * self.sum_sq(uhat, self.ksq**p) for p in range(3)]
 
     def check_cfl(self, umax: float, dt: float) -> None:
         if umax * dt / self.grid.h > 0.5:
@@ -225,28 +212,27 @@ class _StepKernel:
                 suggested_dt=0.5 * self.grid.h / umax,
             )
 
-    def pressure_ratio(self, uhat) -> tuple[float, bool]:
-        """||grad p|| / ||(u.grad)u||, with the degenerate zero-F flag."""
-        # the pressure is defined through the convective product regardless
-        # of which form the stepper runs
-        fhat = self.nonlinear_spectral(uhat, form="convective")
-        f_sq = float(np.sum(np.abs(fhat) ** 2))
-        if f_sq == 0.0:
+    def pressure_ratio(self, fhat, u) -> tuple[float, bool]:
+        """||grad p|| / ||(u.grad)u||, with the degenerate zero-F flag.
+
+        (u.grad)u = omega x u + grad(|u|^2 / 2), from the masked, unprojected
+        `fhat` of `product` and one more transform.  F counts as zero when
+        the two parts cancel to roundoff, as they do for a shear flow.
+        """
+        g = self.keep * _rfftn(0.5 * np.sum(u * u, axis=0))
+        grad_g = [1j * k * g for k in self.k]
+        conv = [f + dg for f, dg in zip(fhat, grad_g)]
+        f_sq = self.sum_sq(conv)
+        if f_sq <= 1e-24 * (self.sum_sq(fhat) + self.sum_sq(grad_g)):
             return 0.0, True
-        phat = (
-            1j
-            * (self.kx * fhat[0] + self.ky * fhat[1] + self.kz * fhat[2])
-            * self.inv_ksq
-        )
-        gp_sq = float(np.sum(self.grid.ksq_diff * np.abs(phat) ** 2))
-        return math.sqrt(gp_sq / f_sq), False
+        kdotf = sum(k * c for k, c in zip(self.k, conv))
+        return math.sqrt(self.sum_sq([kdotf], self.inv_ksq) / f_sq), False
 
 
 def _require_solvable(u: Field) -> None:
     if u.rank != "vector":
         raise UsageError("the solver integrates vector velocity fields")
-    coeffs = u.spectral
-    if not np.all(np.isfinite(coeffs)):
+    if not np.all(np.isfinite(u.spectral)):
         raise DataError("velocity field contains non-finite values")
     rel = relative_divergence(u)
     if rel > 1e-10:
@@ -259,16 +245,7 @@ def _require_solvable(u: Field) -> None:
 
 def nse_step(u: Field, cfg: SolverConfig) -> Field:
     """One integrating-factor RK4 step of length cfg.dt."""
-    _require_solvable(u)
-    kernel = _StepKernel(u.grid, cfg)
-    u_phys = u.physical
-    kernel.check_cfl(kernel.max_speed(u_phys), cfg.dt)
-    out = kernel.advance(u.spectral, cfg.dt, u_phys)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(
-            "step produced non-finite values", last_valid_time=0.0
-        )
-    return Field.from_spectral(u.grid, out)
+    return nse_solve(u, replace(cfg, t_end=cfg.dt, snapshot_times=())).final
 
 
 def _plan_steps(cfg: SolverConfig) -> tuple[list[float], list[float]]:
@@ -303,40 +280,33 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
     or non-finite values) raises with the last valid time attached.
     """
     _require_solvable(u0)
-    kernel = _StepKernel(u0.grid, cfg)
+    kernel = _StepKernel(u0.grid, cfg.viscosity)
     lengths, step_times = _plan_steps(cfg)
     snap_at = _snapshot_steps(cfg, step_times)
 
-    uhat = u0.spectral.copy()
-    u_phys = u0.physical.copy()
+    uhat = kernel.half(u0.spectral)
     times = [0.0]
-    states = [Field.from_spectral(u0.grid, uhat.copy())]
+    states = [u0]
     diagnostics: list[DiagnosticsRecord] = []
 
     integral = 0.0  # running trapezoid of enstrophy over audit times
-    last_audit = None  # (t, enstrophy)
-    energy0 = None
 
-    def audit(t: float) -> None:
-        nonlocal integral, last_audit, energy0
-        fu = Field.from_spectral(u0.grid, uhat)
-        energy = 0.5 * l2_norm(fu) ** 2
-        enstrophy = grad_l2_sq(fu)
-        if energy0 is None:
-            energy0 = energy
-        if last_audit is not None:
-            t_prev, ens_prev = last_audit
-            integral += 0.5 * (t - t_prev) * (ens_prev + enstrophy)
-        last_audit = (t, enstrophy)
-        ratio, degenerate = kernel.pressure_ratio(uhat)
+    def audit(t: float, moments, umax: float, pressure) -> None:
+        nonlocal integral
+        energy, enstrophy = 0.5 * moments[0], moments[1]
+        energy0 = diagnostics[0].entries["energy"] if diagnostics else energy
+        if diagnostics:
+            last = diagnostics[-1]
+            integral += 0.5 * (t - last.time) * (last.entries["enstrophy"] + enstrophy)
+        ratio, degenerate = pressure
         diagnostics.append(
             DiagnosticsRecord(
                 time=t,
                 entries={
                     "energy": energy,
                     "enstrophy": enstrophy,
-                    "laplacian_norm": math.sqrt(lap_l2_sq(fu)),
-                    "max_u": kernel.max_speed(u_phys),
+                    "laplacian_norm": math.sqrt(moments[2]),
+                    "max_u": umax,
                     "energy_residual": energy + integral - energy0,
                     "pressure_ratio": ratio,
                 },
@@ -344,28 +314,30 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
             )
         )
 
-    audit(0.0)
+    # each audit's right-hand side is the next step's first stage
+    a, umax, pressure = kernel.first_stage(uhat, audit=True)
+    audit(0.0, kernel.moments(uhat), umax, pressure)
     t_prev = 0.0
     for step, (dt_k, t_k) in enumerate(zip(lengths, step_times), start=1):
-        kernel.check_cfl(kernel.max_speed(u_phys), dt_k)
-        uhat = kernel.advance(uhat, dt_k, u_phys)
+        kernel.check_cfl(umax, dt_k)
+        uhat = kernel.advance(uhat, dt_k, a)
         if not np.all(np.isfinite(uhat)):
             raise BlowUpError(
                 f"non-finite values after t={t_prev}", last_valid_time=t_prev
             )
-        u_phys = kernel.to_physical(uhat)
-        umax = kernel.max_speed(u_phys)
-        fu = Field.from_spectral(u0.grid, uhat)
-        if umax > cfg.blowup_max_u or grad_l2_sq(fu) > cfg.blowup_max_enstrophy:
+        audited = step % cfg.audit_every == 0 or step == len(lengths)
+        a, umax, pressure = kernel.first_stage(uhat, audit=audited)
+        moments = kernel.moments(uhat)
+        if umax > cfg.blowup_max_u or moments[1] > cfg.blowup_max_enstrophy:
             raise BlowUpError(
                 f"blow-up thresholds exceeded at t={t_k}: max|u|={umax:.3e}",
                 last_valid_time=t_prev,
             )
-        if step % cfg.audit_every == 0 or step == len(lengths):
-            audit(t_k)
+        if audited:
+            audit(t_k, moments, umax, pressure)
         if step in snap_at:
             times.append(t_k)
-            states.append(Field.from_spectral(u0.grid, uhat.copy()))
+            states.append(Field.from_spectral(u0.grid, _hermitian_fill(uhat)))
         t_prev = t_k
 
     return Trajectory(
@@ -379,22 +351,22 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
 def pressure_solve(u: Field) -> Field:
     """Zero-mean pressure with -Delta p = div[(u.grad)u], solved spectrally.
 
-    The nonlinear term is the same dealiased convective product the solver
-    uses, so the recovered pressure is the one the discrete evolution
-    implicitly eliminates.
+    (u.grad)u is the output-dealiased convective product of the untruncated
+    field: the pressure of u as given, not the one implied by the solver's
+    nonlinear term, which sees u truncated to the 2/3-rule modes.
     """
     if u.rank != "vector":
         raise UsageError("pressure solve needs a velocity field")
-    cfg = SolverConfig(dt=1.0, t_end=0.0)  # defaults: convective, dealiased
-    kernel = _StepKernel(u.grid, cfg)
-    fhat = kernel.nonlinear_spectral(u.spectral)
-    phat = (
-        1j
-        * (kernel.kx * fhat[0] + kernel.ky * fhat[1] + kernel.kz * fhat[2])
-        * kernel.inv_ksq
+    kernel = _StepKernel(u.grid)
+    uhat = kernel.half(u.spectral)
+    f = sum(
+        u_j * _irfftn(1j * k_j * uhat, u.grid.N)
+        for u_j, k_j in zip(u.physical, kernel.k)
     )
+    fhat = kernel.keep * _rfftn(f)
+    phat = 1j * kernel.inv_ksq * sum(k * f for k, f in zip(kernel.k, fhat))
     phat[0, 0, 0] = 0.0
-    return Field.from_spectral(u.grid, phat)
+    return Field.from_spectral(u.grid, _hermitian_fill(phat))
 
 
 def write_diagnostics_csv(records, path) -> None:

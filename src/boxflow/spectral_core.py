@@ -56,12 +56,40 @@ def get_default_workers() -> int:
     return _workers
 
 
+# Every transform in the package goes through these helpers, so the worker
+# count of `set_default_workers` reaches all of them.  The real pair works on
+# the half-spectrum m_3 = 0..N/2 (last axis) of a real field.
+_AXES = (-3, -2, -1)
+
+
 def _fftn(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.fftn(a, axes=(-3, -2, -1), norm="forward", workers=_workers)
+    return scipy.fft.fftn(a, axes=_AXES, norm="forward", workers=_workers)
 
 
 def _ifftn(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifftn(a, axes=(-3, -2, -1), norm="forward", workers=_workers)
+    return scipy.fft.ifftn(a, axes=_AXES, norm="forward", workers=_workers)
+
+
+def _rfftn(a: np.ndarray) -> np.ndarray:
+    return scipy.fft.rfftn(a, axes=_AXES, norm="forward", workers=_workers)
+
+
+def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
+    return scipy.fft.irfftn(
+        a, s=(n, n, n), axes=_AXES, norm="forward", workers=_workers
+    )
+
+
+def _hermitian_fill(half: np.ndarray) -> np.ndarray:
+    """Full coefficients of a real field from its half-spectrum: columns
+    m_3 = N/2+1 .. N-1 become conj(fhat_{-m}), stored ones are copied."""
+    n = half.shape[-2]
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    neg = -np.arange(n) % n
+    mirror = half[..., neg, :, n // 2 - 1 : 0 : -1][..., neg, :]
+    np.conjugate(mirror, out=full[..., n // 2 + 1 :])
+    return full
 
 
 class BoxGrid:
@@ -134,8 +162,9 @@ class BoxGrid:
 
     @cached_property
     def dealias_keep1d(self) -> np.ndarray:
-        """Boolean |m| <= N/3 mask along one axis (the 2/3 rule)."""
-        return np.abs(self.modes1d) <= self.N / 3
+        """Boolean 3|m| < N mask along one axis (the 2/3 rule); strict, so a
+        sum of two kept modes aliases only onto dropped ones."""
+        return 3 * np.abs(self.modes1d) < self.N
 
     def __eq__(self, other) -> bool:
         return (
@@ -368,7 +397,7 @@ def leray_project(f: Field) -> Field:
 
 
 def dealias(f: Field) -> Field:
-    """Zero all coefficients with any |m_i| > N/3 (the 2/3 rule)."""
+    """Zero all coefficients with any 3|m_i| >= N (the 2/3 rule)."""
     keep = f.grid.dealias_keep1d
     mask = (
         keep[:, None, None] & keep[None, :, None] & keep[None, None, :]

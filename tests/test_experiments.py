@@ -27,6 +27,7 @@ from boxflow.experiments import (
     run_tail_study,
     run_transfer_study,
 )
+from boxflow.spectral_core import get_default_workers, set_default_workers
 
 
 def inversion_data(**overrides):
@@ -578,6 +579,32 @@ def test_reports_are_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+@pytest.fixture
+def restore_workers():
+    yield
+    set_default_workers(1)
+
+
+def test_fft_worker_count_leaves_report_bytes_unchanged(tmp_path, restore_workers):
+    cfg = parse_config(solution_data(solver={"dt": 5e-3, "t_end": 0.01}))
+    for workers in (1, 2):
+        set_default_workers(workers)
+        assert get_default_workers() == workers
+        emit_report(run_study(cfg), tmp_path / f"w{workers}")
+    for name in ("solution.csv", "solution_times.csv", "checks.csv"):
+        assert (tmp_path / "w1" / name).read_bytes() == (
+            tmp_path / "w2" / name
+        ).read_bytes()
+
+
+def test_worker_count_below_one_is_rejected(restore_workers):
+    set_default_workers(2)
+    for bad in (0, -1):
+        with pytest.raises(ConfigurationError, match="worker count"):
+            set_default_workers(bad)
+    assert get_default_workers() == 2
 
 
 # -------------------------------------------------------------- CLI

@@ -3,14 +3,18 @@
 The decaying shear (A sin(pi y / alpha), 0, 0) has an identically vanishing
 nonlinear term, so the integrating factor must reproduce e^{-(pi/alpha)^2 t}
 decay to roundoff; Taylor-Green data exercises the full nonlinear path,
-where correctness shows up as fourth-order self-convergence, form agreement,
-conservation laws, and audit residuals at quadrature level.
+where correctness shows up as fourth-order self-convergence, conservation
+laws, and audit residuals at quadrature level.  Property tests over random
+(alpha, N) pin the half-spectrum nonlinear term to an independently built
+convective product.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import example, given, settings, strategies as st
 
 from boxflow.errors import (
     BlowUpError,
@@ -31,6 +35,7 @@ from boxflow.solver import (
     DIAGNOSTIC_COLUMNS,
     SolverConfig,
     Trajectory,
+    _StepKernel,
     energy_audit,
     enstrophy_audit,
     existence_time,
@@ -39,7 +44,19 @@ from boxflow.solver import (
     pressure_solve,
     write_diagnostics_csv,
 )
-from boxflow.spectral_core import BoxGrid, Field, dealias, divergence, gradient, laplacian
+from boxflow.spectral_core import (
+    BoxGrid,
+    Field,
+    _fftn,
+    _hermitian_fill,
+    _rfftn,
+    dealias,
+    divergence,
+    gradient,
+    laplacian,
+    leray_project,
+    set_default_workers,
+)
 from boxflow.vorticity import curl_inv_periodic
 
 from conftest import div_free_field, taylor_green
@@ -99,14 +116,6 @@ def test_final_partial_step_reaches_horizon_exactly():
     assert abs(traj.diagnostics[-1].entries["energy"] - exact) / e0 < 1e-12
 
 
-def test_convective_and_rotational_forms_agree():
-    grid = BoxGrid(np.pi, 16)
-    tg = taylor_green(grid)
-    conv = nse_solve(tg, SolverConfig(dt=1e-3, t_end=0.02)).final
-    rot = nse_solve(tg, SolverConfig(dt=1e-3, t_end=0.02, form="rotational")).final
-    assert l2_norm(conv - rot) / l2_norm(conv) < 1e-12
-
-
 def test_fourth_order_self_convergence():
     # amplitude 20 pushes the nonlinear time error far above roundoff while
     # staying inside the CFL ceiling (max|u| dt / h = 0.41 at dt = 4e-3)
@@ -160,6 +169,91 @@ def test_audit_cadence_includes_endpoints():
     assert times == [0.0, 0.006, 0.01]
 
 
+# ------------------------------------------------- nonlinear term properties
+
+# even N in [8, 48]; the examples pin lattices that 3 divides
+grids = st.builds(
+    BoxGrid,
+    alpha=st.floats(0.25, 8.0),
+    N=st.integers(4, 24).map(lambda k: 2 * k),
+)
+seeds = st.integers(0, 2**32 - 1)
+properties = settings(max_examples=25, deadline=None)
+
+
+def random_velocity(grid: BoxGrid, seed: int) -> Field:
+    # a broad envelope, so the modes above N/3 carry real content
+    return div_free_field(grid, np.random.default_rng(seed), m0=grid.N / 4)
+
+
+def convective_rhs(u: Field) -> np.ndarray:
+    """-P[(v.grad)v] for v the 2/3-truncated u, output masked, zero mode 0."""
+    v = dealias(u)
+    f = np.empty_like(v.physical)
+    for i in range(3):
+        f[i] = np.sum(v.physical * gradient(v.component(i)).physical, axis=0)
+    out = leray_project(dealias(Field.from_physical(u.grid, f))).spectral
+    out[:, 0, 0, 0] = 0.0
+    return -out
+
+
+@properties
+@given(grid=grids, seed=seeds)
+@example(grid=BoxGrid(1.0, 24), seed=1)
+@example(grid=BoxGrid(2.0, 48), seed=2)
+def test_rotational_rhs_matches_convective_product(grid, seed):
+    u = random_velocity(grid, seed)
+    kernel = _StepKernel(grid)
+    got = _hermitian_fill(kernel.rhs(kernel.half(u.spectral)))
+    want = convective_rhs(u)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@properties
+@given(grid=grids, seed=seeds)
+@example(grid=BoxGrid(1.0, 24), seed=3)
+def test_nonlinear_term_does_no_work(grid, seed):
+    u = random_velocity(grid, seed)
+    kernel = _StepKernel(grid)
+    uhat = kernel.half(u.spectral)
+    rhs = kernel.rhs(uhat)
+    work = np.sum(kernel.mult * np.real(np.conj(uhat) * rhs))
+    scale = np.sqrt(np.sum(kernel.mult * np.abs(uhat) ** 2))
+    scale *= np.sqrt(np.sum(kernel.mult * np.abs(rhs) ** 2))
+    assert abs(work) <= 1e-13 * scale
+
+
+@properties
+@given(n=st.integers(4, 24).map(lambda k: 2 * k), seed=seeds)
+def test_hermitian_fill_restores_full_spectrum(n, seed):
+    x = np.random.default_rng(seed).standard_normal((3, n, n, n))
+    full = _fftn(x)
+    # exact on the stored columns of a full transform ...
+    assert np.array_equal(_hermitian_fill(full[..., : n // 2 + 1]), full)
+    # ... and at roundoff from the real-to-complex transform, whose
+    # butterflies differ from the complex transform's by ~1e-17
+    assert np.abs(_hermitian_fill(_rfftn(x)) - full).max() <= 1e-15 * np.abs(full).max()
+
+
+def test_every_solver_transform_gets_the_worker_count(monkeypatch):
+    seen = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+
+        def spy(*args, _fft=getattr(scipy.fft, name), **kwargs):
+            seen.append(kwargs.get("workers"))
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    set_default_workers(2)
+    try:
+        tg = taylor_green(BoxGrid(np.pi, 16))
+        nse_solve(tg, SolverConfig(dt=1e-3, t_end=2e-3, snapshot_times=(1e-3,)))
+        pressure_solve(tg)
+    finally:
+        set_default_workers(1)
+    assert len(seen) > 20 and set(seen) == {2}
+
+
 # ------------------------------------------------------------ error contract
 
 
@@ -207,7 +301,6 @@ def test_config_validation():
         dict(dt=-1e-3, t_end=1.0),
         dict(dt=1e-3, t_end=-1.0),
         dict(dt=1e-3, t_end=1.0, viscosity=0.0),
-        dict(dt=1e-3, t_end=1.0, form="upwind"),
         dict(dt=1e-3, t_end=1.0, audit_every=0),
     ):
         with pytest.raises(ConfigurationError):
@@ -255,6 +348,12 @@ def test_pressure_quadratic_bound(rng):
         u = div_free_field(BoxGrid(alpha, 24), rng)
         p = pressure_solve(u)
         assert l2_norm(p) <= 0.35 * lebesgue_norm(u, 4) ** 2
+
+
+def test_shear_nonlinearity_counts_as_zero():
+    # omega x u and grad(|u|^2 / 2) cancel exactly for a shear, up to roundoff
+    traj = nse_solve(shear_flow(BoxGrid(2.0, 16)), SolverConfig(dt=1e-3, t_end=2e-3))
+    assert all(rec.flags["pressure_degenerate"] for rec in traj.diagnostics)
 
 
 def test_pressure_gradient_never_exceeds_nonlinearity():

@@ -253,6 +253,13 @@ class TestDealias:
         assert fh[modes.index(-8), 2, 3] == 0.0
         assert fh[modes.index(5), 0, 0] == f.spectral[modes.index(5), 0, 0]
 
+    def test_two_thirds_rule_is_strict_when_three_divides_n(self):
+        # 3|m| < N: at N=24 the |m| = 8 modes go, since 8 + 8 aliases to -8
+        g = grid_make(1.0, 24)
+        keep = g.dealias_keep1d
+        assert np.abs(g.modes1d[keep]).max() == 7
+        assert keep.sum() == 15
+
     def test_product_matches_double_resolution(self):
         """Dealiased product at N agrees with the 2N product truncated to the
         retained modes."""
