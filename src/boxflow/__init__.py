@@ -28,22 +28,17 @@ from .errors import (
 )
 from .spectral_core import (
     BoxGrid,
-    DiffOp,
     Field,
-    apply_diff,
     curl,
     dealias,
     dilate,
     divergence,
     gradient,
-    grid_make,
     laplacian,
     leray_project,
     read_snapshot,
     rescale_field,
     set_default_workers,
-    to_physical,
-    to_spectral,
     write_snapshot,
 )
 from .norms import (
@@ -95,7 +90,6 @@ from .solver import (
     enstrophy_audit,
     existence_time,
     nse_solve,
-    nse_step,
     pressure_solve,
     write_diagnostics_csv,
 )

@@ -6,15 +6,15 @@ functional-inequality ratios and the curl identity on the configured data.
 Every subcommand writes CSV tables, ``checks.csv``, and ``metadata.json``
 into the output directory and prints one PASS/FAIL line per assertion.
 
-Exit codes: 0 = all assertions passed, 1 = assertion failure (including
-blow-ups and other runtime errors), 2 = configuration error.
+Exit codes: 0 = all assertions passed, 1 = assertion failure (a blow-up or
+CFL violation on a box is a failed assertion with a written report; other
+runtime errors write none), 2 = configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import experiments
 from .errors import BoxflowError, ConfigurationError
@@ -55,13 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="<n>",
             help="FFT worker threads (default 1, the reference path)",
         )
-        cmd.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            metavar="<n>",
-            help="reserved; the study generators are deterministic",
-        )
     return parser
 
 
@@ -81,8 +74,6 @@ def main(argv=None) -> int:
             )
         if args.threads < 1:
             raise ConfigurationError("--threads must be >= 1")
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
         set_default_workers(args.threads)
         if args.command == "audit":
             result = experiments.run_snapshot_audit(cfg)

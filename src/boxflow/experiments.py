@@ -20,7 +20,9 @@ stands in for the whole space, all driven by one declarative JSON config:
 "R^3" is operationalised as the largest box Q_beta with beta >= 2*max(alpha);
 all boxes share one lattice spacing h = 2*alpha_1/N_1 so fields nest exactly.
 
-Config schema (JSON object; unknown keys anywhere are rejected)::
+Config schema (JSON object; unknown keys anywhere are rejected, numbers
+must be finite, and a key or section the study kind does not take is an
+error)::
 
     {
       "kind": "inversion" | "solution" | "tail" | "transfer",
@@ -44,9 +46,11 @@ Config schema (JSON object; unknown keys anywhere are rejected)::
       "transfer": {"t_star_factor": 3.0},                    # transfer only
       "checks": {"ratio_bound": 0.5, "support_margin": <2h>},
       "allow_beyond_guaranteed": false,   # solution only
-      "out_dir": "reports",           # optional; CLI --out overrides
-      "seed": 0                       # reserved; generators are deterministic
+      "out_dir": "reports"            # optional; CLI --out overrides
     }
+
+The per-key types, defaults, ranges and study kinds live in one table
+(``_CONFIG_KEYS`` and the section tables it names).
 
 Reports are CSV files with stable schemas plus ``checks.csv`` (one
 machine-readable pass/fail record per assertion) and ``metadata.json``
@@ -58,6 +62,7 @@ byte-identical CSVs; only the wall time in ``metadata.json`` may differ.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -71,6 +76,7 @@ from .errors import (
     BlowUpError,
     ConfigurationError,
     DomainTooSmallError,
+    StepSizeError,
     UsageError,
 )
 from .extension import extend_field, make_cutoff
@@ -83,8 +89,8 @@ from .norms import (
     sobolev_norm,
     tail_mass,
 )
-from .solver import SolverConfig, existence_time, nse_solve, pressure_solve
-from .spectral_core import BoxGrid, Field, grid_make
+from .solver import SolverConfig, Trajectory, existence_time, nse_solve, pressure_solve
+from .spectral_core import BoxGrid, Field
 from .vorticity import (
     VorticityField,
     curl_identity_report,
@@ -147,252 +153,256 @@ class StudyConfig:
     support_margin: float
     allow_beyond_guaranteed: bool
     out_dir: str | None
-    seed: int
+
+    #: The normalised config, defaults included, that the fields were read
+    #: from; keys a study kind does not take are absent.
+    echo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         """Normalised config echo; ``parse_config(cfg.to_dict()) == cfg``."""
-        out: dict = {
-            "kind": self.kind,
-            "alphas": list(self.alphas),
-            "base_n": self.base_n,
-            "beta": self.beta,
-            "initial_data": dict(self.initial_data),
-            "checks": {
-                "ratio_bound": self.ratio_bound,
-                "support_margin": self.support_margin,
-            },
-            "seed": self.seed,
-        }
-        if self.solver is not None:
-            out["solver"] = dict(self.solver)
-        if self.kind in ("inversion", "solution"):
-            out["norms"] = list(self.norms)
-        if self.kind == "tail":
-            out["tail"] = {
-                "inner_radius": self.tail_inner,
-                "radii": list(self.tail_radii),
-            }
-        if self.kind == "transfer":
-            out["transfer"] = {"t_star_factor": self.t_star_factor}
-        if self.kind == "solution":
-            out["allow_beyond_guaranteed"] = self.allow_beyond_guaranteed
-        if self.out_dir is not None:
-            out["out_dir"] = self.out_dir
-        return out
+        return json.loads(json.dumps(self.echo))
 
     @property
     def support_radius(self) -> float:
         """Outer radius of the configured vorticity support."""
         data = self.initial_data
-        if data["family"] == "bump":
-            return data["support_radius"]
         if data["family"] == "trefoil":
             return data["major_radius"] + 3.0 * data["tube_radius"]
         return data["support_radius"]
 
 
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _norm_function(name: str):
+    """Map a norm name like "L2", "H1", "H1.5" to a Field -> float callable,
+    or None when the name is not of the form 'L<p>' (p >= 1) / 'H<s>' (s >= 0)."""
+    try:
+        kind, value = name[0], float(name[1:])
+    except (IndexError, ValueError):
+        return None
+    if kind == "L" and value == 2.0:
+        return l2_norm
+    if kind == "L" and value >= 1.0:
+        return lambda f: lebesgue_norm(f, value)
+    if kind == "H" and value >= 0.0:
+        return lambda f: sobolev_norm(f, value)
+    return None
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: JSON type, default, range rule and study kinds.
+
+    ``type`` names an entry of ``_TYPES`` or is the key table of a nested
+    section.  ``default`` is ``_REQUIRED`` for a required key or section;
+    None marks a default that :func:`parse_config` derives from other
+    fields; an optional section has ``{}`` and takes its keys' defaults.
+    ``rule`` is a (predicate, phrase) pair applied to the converted value.
+    A key given to a study kind outside ``kinds`` is rejected.
+    """
+
+    type: object
+    default: object = _REQUIRED
+    rule: tuple | None = None
+    kinds: tuple[str, ...] = STUDY_KINDS
+
+
+def _finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _non_empty_list(test):
+    return lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(test, v))
+
+
+def _ascending(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+#: JSON type -> (test on the raw value, phrase, conversion or None).
+_TYPES = {
+    "number": (_finite_number, "a finite number", float),
+    "int": (_integer, "an integer", None),
+    "bool": (lambda v: isinstance(v, bool), "a boolean", None),
+    "str": (lambda v: isinstance(v, str), "a string", None),
+    "object": (lambda v: isinstance(v, dict), "an object", None),
+    "numbers": (
+        _non_empty_list(_finite_number),
+        "a non-empty list of finite numbers",
+        lambda v: tuple(float(x) for x in v),
+    ),
+    "names": (
+        _non_empty_list(lambda x: isinstance(x, str)),
+        "a non-empty list of names",
+        tuple,
+    ),
+}
+
+_POSITIVE = (lambda v: v > 0.0, "positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+
+_SOLVER_KEYS = {
+    "dt": _Key("number", rule=_POSITIVE),
+    "t_end": _Key("number", rule=_POSITIVE, kinds=("solution", "tail")),
+    "snapshot_every": _Key("int", 10, _AT_LEAST_ONE),
+    "audit_every": _Key("int", 1, _AT_LEAST_ONE),
+}
+
+_FAMILY_KEYS = {
+    "bump": {
+        "family": _Key("str"),
+        "support_radius": _Key("number"),
+        "amplitude": _Key("number", 1.0),
+        "direction": _Key(
+            "numbers",
+            (0.0, 0.0, 1.0),
+            (lambda v: len(v) == 3 and any(v), "a nonzero 3-vector"),
+        ),
+        "support_tol": _Key("number", 1e-2),
+    },
+    "trefoil": {
+        "family": _Key("str"),
+        "major_radius": _Key("number"),
+        "tube_radius": _Key("number"),
+        "strength": _Key("number"),
+        "resolution": _Key("int", 512),
+        "div_tol": _Key("number", 1e-10),
+        "support_tol": _Key("number", 1e-6),
+    },
+    "zero": {"family": _Key("str"), "support_radius": _Key("number", None)},
+}
+
+_CONFIG_KEYS = {
+    "kind": _Key("str"),
+    "alphas": _Key(
+        "numbers",
+        rule=(
+            lambda v: v[0] > 0.0 and _ascending(v),
+            "strictly ascending positive numbers",
+        ),
+    ),
+    "base_n": _Key(
+        "int", rule=(lambda v: v >= 8 and v % 2 == 0, "an even integer >= 8")
+    ),
+    "beta": _Key("number", None),
+    "initial_data": _Key("object"),
+    "solver": _Key(_SOLVER_KEYS, kinds=("solution", "tail", "transfer")),
+    "norms": _Key(
+        "names",
+        ("L2", "H1"),
+        (
+            lambda v: all(map(_norm_function, v)),
+            "'L<p>' (p >= 1) or 'H<s>' (s >= 0) names",
+        ),
+        kinds=("inversion", "solution"),
+    ),
+    "tail": _Key(
+        {
+            "inner_radius": _Key("number"),
+            "radii": _Key("numbers", rule=(_ascending, "strictly ascending")),
+        },
+        kinds=("tail",),
+    ),
+    "transfer": _Key(
+        {"t_star_factor": _Key("number", 1.0, _POSITIVE)}, {}, kinds=("transfer",)
+    ),
+    "checks": _Key(
+        {
+            "ratio_bound": _Key("number", 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+            "support_margin": _Key("number", None, (lambda v: v >= 0.0, "nonnegative")),
+        },
+        {},
+    ),
+    "allow_beyond_guaranteed": _Key("bool", False, kinds=("solution",)),
+    "out_dir": _Key("str", None),
+}
+
+
+def _read(section: dict, table: dict, where: str, kind: str) -> dict:
+    """Check one JSON object against a key table (see :class:`_Key`).
+
+    Returns the values of the keys ``kind`` takes, defaults filled in and
+    nested sections read recursively.
+    """
+    unknown = sorted(set(section) - set(table))
     if unknown:
         raise ConfigurationError(
-            f"unknown key(s) {unknown} in {where}; allowed keys: {sorted(allowed)}"
+            f"unknown key(s) {unknown} in {where}; allowed keys: {sorted(table)}"
         )
-
-
-def _get_number(section: dict, key: str, where: str, *, default=None) -> float:
-    if key not in section:
-        if default is None:
-            raise ConfigurationError(f"missing required key '{key}' in {where}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"'{key}' in {where} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigurationError(f"'{key}' in {where} must be finite, got {value!r}")
-    return float(value)
-
-
-def _get_int(section: dict, key: str, where: str, *, default=None) -> int:
-    if key not in section:
-        if default is None:
-            raise ConfigurationError(f"missing required key '{key}' in {where}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"'{key}' in {where} must be an integer, got {value!r}"
-        )
-    return value
-
-
-def _norm_function(name: str):
-    """Map a norm name like "L2", "H1", "H1.5" to a Field -> float callable."""
-    if isinstance(name, str) and len(name) > 1:
-        kind, order = name[0], name[1:]
-        try:
-            value = float(order)
-        except ValueError:
-            value = None
-        if value is not None:
-            if kind == "L" and value == 2.0:
-                return l2_norm
-            if kind == "L" and value >= 1.0:
-                return lambda f: lebesgue_norm(f, value)
-            if kind == "H" and value >= 0.0:
-                return lambda f: sobolev_norm(f, value)
-    raise ConfigurationError(
-        f"unrecognised norm name {name!r}; use 'L<p>' (p >= 1) or 'H<s>' (s >= 0)"
-    )
-
-
-def _parse_initial_data(section, min_alpha: float) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigurationError("'initial_data' must be an object")
-    family = section.get("family")
-    if family == "bump":
-        _reject_unknown(
-            section,
-            ("family", "support_radius", "amplitude", "direction", "support_tol"),
-            "initial_data (bump)",
-        )
-        radius = _get_number(section, "support_radius", "initial_data")
-        direction = section.get("direction", [0.0, 0.0, 1.0])
-        if not (
-            isinstance(direction, (list, tuple))
-            and len(direction) == 3
-            and all(isinstance(c, (int, float)) for c in direction)
-        ):
-            raise ConfigurationError("bump 'direction' must be a 3-vector")
-        if not any(direction):
-            raise ConfigurationError("bump 'direction' must be nonzero")
-        return {
-            "family": "bump",
-            "support_radius": radius,
-            "amplitude": _get_number(section, "amplitude", "initial_data", default=1.0),
-            "direction": [float(c) for c in direction],
-            "support_tol": _get_number(
-                section, "support_tol", "initial_data", default=1e-2
-            ),
-        }
-    if family == "trefoil":
-        _reject_unknown(
-            section,
-            (
-                "family",
-                "major_radius",
-                "tube_radius",
-                "strength",
-                "resolution",
-                "div_tol",
-                "support_tol",
-            ),
-            "initial_data (trefoil)",
-        )
-        return {
-            "family": "trefoil",
-            "major_radius": _get_number(section, "major_radius", "initial_data"),
-            "tube_radius": _get_number(section, "tube_radius", "initial_data"),
-            "strength": _get_number(section, "strength", "initial_data"),
-            "resolution": _get_int(section, "resolution", "initial_data", default=512),
-            "div_tol": _get_number(section, "div_tol", "initial_data", default=1e-10),
-            "support_tol": _get_number(
-                section, "support_tol", "initial_data", default=1e-6
-            ),
-        }
-    if family == "zero":
-        _reject_unknown(section, ("family", "support_radius"), "initial_data (zero)")
-        return {
-            "family": "zero",
-            "support_radius": _get_number(
-                section, "support_radius", "initial_data", default=0.5 * min_alpha
-            ),
-        }
-    raise ConfigurationError(
-        f"initial_data 'family' must be 'bump', 'trefoil', or 'zero', got {family!r}"
-    )
-
-
-def _parse_solver(section, kind: str) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigurationError("'solver' must be an object")
-    _reject_unknown(
-        section, ("dt", "t_end", "snapshot_every", "audit_every"), "solver"
-    )
-    dt = _get_number(section, "dt", "solver")
-    if dt <= 0.0:
-        raise ConfigurationError(f"solver 'dt' must be positive, got {dt}")
-    out = {
-        "dt": dt,
-        "snapshot_every": _get_int(section, "snapshot_every", "solver", default=10),
-        "audit_every": _get_int(section, "audit_every", "solver", default=1),
-    }
-    if out["snapshot_every"] < 1 or out["audit_every"] < 1:
-        raise ConfigurationError("solver cadences must be >= 1")
-    if kind == "transfer":
-        if "t_end" in section:
+    out = {}
+    for key, spec in table.items():
+        nested = isinstance(spec.type, dict)
+        if kind not in spec.kinds:
+            if key in section:
+                noun = "section" if nested else "key"
+                raise ConfigurationError(f"{kind} studies take no '{key}' {noun}")
+            continue
+        if key not in section:
+            if spec.default is _REQUIRED:
+                raise ConfigurationError(
+                    f"{kind} studies need a '{key}' section"
+                    if nested
+                    else f"missing required key '{key}' in {where}"
+                )
+            out[key] = _read({}, spec.type, key, kind) if nested else spec.default
+            continue
+        raw = section[key]
+        test, phrase, convert = _TYPES["object" if nested else spec.type]
+        if not test(raw):
             raise ConfigurationError(
-                "transfer studies derive t_end from the guaranteed existence "
-                "time; remove solver 't_end'"
+                f"'{key}' in {where} must be {phrase}, got {raw!r}"
             )
-    else:
-        t_end = _get_number(section, "t_end", "solver")
-        if t_end <= 0.0:
-            raise ConfigurationError(f"solver 't_end' must be positive, got {t_end}")
-        out["t_end"] = t_end
+        value = raw
+        if nested:
+            value = _read(raw, spec.type, key, kind)
+        elif convert is not None:
+            value = convert(raw)
+        if spec.rule is not None and not spec.rule[0](value):
+            raise ConfigurationError(
+                f"'{key}' in {where} must be {spec.rule[1]}, got {raw!r}"
+            )
+        out[key] = value
     return out
-
-
-_TOP_KEYS = (
-    "kind",
-    "alphas",
-    "base_n",
-    "beta",
-    "initial_data",
-    "solver",
-    "norms",
-    "tail",
-    "transfer",
-    "checks",
-    "allow_beyond_guaranteed",
-    "out_dir",
-    "seed",
-)
 
 
 def parse_config(data: dict) -> StudyConfig:
     """Validate a raw config mapping and resolve every default.
 
     Raises ConfigurationError for unknown keys (at any level), missing
-    required keys, non-nesting grids, and data that cannot fit the boxes.
+    required keys, wrong types, non-finite numbers, out-of-range values,
+    non-nesting grids, and data that cannot fit the boxes.
     """
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "config")
-
     kind = data.get("kind")
     if kind not in STUDY_KINDS:
         raise ConfigurationError(
             f"'kind' must be one of {list(STUDY_KINDS)}, got {kind!r}"
         )
+    top = _read(data, _CONFIG_KEYS, "config", kind)
+    family = top["initial_data"].get("family")
+    if family not in _FAMILY_KEYS:
+        raise ConfigurationError(
+            "initial_data 'family' must be 'bump', 'trefoil', or 'zero', "
+            f"got {family!r}"
+        )
+    initial = _read(
+        top["initial_data"], _FAMILY_KEYS[family], f"initial_data ({family})", kind
+    )
 
-    alphas_raw = data.get("alphas")
-    if not isinstance(alphas_raw, list) or not alphas_raw:
-        raise ConfigurationError("'alphas' must be a non-empty list of box sizes")
-    if not all(
-        isinstance(a, (int, float)) and not isinstance(a, bool) and a > 0
-        for a in alphas_raw
-    ):
-        raise ConfigurationError("'alphas' entries must be positive numbers")
-    alphas = tuple(float(a) for a in alphas_raw)
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ConfigurationError(f"'alphas' must be strictly ascending, got {alphas}")
-
-    base_n = _get_int(data, "base_n", "config")
-    if base_n < 8 or base_n % 2:
-        raise ConfigurationError(f"'base_n' must be an even integer >= 8, got {base_n}")
-    h = 2.0 * alphas[0] / base_n
-
-    beta = _get_number(data, "beta", "config", default=2.0 * alphas[-1])
+    # Derived defaults and the checks that involve several fields.
+    alphas = top["alphas"]
+    h = 2.0 * alphas[0] / top["base_n"]
+    beta = 2.0 * alphas[-1] if top["beta"] is None else top["beta"]
     if beta < 2.0 * alphas[-1]:
         raise ConfigurationError(
             f"reference box beta={beta} must be >= 2*max(alphas)={2.0 * alphas[-1]}"
@@ -407,132 +417,34 @@ def parse_config(data: dict) -> StudyConfig:
             )
         return int(round(n))
 
-    ns = tuple(lattice_points(a, "alpha") for a in alphas)
-    beta_n = lattice_points(beta, "beta")
-
-    initial = _parse_initial_data(data.get("initial_data"), alphas[0])
-
-    checks_raw = data.get("checks", {})
-    if not isinstance(checks_raw, dict):
-        raise ConfigurationError("'checks' must be an object")
-    _reject_unknown(checks_raw, ("ratio_bound", "support_margin"), "checks")
-    ratio_bound = _get_number(checks_raw, "ratio_bound", "checks", default=0.5)
-    if not 0.0 < ratio_bound <= 1.0:
-        raise ConfigurationError(f"'ratio_bound' must be in (0, 1], got {ratio_bound}")
-    support_margin = _get_number(
-        checks_raw, "support_margin", "checks", default=2.0 * h
-    )
-    if support_margin < 0.0:
-        raise ConfigurationError("'support_margin' must be nonnegative")
-
-    norms = data.get("norms")
-    if kind in ("inversion", "solution"):
-        if norms is None:
-            norms = ["L2", "H1"]
-        if not isinstance(norms, list) or not norms:
-            raise ConfigurationError("'norms' must be a non-empty list of names")
-        for name in norms:
-            _norm_function(name)
-        norms = tuple(str(n) for n in norms)
-    elif norms is not None:
-        raise ConfigurationError(
-            f"'norms' applies to inversion/solution studies, not {kind!r}"
-        )
-    else:
-        norms = ()
-
-    solver = data.get("solver")
-    if kind == "inversion":
-        if solver is not None:
-            raise ConfigurationError("inversion studies take no 'solver' section")
-    else:
-        if solver is None:
-            raise ConfigurationError(f"{kind} studies need a 'solver' section")
-        solver = _parse_solver(solver, kind)
-
-    tail_inner: float | None = None
-    tail_radii: tuple[float, ...] = ()
-    tail_raw = data.get("tail")
-    if kind == "tail":
-        if not isinstance(tail_raw, dict):
-            raise ConfigurationError("tail studies need a 'tail' section")
-        _reject_unknown(tail_raw, ("inner_radius", "radii"), "tail")
-        tail_inner = _get_number(tail_raw, "inner_radius", "tail")
-        radii_raw = tail_raw.get("radii")
-        if not isinstance(radii_raw, list) or not radii_raw:
-            raise ConfigurationError("tail 'radii' must be a non-empty list")
-        if not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool) for r in radii_raw
-        ):
-            raise ConfigurationError("tail 'radii' entries must be numbers")
-        tail_radii = tuple(float(r) for r in radii_raw)
-        if any(b <= a for a, b in zip(tail_radii, tail_radii[1:])):
-            raise ConfigurationError("tail 'radii' must be strictly ascending")
-        if tail_inner >= tail_radii[0]:
-            raise ConfigurationError(
-                f"tail inner radius r={tail_inner} must be below the smallest "
-                f"R={tail_radii[0]}"
-            )
-        for alpha in alphas:
-            # The extension tail estimate needs R <= alpha - 1; the boundary
-            # case is the closed limit and is accepted.
-            if tail_radii[-1] > alpha - 1.0 + 1e-12:
-                raise ConfigurationError(
-                    f"tail radius R={tail_radii[-1]} exceeds alpha - 1 "
-                    f"on the alpha={alpha} box"
-                )
-    elif tail_raw is not None:
-        raise ConfigurationError("'tail' section applies to tail studies only")
-
-    t_star_factor: float | None = None
-    transfer_raw = data.get("transfer")
-    if kind == "transfer":
-        if transfer_raw is None:
-            transfer_raw = {}
-        if not isinstance(transfer_raw, dict):
-            raise ConfigurationError("'transfer' must be an object")
-        _reject_unknown(transfer_raw, ("t_star_factor",), "transfer")
-        t_star_factor = _get_number(
-            transfer_raw, "t_star_factor", "transfer", default=1.0
-        )
-        if t_star_factor <= 0.0:
-            raise ConfigurationError("'t_star_factor' must be positive")
-    elif transfer_raw is not None:
-        raise ConfigurationError("'transfer' section applies to transfer studies only")
-
-    allow_beyond = data.get("allow_beyond_guaranteed", False)
-    if allow_beyond is not False and kind != "solution":
-        raise ConfigurationError(
-            "'allow_beyond_guaranteed' applies to solution studies only"
-        )
-    if not isinstance(allow_beyond, bool):
-        raise ConfigurationError("'allow_beyond_guaranteed' must be a boolean")
-
-    out_dir = data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigurationError("'out_dir' must be a string path")
-
-    seed = _get_int(data, "seed", "config", default=0)
-
+    if family == "zero" and initial["support_radius"] is None:
+        initial["support_radius"] = 0.5 * alphas[0]
+    checks = top["checks"]
+    if checks["support_margin"] is None:
+        checks["support_margin"] = 2.0 * h
+    tail = top.get("tail", {})
+    echo = {**top, "beta": beta, "initial_data": initial}
+    if top["out_dir"] is None:
+        del echo["out_dir"]
     cfg = StudyConfig(
         kind=kind,
         alphas=alphas,
-        base_n=base_n,
+        base_n=top["base_n"],
         beta=beta,
-        ns=ns,
-        beta_n=beta_n,
+        ns=tuple(lattice_points(a, "alpha") for a in alphas),
+        beta_n=lattice_points(beta, "beta"),
         h=h,
         initial_data=initial,
-        solver=solver,
-        norms=norms,
-        tail_inner=tail_inner,
-        tail_radii=tail_radii,
-        t_star_factor=t_star_factor,
-        ratio_bound=ratio_bound,
-        support_margin=support_margin,
-        allow_beyond_guaranteed=bool(allow_beyond),
-        out_dir=out_dir,
-        seed=seed,
+        solver=top.get("solver"),
+        norms=top.get("norms", ()),
+        tail_inner=tail.get("inner_radius"),
+        tail_radii=tail.get("radii", ()),
+        t_star_factor=top.get("transfer", {}).get("t_star_factor"),
+        ratio_bound=checks["ratio_bound"],
+        support_margin=checks["support_margin"],
+        allow_beyond_guaranteed=top.get("allow_beyond_guaranteed", False),
+        out_dir=top["out_dir"],
+        echo=echo,
     )
 
     if kind in ("inversion", "solution") and alphas[0] < 1.0:
@@ -540,6 +452,19 @@ def parse_config(data: dict) -> StudyConfig:
             "extension to the reference box needs alpha >= 1 on every box, "
             f"got min alpha = {alphas[0]}"
         )
+    if kind == "tail":
+        inner, radii = cfg.tail_inner, cfg.tail_radii
+        if inner >= radii[0]:
+            raise ConfigurationError(
+                f"tail inner radius r={inner} must be below the smallest R={radii[0]}"
+            )
+        # The extension tail estimate needs R <= alpha - 1 on every box; the
+        # boundary case is the closed limit and is accepted.
+        if radii[-1] > alphas[0] - 1.0 + 1e-12:
+            raise ConfigurationError(
+                f"tail radius R={radii[-1]} exceeds alpha - 1 "
+                f"on the alpha={alphas[0]} box"
+            )
     limit = alphas[0] - cfg.support_margin
     if cfg.support_radius > limit:
         raise ConfigurationError(
@@ -547,9 +472,9 @@ def parse_config(data: dict) -> StudyConfig:
             f"within {limit:.6g} (= min alpha - support margin) on the "
             f"alpha={alphas[0]} box"
         )
-    if kind == "tail" and cfg.support_radius >= tail_inner:
+    if kind == "tail" and cfg.support_radius >= cfg.tail_inner:
         raise ConfigurationError(
-            f"tail inner radius r={tail_inner} must exceed the data support "
+            f"tail inner radius r={cfg.tail_inner} must exceed the data support "
             f"radius {cfg.support_radius:.6g}"
         )
     return cfg
@@ -603,12 +528,43 @@ class StudyResult:
         return all(record.passed for record in self.checks)
 
 
-def _grid_for(cfg: StudyConfig, index: int) -> BoxGrid:
-    return grid_make(cfg.alphas[index], cfg.ns[index])
+#: study kind -> its runner; filled by :func:`_study`.
+_RUNNERS: dict = {}
 
 
-def _reference_grid(cfg: StudyConfig) -> BoxGrid:
-    return grid_make(cfg.beta, cfg.beta_n)
+def _study(kind: str):
+    """Decorate a study body into its public runner, registered for ``kind``.
+
+    The runner rejects a config of another kind (audits take any kind),
+    times the body, and builds the :class:`StudyResult` from the fields the
+    body returns as a dict (all but ``kind``, ``config`` and ``wall_time_s``).
+    """
+
+    def decorate(body):
+        @functools.wraps(
+            body, assigned=("__module__", "__name__", "__qualname__", "__doc__")
+        )
+        def run(cfg: StudyConfig) -> StudyResult:
+            if kind in STUDY_KINDS and cfg.kind != kind:
+                raise UsageError(f"{body.__name__} got a {cfg.kind!r} config")
+            start = time.perf_counter()
+            parts = body(cfg)
+            return StudyResult(
+                kind=kind,
+                config=cfg.to_dict(),
+                wall_time_s=time.perf_counter() - start,
+                **parts,
+            )
+
+        _RUNNERS[kind] = run
+        return run
+
+    return decorate
+
+
+def _box_grids(cfg: StudyConfig):
+    """(alpha, grid) for every box, built as the caller reaches it."""
+    return ((alpha, BoxGrid(alpha, n)) for alpha, n in zip(cfg.alphas, cfg.ns))
 
 
 def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
@@ -640,6 +596,11 @@ def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
     return VorticityField(zeros, support_radius=data["support_radius"])
 
 
+def _initial_velocity(cfg: StudyConfig, grid: BoxGrid) -> Field:
+    """The periodic velocity of the configured vorticity on one grid."""
+    return curl_inv_periodic(_build_vorticity(cfg, grid))
+
+
 def _solver_config(cfg: StudyConfig, t_end: float, *, snapshots: bool) -> SolverConfig:
     sd = cfg.solver
     dt, every = sd["dt"], sd["snapshot_every"]
@@ -655,6 +616,26 @@ def _solver_config(cfg: StudyConfig, t_end: float, *, snapshots: bool) -> Solver
         snapshot_times=tuple(times),
         audit_every=sd["audit_every"],
     )
+
+
+def _solve(
+    u0: Field, scfg: SolverConfig, checks: list | None = None, name: str = ""
+) -> Trajectory | None:
+    """``nse_solve``, or None when the run blows up or violates the CFL bound.
+
+    With ``checks`` the failure is appended to it as a failed ``name``
+    record: measured is the last valid time of a blow-up (NaN for a CFL
+    violation), the threshold is t_end, the note is the solver's message.
+    """
+    try:
+        return nse_solve(u0, scfg)
+    except BlowUpError as exc:
+        measured, note = exc.last_valid_time, str(exc)
+    except StepSizeError as exc:
+        measured, note = float("nan"), str(exc)
+    if checks is not None:
+        checks.append(CheckRecord(name, False, measured, scfg.t_end, note=note))
+    return None
 
 
 def measure_constants(fields) -> dict[str, float]:
@@ -681,15 +662,12 @@ def measure_constants(fields) -> dict[str, float]:
     }
 
 
-def _check_decreasing(
-    rows: list[dict], column: str, *, label: str | None = None
-) -> list[CheckRecord]:
+def _check_decreasing(rows: list[dict], column: str) -> list[CheckRecord]:
     """Strict-decrease records per consecutive alpha pair (zero rows pass)."""
     out = []
-    label = label or column
     for prev, nxt in zip(rows, rows[1:]):
         a, b = prev[column], nxt[column]
-        name = f"{label}_decreasing_alpha_{prev['alpha']:g}_to_{nxt['alpha']:g}"
+        name = f"{column}_decreasing_alpha_{prev['alpha']:g}_to_{nxt['alpha']:g}"
         if math.isnan(a) or math.isnan(b):
             out.append(
                 CheckRecord(name, False, float("nan"), a, note="non-finite error")
@@ -722,7 +700,8 @@ def _check_halving(rows: list[dict], column: str, bound: float) -> list[CheckRec
 # studies
 
 
-def run_inversion_study(cfg: StudyConfig) -> StudyResult:
+@_study("inversion")
+def run_inversion_study(cfg: StudyConfig) -> dict:
     """Invert one vorticity on every box and measure the gap on Q_beta.
 
     Per alpha: u_alpha = curl_inv_periodic(omega), extended to the reference
@@ -730,20 +709,14 @@ def run_inversion_study(cfg: StudyConfig) -> StudyResult:
     Emits per-row gradient and vorticity norms (equal by the curl identity)
     and asserts strict error decrease plus the halving ratio on H^1.
     """
-    if cfg.kind != "inversion":
-        raise UsageError(f"run_inversion_study got a {cfg.kind!r} config")
-    start = time.perf_counter()
-    ref_grid = _reference_grid(cfg)
-    omega_ref = _build_vorticity(cfg, ref_grid)
-    u_ref = curl_inv_periodic(omega_ref)
-    del omega_ref
+    ref_grid = BoxGrid(cfg.beta, cfg.beta_n)
+    u_ref = _initial_velocity(cfg, ref_grid)
 
     norm_fns = [(name, _norm_function(name)) for name in cfg.norms]
     rows: list[dict] = []
     identity_worst = 0.0
     constants: dict[str, float] | None = None
-    for i, alpha in enumerate(cfg.alphas):
-        grid = _grid_for(cfg, i)
+    for alpha, grid in _box_grids(cfg):
         w = _build_vorticity(cfg, grid)
         u = curl_inv_periodic(w)
         if constants is None:
@@ -782,45 +755,29 @@ def run_inversion_study(cfg: StudyConfig) -> StudyResult:
         )
     )
 
-    columns = ("alpha", *(f"err_{n}" for n in cfg.norms), "grad_norm", "omega_norm")
-    return StudyResult(
-        kind="inversion",
-        columns=columns,
+    return dict(
+        columns=("alpha", *(f"err_{n}" for n in cfg.norms), "grad_norm", "omega_norm"),
         rows=rows,
         checks=checks,
-        constants=constants or measure_constants([]),
+        constants=constants,
         extras={"beta": cfg.beta, "h": cfg.h},
-        config=cfg.to_dict(),
-        wall_time_s=time.perf_counter() - start,
     )
 
 
-def _solution_columns(cfg: StudyConfig, tail_radii) -> tuple[str, ...]:
-    return (
-        "alpha",
-        "err_L2T_H1",
-        "err_L4T_H1.5",
-        *(f"tail_sup_R{j + 1}" for j in range(len(tail_radii))),
-        "blown_up",
-    )
-
-
-def run_solution_study(cfg: StudyConfig) -> StudyResult:
+@_study("solution")
+def run_solution_study(cfg: StudyConfig) -> dict:
     """Evolve identical data on every box; compare against the Q_beta run.
 
     Emits per-snapshot errors (``solution_times.csv``) and per-alpha
     discrete L^2(0,T;H^1) / L^4(0,T;H^1.5) integrals with sup-in-time tail
-    columns.  A blow-up on any box aborts the sweep with a failed record.
+    columns.  A blow-up or CFL violation on any box aborts the sweep with a
+    failed record.
     """
-    if cfg.kind != "solution":
-        raise UsageError(f"run_solution_study got a {cfg.kind!r} config")
-    start = time.perf_counter()
     t_end = cfg.solver["t_end"]
-    ref_grid = _reference_grid(cfg)
+    ref_grid = BoxGrid(cfg.beta, cfg.beta_n)
 
-    grids = [_grid_for(cfg, i) for i in range(len(cfg.alphas))]
-    initial = [curl_inv_periodic(_build_vorticity(cfg, g)) for g in grids]
-    u0_ref = curl_inv_periodic(_build_vorticity(cfg, ref_grid))
+    initial = [_initial_velocity(cfg, grid) for _, grid in _box_grids(cfg)]
+    u0_ref = _initial_velocity(cfg, ref_grid)
 
     c_probe = measure_constants([initial[0]])
     checks: list[CheckRecord] = []
@@ -840,7 +797,7 @@ def run_solution_study(cfg: StudyConfig) -> StudyResult:
         warnings.warn(
             f"integrating to t_end={t_end} beyond the guaranteed horizon "
             f"{t_min:.6g}",
-            stacklevel=2,
+            stacklevel=3,
         )
     checks.append(
         CheckRecord(
@@ -855,66 +812,47 @@ def run_solution_study(cfg: StudyConfig) -> StudyResult:
     )
 
     tail_radii = tuple(f * cfg.alphas[0] for f in _SOLUTION_TAIL_FRACTIONS)
-    rows: list[dict] = []
-    time_rows: list[dict] = []
-    aborted = False
+    columns = (
+        "alpha",
+        "err_L2T_H1",
+        "err_L4T_H1.5",
+        *(f"tail_sup_R{j + 1}" for j in range(len(tail_radii))),
+        "blown_up",
+    )
+    parts = dict(
+        columns=columns,
+        rows=[],
+        checks=checks,
+        constants=c_probe,
+        extras={
+            "beta": cfg.beta,
+            "h": cfg.h,
+            "t_end": t_end,
+            "t_guaranteed_min": t_min,
+            "tail_sup_radii": list(tail_radii),
+            "aborted": True,
+        },
+        time_columns=("alpha", "t", *(f"err_{n}" for n in cfg.norms)),
+    )
 
     scfg = _solver_config(cfg, t_end, snapshots=True)
-    try:
-        ref_traj = nse_solve(u0_ref, scfg)
-    except BlowUpError as exc:
-        checks.append(
-            CheckRecord(
-                "no_blowup_reference",
-                False,
-                exc.last_valid_time,
-                t_end,
-                note=str(exc),
-            )
-        )
-        return StudyResult(
-            kind="solution",
-            columns=_solution_columns(cfg, tail_radii),
-            rows=rows,
-            checks=checks,
-            constants=c_probe,
-            extras={
-                "beta": cfg.beta,
-                "h": cfg.h,
-                "t_end": t_end,
-                "t_guaranteed_min": t_min,
-                "tail_sup_radii": list(tail_radii),
-                "aborted": True,
-            },
-            config=cfg.to_dict(),
-            wall_time_s=time.perf_counter() - start,
-            time_columns=("alpha", "t", *(f"err_{n}" for n in cfg.norms)),
-        )
-    constants = measure_constants(ref_traj.states)
+    ref_traj = _solve(u0_ref, scfg, checks, "no_blowup_reference")
+    if ref_traj is None:
+        return parts
+    parts["constants"] = measure_constants(ref_traj.states)
 
     norm_fns = [(name, _norm_function(name)) for name in cfg.norms]
     h1 = _norm_function("H1")
     h15 = _norm_function("H1.5")
+    rows = parts["rows"]
+    time_rows: list[dict] = []
+    aborted = False
 
     for i, alpha in enumerate(cfg.alphas):
-        try:
-            traj = nse_solve(initial[i], scfg)
-        except BlowUpError as exc:
-            checks.append(
-                CheckRecord(
-                    f"no_blowup_alpha_{alpha:g}",
-                    False,
-                    exc.last_valid_time,
-                    t_end,
-                    note=str(exc),
-                )
-            )
-            row = {"alpha": alpha, "err_L2T_H1": float("nan"),
-                   "err_L4T_H1.5": float("nan")}
-            for j in range(len(tail_radii)):
-                row[f"tail_sup_R{j + 1}"] = float("nan")
-            row["blown_up"] = 1
-            rows.append(row)
+        traj = _solve(initial[i], scfg, checks, f"no_blowup_alpha_{alpha:g}")
+        if traj is None:
+            nan_row = dict.fromkeys(columns, float("nan"))
+            rows.append({**nan_row, "alpha": alpha, "blown_up": 1})
             aborted = True
             break
         if traj.times != ref_traj.times:
@@ -937,15 +875,9 @@ def run_solution_study(cfg: StudyConfig) -> StudyResult:
             del diff
             for j, radius in enumerate(tail_radii):
                 tail_sups[j] = max(tail_sups[j], tail_mass(state, radius))
-        row = {
-            "alpha": alpha,
-            "err_L2T_H1": math.sqrt(np.trapezoid(h1_sq, traj.times)),
-            "err_L4T_H1.5": float(np.trapezoid(h15_q4, traj.times)) ** 0.25,
-        }
-        for j, sup in enumerate(tail_sups):
-            row[f"tail_sup_R{j + 1}"] = sup
-        row["blown_up"] = 0
-        rows.append(row)
+        l2t_h1 = math.sqrt(np.trapezoid(h1_sq, traj.times))
+        l4t_h15 = float(np.trapezoid(h15_q4, traj.times)) ** 0.25
+        rows.append(dict(zip(columns, (alpha, l2t_h1, l4t_h15, *tail_sups, 0))))
 
     clean = [r for r in rows if not r["blown_up"]]
     checks.extend(_check_decreasing(clean, "err_L2T_H1"))
@@ -983,29 +915,13 @@ def run_solution_study(cfg: StudyConfig) -> StudyResult:
         )
     )
 
-    time_columns = ("alpha", "t", *(f"err_{n}" for n in cfg.norms))
-    return StudyResult(
-        kind="solution",
-        columns=_solution_columns(cfg, tail_radii),
-        rows=rows,
-        checks=checks,
-        constants=constants,
-        extras={
-            "beta": cfg.beta,
-            "h": cfg.h,
-            "t_end": t_end,
-            "t_guaranteed_min": t_min,
-            "tail_sup_radii": list(tail_radii),
-            "aborted": aborted,
-        },
-        config=cfg.to_dict(),
-        wall_time_s=time.perf_counter() - start,
-        time_columns=time_columns,
-        time_rows=time_rows,
-    )
+    parts["extras"]["aborted"] = aborted
+    parts["time_rows"] = time_rows
+    return parts
 
 
-def run_tail_study(cfg: StudyConfig) -> StudyResult:
+@_study("tail")
+def run_tail_study(cfg: StudyConfig) -> dict:
     """Audit tail(u(t), R) <= tail(u0, r) + Gamma/(R - r) on every box.
 
     Gamma is assembled from measured quantities of each run: with
@@ -1015,33 +931,21 @@ def run_tail_study(cfg: StudyConfig) -> StudyResult:
         Gamma = 2 ||u0|| [ sqrt(T) I + 2 C6^(3/2) ||u0||^(1/2) T^(1/4) I^(3/4) ].
 
     Rows carry both sides and the margin at every snapshot time and radius.
+    A blow-up or CFL violation ends the sweep with a failed record.
     """
-    if cfg.kind != "tail":
-        raise UsageError(f"run_tail_study got a {cfg.kind!r} config")
-    start = time.perf_counter()
     t_end = cfg.solver["t_end"]
     inner = cfg.tail_inner
+    columns = ("alpha", "t", "R", "lhs", "rhs", "margin")
     rows: list[dict] = []
     checks: list[CheckRecord] = []
     gammas: dict[str, float] = {}
     min_margin = float("inf")
     constants = None
     scfg = _solver_config(cfg, t_end, snapshots=True)
-    for i, alpha in enumerate(cfg.alphas):
-        grid = _grid_for(cfg, i)
-        u0 = curl_inv_periodic(_build_vorticity(cfg, grid))
-        try:
-            traj = nse_solve(u0, scfg)
-        except BlowUpError as exc:
-            checks.append(
-                CheckRecord(
-                    f"no_blowup_alpha_{alpha:g}",
-                    False,
-                    exc.last_valid_time,
-                    t_end,
-                    note=str(exc),
-                )
-            )
+    for alpha, grid in _box_grids(cfg):
+        u0 = _initial_velocity(cfg, grid)
+        traj = _solve(u0, scfg, checks, f"no_blowup_alpha_{alpha:g}")
+        if traj is None:
             break
         run_constants = measure_constants(traj.states)
         if constants is None or (
@@ -1079,16 +983,7 @@ def run_tail_study(cfg: StudyConfig) -> StudyResult:
                 rhs = tail0 + gamma / (radius - inner)
                 margin = rhs - lhs
                 min_margin = min(min_margin, margin)
-                rows.append(
-                    {
-                        "alpha": alpha,
-                        "t": t,
-                        "R": radius,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "margin": margin,
-                    }
-                )
+                rows.append(dict(zip(columns, (alpha, t, radius, lhs, rhs, margin))))
 
     checks.append(
         CheckRecord(
@@ -1099,9 +994,8 @@ def run_tail_study(cfg: StudyConfig) -> StudyResult:
             note="min over all snapshot times and radii of RHS - LHS",
         )
     )
-    return StudyResult(
-        kind="tail",
-        columns=("alpha", "t", "R", "lhs", "rhs", "margin"),
+    return dict(
+        columns=columns,
         rows=rows,
         checks=checks,
         constants=constants or measure_constants([]),
@@ -1111,24 +1005,20 @@ def run_tail_study(cfg: StudyConfig) -> StudyResult:
             "inner_radius": inner,
             "gamma": gammas,
         },
-        config=cfg.to_dict(),
-        wall_time_s=time.perf_counter() - start,
     )
 
 
-def run_transfer_study(cfg: StudyConfig) -> StudyResult:
+@_study("transfer")
+def run_transfer_study(cfg: StudyConfig) -> dict:
     """Sweep ascending boxes for the H^1 transfer threshold alpha*.
 
     The reference box fixes M = ||u0||_{H^1}^2 and the guaranteed horizon
     T_g; the sweep integrates every box to T* = t_star_factor * T_g and
     reports the first alpha* from which all larger boxes keep
-    sup_t ||u(t)||_{H^1}^2 <= 2M.  Blow-ups are recorded per box, not fatal.
+    sup_t ||u(t)||_{H^1}^2 <= 2M.  A blow-up or CFL violation is recorded
+    per box (a failed reference check or a ``blown_up`` row), not fatal.
     """
-    if cfg.kind != "transfer":
-        raise UsageError(f"run_transfer_study got a {cfg.kind!r} config")
-    start = time.perf_counter()
-    ref_grid = _reference_grid(cfg)
-    u0_ref = curl_inv_periodic(_build_vorticity(cfg, ref_grid))
+    u0_ref = _initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n))
     constants = measure_constants([u0_ref])
     if math.isnan(constants["c_agmon"]):
         raise ConfigurationError("transfer studies need nonzero initial data")
@@ -1138,6 +1028,8 @@ def run_transfer_study(cfg: StudyConfig) -> StudyResult:
     t_star = cfg.t_star_factor * estimate.t_guaranteed
 
     def sup_stats(traj) -> tuple[float, float]:
+        if traj is None:
+            return float("nan"), float("nan")
         ens = max(rec.entries["enstrophy"] for rec in traj.diagnostics)
         h1_sq = max(
             2.0 * rec.entries["energy"] + rec.entries["enstrophy"]
@@ -1145,24 +1037,21 @@ def run_transfer_study(cfg: StudyConfig) -> StudyResult:
         )
         return ens, h1_sq
 
+    columns = (
+        "alpha",
+        "sup_enstrophy",
+        "sup_h1_sq",
+        "within_2m",
+        "blown_up",
+        "is_reference",
+    )
     checks: list[CheckRecord] = []
     rows: list[dict] = []
     scfg = _solver_config(cfg, t_star, snapshots=False)
-    try:
-        ref_traj = nse_solve(u0_ref, scfg)
-        ref_ens, ref_h1_sq = sup_stats(ref_traj)
-        ref_blown = 0
-        del ref_traj
-    except BlowUpError as exc:
-        ref_ens = ref_h1_sq = float("nan")
-        ref_blown = 1
-        checks.append(
-            CheckRecord(
-                "reference_completes", False, exc.last_valid_time, t_star,
-                note=str(exc),
-            )
-        )
-    del u0_ref
+    ref_traj = _solve(u0_ref, scfg, checks, "reference_completes")
+    ref_blown = int(ref_traj is None)
+    ref_ens, ref_h1_sq = sup_stats(ref_traj)
+    del ref_traj, u0_ref
 
     reference_ok = not ref_blown and ref_h1_sq <= big_m * (1.0 + 1e-9)
     checks.append(
@@ -1177,26 +1066,13 @@ def run_transfer_study(cfg: StudyConfig) -> StudyResult:
 
     alpha_star = None
     if reference_ok:
-        for i, alpha in enumerate(cfg.alphas):
-            u0 = curl_inv_periodic(_build_vorticity(cfg, _grid_for(cfg, i)))
-            try:
-                traj = nse_solve(u0, scfg)
-                ens, h1_sq = sup_stats(traj)
-                blown = 0
-                del traj
-            except BlowUpError:
-                ens = h1_sq = float("nan")
-                blown = 1
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "sup_enstrophy": ens,
-                    "sup_h1_sq": h1_sq,
-                    "within_2m": int(not blown and h1_sq <= 2.0 * big_m),
-                    "blown_up": blown,
-                    "is_reference": 0,
-                }
-            )
+        for alpha, grid in _box_grids(cfg):
+            traj = _solve(_initial_velocity(cfg, grid), scfg)
+            blown = int(traj is None)
+            ens, h1_sq = sup_stats(traj)
+            del traj
+            within = int(not blown and h1_sq <= 2.0 * big_m)
+            rows.append(dict(zip(columns, (alpha, ens, h1_sq, within, blown, 0))))
         for row in reversed(rows):
             if not row["within_2m"]:
                 break
@@ -1211,26 +1087,10 @@ def run_transfer_study(cfg: StudyConfig) -> StudyResult:
             )
         )
 
-    rows.append(
-        {
-            "alpha": cfg.beta,
-            "sup_enstrophy": ref_ens,
-            "sup_h1_sq": ref_h1_sq,
-            "within_2m": int(reference_ok),
-            "blown_up": ref_blown,
-            "is_reference": 1,
-        }
-    )
-    return StudyResult(
-        kind="transfer",
-        columns=(
-            "alpha",
-            "sup_enstrophy",
-            "sup_h1_sq",
-            "within_2m",
-            "blown_up",
-            "is_reference",
-        ),
+    ref_row = (cfg.beta, ref_ens, ref_h1_sq, int(reference_ok), ref_blown, 1)
+    rows.append(dict(zip(columns, ref_row)))
+    return dict(
+        columns=columns,
         rows=rows,
         checks=checks,
         constants=constants,
@@ -1242,23 +1102,20 @@ def run_transfer_study(cfg: StudyConfig) -> StudyResult:
             "t_star_factor": cfg.t_star_factor,
             "alpha_star": alpha_star,
         },
-        config=cfg.to_dict(),
-        wall_time_s=time.perf_counter() - start,
     )
 
 
-def run_snapshot_audit(cfg: StudyConfig) -> StudyResult:
+@_study("audit")
+def run_snapshot_audit(cfg: StudyConfig) -> dict:
     """Evaluate the inequality ratios and the curl identity per box.
 
     Accepts any study config; only the boxes and the initial data are used.
     """
-    start = time.perf_counter()
     rows: list[dict] = []
     checks: list[CheckRecord] = []
     fields = []
-    for i, alpha in enumerate(cfg.alphas):
-        grid = _grid_for(cfg, i)
-        u = curl_inv_periodic(_build_vorticity(cfg, grid))
+    for alpha, grid in _box_grids(cfg):
+        u = _initial_velocity(cfg, grid)
         report = inequality_report(u)
         identity = curl_identity_report(u)
         l4 = lebesgue_norm(u, 4)
@@ -1293,36 +1150,13 @@ def run_snapshot_audit(cfg: StudyConfig) -> StudyResult:
             )
         )
         fields.append(u)
-    return StudyResult(
-        kind="audit",
-        columns=(
-            "alpha",
-            "l2",
-            "h1",
-            "agmon_ratio",
-            "l6_ratio",
-            "interp_ratio",
-            "pressure_ratio",
-            "grad_norm",
-            "curl_norm",
-            "curl_rel_diff",
-            "degenerate",
-        ),
+    return dict(
+        columns=tuple(rows[0]),
         rows=rows,
         checks=checks,
         constants=measure_constants(fields),
         extras={"h": cfg.h},
-        config=cfg.to_dict(),
-        wall_time_s=time.perf_counter() - start,
     )
-
-
-_RUNNERS = {
-    "inversion": run_inversion_study,
-    "solution": run_solution_study,
-    "tail": run_tail_study,
-    "transfer": run_transfer_study,
-}
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
@@ -1335,8 +1169,6 @@ def run_study(cfg: StudyConfig) -> StudyResult:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

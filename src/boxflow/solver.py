@@ -21,7 +21,7 @@ existence horizon T = 2 / (9 C^4 M^2) for an H^1 bound M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -241,11 +241,6 @@ def _require_solvable(u: Field) -> None:
     mean = float(np.abs(u.mean_value()).max())
     if scale > 0.0 and mean > 1e-10 * scale:
         raise DataError(f"velocity carries a mean: {mean:.3e}")
-
-
-def nse_step(u: Field, cfg: SolverConfig) -> Field:
-    """One integrating-factor RK4 step of length cfg.dt."""
-    return nse_solve(u, replace(cfg, t_end=cfg.dt, snapshot_times=())).final
 
 
 def _plan_steps(cfg: SolverConfig) -> tuple[list[float], list[float]]:

@@ -27,7 +27,6 @@ coincide point for point, so extension and restriction never resample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
@@ -180,11 +179,6 @@ class BoxGrid:
         return f"BoxGrid(alpha={self.alpha!r}, N={self.N})"
 
 
-def grid_make(alpha: float, N: int) -> BoxGrid:
-    """Construct a BoxGrid (validates alpha > 0 and even N >= 8)."""
-    return BoxGrid(alpha, N)
-
-
 class Field:
     """A real scalar or 3-vector field on a BoxGrid.
 
@@ -294,25 +288,6 @@ class Field:
         return f"Field({self.rank}, {self.grid!r})"
 
 
-def to_spectral(f: Field) -> Field:
-    """Ensure f carries spectral coefficients; returns the same field."""
-    f.spectral
-    return f
-
-
-def to_physical(f: Field) -> Field:
-    """Ensure f carries physical samples; returns the same field."""
-    f.physical
-    return f
-
-
-class DiffOp(Enum):
-    GRADIENT = "gradient"
-    DIVERGENCE = "divergence"
-    CURL = "curl"
-    LAPLACIAN = "laplacian"
-
-
 def gradient(f: Field) -> Field:
     """Spectral gradient of a scalar field (rank scalar -> vector)."""
     if f.rank != "scalar":
@@ -351,27 +326,6 @@ def curl(f: Field) -> Field:
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian, componentwise for vector fields."""
     return Field(f.grid, spectral=-f.grid.ksq_diff * f.spectral)
-
-
-_DIFF_TABLE = {
-    DiffOp.GRADIENT: gradient,
-    DiffOp.DIVERGENCE: divergence,
-    DiffOp.CURL: curl,
-    DiffOp.LAPLACIAN: laplacian,
-}
-
-
-def apply_diff(op: DiffOp, f: Field) -> Field:
-    """Apply a constant-coefficient differential operator in spectral space.
-
-    Rank rules: gradient scalar->vector, divergence vector->scalar,
-    curl vector->vector, laplacian either rank.  Violations raise UsageError.
-    """
-    try:
-        fn = _DIFF_TABLE[DiffOp(op)]
-    except (KeyError, ValueError):
-        raise UsageError(f"unknown differential operator {op!r}") from None
-    return fn(f)
 
 
 def leray_project(f: Field) -> Field:

@@ -38,7 +38,7 @@ from .norms import (
     lebesgue_norm,
     relative_divergence,
 )
-from .spectral_core import BoxGrid, Field, curl, leray_project, to_spectral
+from .spectral_core import BoxGrid, Field, curl, leray_project
 
 
 class VorticityField:
@@ -121,7 +121,7 @@ def curl_inv_periodic(w: VorticityField) -> Field:
             f"Q_{g.alpha}"
         )
     kx, ky, kz = g.k_axes(diff=True)
-    wx, wy, wz = to_spectral(w.omega).spectral
+    wx, wy, wz = w.omega.spectral
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(g.ksq_diff > 0.0, 1.0 / g.ksq_diff, 0.0)
     uhat = np.stack(

@@ -31,7 +31,7 @@ from boxflow.solver import (
     nse_solve,
     pressure_solve,
 )
-from boxflow.spectral_core import Field, dilate, grid_make, rescale_field
+from boxflow.spectral_core import BoxGrid, Field, dilate, rescale_field
 from boxflow.vorticity import curl_identity_report, curl_inv_periodic
 
 from conftest import div_free_field, taylor_green
@@ -51,7 +51,7 @@ def record(num: int, label: str, ok: bool, detail: str) -> None:
 # horizon and the audit quadrature comfortably below the 1e-6 target.
 @pytest.fixture(scope="module")
 def tg_energy_run():
-    grid = grid_make(2 * math.pi, 32)
+    grid = BoxGrid(2 * math.pi, 32)
     u0 = taylor_green(grid, amplitude=0.7)
     snaps = tuple(np.arange(1, 8) * 0.01)
     traj = nse_solve(
@@ -62,7 +62,7 @@ def tg_energy_run():
 
 @pytest.fixture(scope="module")
 def bump_energy_run():
-    grid = grid_make(10.0, 48)
+    grid = BoxGrid(10.0, 48)
     w = bump_vorticity(BumpSpec(support_radius=6.0, amplitude=0.25), grid)
     u0 = curl_inv_periodic(w)
     snaps = tuple(np.arange(1, 8) * (0.15 / 8))
@@ -75,12 +75,12 @@ def bump_energy_run():
 def test_criterion_01_curl_identity(rng):
     start = time.perf_counter()
     worst = 0.0
-    grid = grid_make(1.0, 32)
+    grid = BoxGrid(1.0, 32)
     for _ in range(20):
         rep = curl_identity_report(div_free_field(grid, rng))
         assert not rep.flags["not_applicable"]
         worst = max(worst, rep.entries["rel_diff"])
-    gpi = grid_make(math.pi, 32)
+    gpi = BoxGrid(math.pi, 32)
     traj = nse_solve(
         taylor_green(gpi),
         SolverConfig(
@@ -104,7 +104,7 @@ def test_criterion_01_curl_identity(rng):
 
 
 def test_criterion_02_rescaling_law(rng):
-    grid = grid_make(1.0, 32)
+    grid = BoxGrid(1.0, 32)
     worst = 0.0
     for _ in range(5):
         u = div_free_field(grid, rng)
@@ -129,8 +129,8 @@ def test_criterion_03_extension_bounds(rng):
     violations = 0
     checked = 0
     for alpha, radii in tail_radii.items():
-        grid = grid_make(alpha, 32)
-        ref = grid_make(2.0 * alpha, 64)
+        grid = BoxGrid(alpha, 32)
+        ref = BoxGrid(2.0 * alpha, 64)
         cutoff = make_cutoff(alpha)
         for _ in range(20):
             u = div_free_field(grid, rng)
@@ -153,7 +153,7 @@ def test_criterion_03_extension_bounds(rng):
 
 
 def test_criterion_04_alpha_uniform_inequalities(rng):
-    grid = grid_make(1.0, 32)
+    grid = BoxGrid(1.0, 32)
     fields = [div_free_field(grid, rng) for _ in range(5)]
     reports = [inequality_report(u) for u in fields]
     c_z = max(
@@ -183,7 +183,7 @@ def test_criterion_04_alpha_uniform_inequalities(rng):
 
 
 def test_criterion_05_exact_solution():
-    grid = grid_make(1.0, 16)
+    grid = BoxGrid(1.0, 16)
     _, y, _ = grid.meshgrid()
     arr = np.zeros((3, 16, 16, 16))
     arr[0] = np.sin(np.pi * y)
@@ -201,7 +201,7 @@ def test_criterion_05_exact_solution():
 
 
 def test_criterion_06_integrator_order():
-    grid = grid_make(math.pi, 32)
+    grid = BoxGrid(math.pi, 32)
     finals = []
     for dt in (2e-3, 1e-3, 5e-4):
         traj = nse_solve(

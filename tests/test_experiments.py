@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from boxflow.cli import main as cli_main
 from boxflow.errors import ConfigurationError, UsageError
@@ -119,7 +120,6 @@ def test_parsed_config_fills_defaults():
     assert cfg.beta_n == 64
     assert cfg.norms == ("L2", "H1")
     assert cfg.ratio_bound == 0.5
-    assert cfg.seed == 0
 
 
 @pytest.mark.parametrize(
@@ -256,6 +256,145 @@ def test_norm_names_validated():
         parse_config(inversion_data(norms=["H-1"]))
     cfg = parse_config(inversion_data(norms=["L2", "L4", "H1.5"]))
     assert cfg.norms == ("L2", "L4", "H1.5")
+
+
+# One wrong value per case: a bool where a number goes, a float where an
+# integer goes, a string where a list goes, or a non-finite number.
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: inversion_data(alphas="1,2"), "alphas"),
+        (lambda: inversion_data(alphas=[1, math.nan]), "alphas"),
+        (lambda: inversion_data(base_n=16.0), "base_n"),
+        (lambda: inversion_data(base_n=True), "base_n"),
+        (lambda: inversion_data(beta=True), "beta"),
+        (lambda: inversion_data(beta=math.inf), "beta"),
+        (lambda: inversion_data(norms="L2"), "norms"),
+        (lambda: inversion_data(out_dir=1.0), "out_dir"),
+        (lambda: solution_data(allow_beyond_guaranteed=1), "allow_beyond_guaranteed"),
+        (lambda: inversion_data(initial_data={"family": "bump", "support_radius": True}),
+         "support_radius"),
+        (lambda: inversion_data(initial_data={"family": "bump", "support_radius": 0.5,
+                                              "amplitude": math.nan}), "amplitude"),
+        (lambda: inversion_data(initial_data={"family": "bump", "support_radius": 0.5,
+                                              "direction": "z"}), "direction"),
+        (lambda: inversion_data(initial_data={"family": "trefoil", "major_radius": 0.3,
+                                              "tube_radius": 0.05, "strength": 1.0,
+                                              "resolution": 512.0}), "resolution"),
+        (lambda: inversion_data(initial_data={"family": "zero", "support_radius": math.inf}),
+         "support_radius"),
+        (lambda: solution_data(solver={"dt": True, "t_end": 0.02}), "dt"),
+        (lambda: solution_data(solver={"dt": 2e-3, "t_end": math.inf}), "t_end"),
+        (lambda: solution_data(solver={"dt": 2e-3, "t_end": 0.02, "snapshot_every": 5.0}),
+         "snapshot_every"),
+        (lambda: solution_data(solver={"dt": 2e-3, "t_end": 0.02, "audit_every": False}),
+         "audit_every"),
+        (lambda: tail_data(tail={"inner_radius": True, "radii": [2.0]}), "inner_radius"),
+        (lambda: tail_data(tail={"inner_radius": 1.5, "radii": "2.0"}), "radii"),
+        (lambda: transfer_data(transfer={"t_star_factor": True}), "t_star_factor"),
+        (lambda: transfer_data(transfer={"t_star_factor": math.nan}), "t_star_factor"),
+        (lambda: inversion_data(checks={"ratio_bound": True}), "ratio_bound"),
+        (lambda: inversion_data(checks={"support_margin": -math.inf}), "support_margin"),
+    ],
+)
+def test_wrong_types_and_non_finite_values_rejected(make, key):
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        parse_config(make())
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("initial_data", "direction", [math.nan, 0, 1]),
+        ("initial_data", "direction", [True, 0, 0]),
+        ("tail", "radii", [2.0, math.nan]),
+    ],
+)
+def test_list_entries_must_be_finite_numbers(section, key, value):
+    data = tail_data()
+    data[section][key] = value
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        parse_config(data)
+
+
+def test_non_finite_alpha_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigurationError, match="'alphas'"):
+        parse_config(inversion_data(alphas=[1, math.inf]))
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(inversion_data(alphas=[1, math.inf])))
+    assert "Infinity" in path.read_text()
+    assert cli_main(["inversion", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@st.composite
+def valid_configs(draw):
+    """Random valid raw configs of every kind; each optional key is either
+    given or left to its default."""
+
+    def maybe(section, key, value):
+        if draw(st.booleans()):
+            section[key] = value
+
+    kind = draw(st.sampled_from(["inversion", "solution", "tail", "transfer"]))
+    a0 = 4.0 if kind == "tail" else draw(st.sampled_from([1.0, 2.0]))
+    ms = [1, *sorted(draw(st.sets(st.integers(2, 4), max_size=2)))]
+    data = {
+        "kind": kind,
+        "alphas": [a0 * m for m in ms],
+        "base_n": draw(st.sampled_from([16, 20, 32])),
+    }
+    maybe(data, "beta", a0 * draw(st.integers(2 * ms[-1], 2 * ms[-1] + 3)))
+    unit = st.floats(0.01, 1.0)
+    family = draw(st.sampled_from(["bump", "trefoil", "zero"]))
+    initial = {"family": family}
+    if family == "bump":
+        initial["support_radius"] = draw(st.floats(0.1, 0.5))
+        maybe(initial, "amplitude", draw(st.floats(-10.0, 10.0)))
+        maybe(initial, "direction", draw(
+            st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)))
+        maybe(initial, "support_tol", draw(unit))
+    elif family == "trefoil":
+        initial.update(major_radius=draw(st.floats(0.1, 0.3)),
+                       tube_radius=draw(st.floats(0.01, 0.05)), strength=draw(unit))
+        maybe(initial, "resolution", draw(st.integers(16, 1024)))
+        maybe(initial, "div_tol", draw(unit))
+        maybe(initial, "support_tol", draw(unit))
+    else:
+        maybe(initial, "support_radius", draw(st.floats(0.0, 0.5)))
+    data["initial_data"] = initial
+    checks = {}
+    maybe(checks, "ratio_bound", draw(unit))
+    maybe(checks, "support_margin", draw(st.floats(0.0, 0.2)))
+    maybe(data, "checks", checks)
+    if kind != "inversion":
+        solver = {"dt": draw(st.floats(1e-5, 1e-2))}
+        if kind != "transfer":
+            solver["t_end"] = draw(unit)
+        maybe(solver, "snapshot_every", draw(st.integers(1, 50)))
+        maybe(solver, "audit_every", draw(st.integers(1, 50)))
+        data["solver"] = solver
+    if kind in ("inversion", "solution"):
+        maybe(data, "norms", draw(st.lists(
+            st.sampled_from(["L2", "H1", "L4", "H1.5"]), min_size=1, max_size=4)))
+    if kind == "tail":
+        data["tail"] = {"inner_radius": 2.25,
+                        "radii": sorted(draw(st.sets(st.sampled_from([2.5, 2.75, 3.0]),
+                                                     min_size=1)))}
+    if kind == "transfer":
+        transfer = {}
+        maybe(transfer, "t_star_factor", draw(st.floats(0.1, 5.0)))
+        maybe(data, "transfer", transfer)
+    if kind == "solution":
+        maybe(data, "allow_beyond_guaranteed", draw(st.booleans()))
+    maybe(data, "out_dir", draw(st.text(min_size=1, max_size=8)))
+    return data
+
+
+@given(valid_configs())
+def test_random_configs_round_trip_through_to_dict(data):
+    cfg = parse_config(data)
+    assert parse_config(cfg.to_dict()) == cfg
+    assert parse_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_load_config_errors(tmp_path):
@@ -626,16 +765,6 @@ def test_cli_inversion_passes(tmp_path, capsys):
     assert (tmp_path / "out" / "inversion.csv").exists()
 
 
-def test_cli_seed_override_lands_in_metadata(tmp_path):
-    path = write_config(tmp_path, tiny_inversion_data())
-    out = tmp_path / "out"
-    assert cli_main(
-        ["inversion", "--config", str(path), "--out", str(out), "--seed", "7"]
-    ) == 0
-    meta = json.loads((out / "metadata.json").read_text())
-    assert meta["config"]["seed"] == 7
-
-
 def test_cli_out_dir_from_config(tmp_path):
     data = tiny_inversion_data(out_dir=str(tmp_path / "from_config"))
     path = write_config(tmp_path, data)
@@ -673,6 +802,39 @@ def test_cli_failed_study_exits_one(tmp_path, capsys):
     code = cli_main(["solution", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "FAIL no_blowup_reference" in capsys.readouterr().out
+
+
+# A step far above the advective CFL ceiling fails on the first box the
+# study marches (the reference box where there is one).
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "data, check",
+    [
+        (solution_data(alphas=[1],
+                       initial_data={"family": "bump", "support_radius": 0.5,
+                                     "amplitude": 10.0},
+                       solver={"dt": 2e-2, "t_end": 4e-2},
+                       allow_beyond_guaranteed=True), "no_blowup_reference"),
+        (tail_data(base_n=32,
+                   initial_data={"family": "bump", "support_radius": 1.0,
+                                 "amplitude": 10.0},
+                   solver={"dt": 5e-2, "t_end": 0.1}), "no_blowup_alpha_4"),
+        (transfer_data(alphas=[1, 2], beta=4, solver={"dt": 2e-2},
+                       transfer={"t_star_factor": 3.0}), "reference_completes"),
+    ],
+    ids=["solution", "tail", "transfer"],
+)
+def test_cfl_violation_is_a_failed_check_with_a_report(tmp_path, capsys, data, check):
+    path = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    assert cli_main([data["kind"], "--config", str(path), "--out", str(out)]) == 1
+    assert f"FAIL {check}" in capsys.readouterr().out
+    assert (out / f"{data['kind']}.csv").exists()
+    assert json.loads((out / "metadata.json").read_text())["passed"] is False
+    lines = (out / "checks.csv").read_text().splitlines()
+    record = next(line for line in lines if line.startswith(check + ","))
+    assert record.startswith(f"{check},0,nan,")
+    assert "advective CFL violated" in record
 
 
 def test_cli_audit_accepts_any_kind(tmp_path):

@@ -40,7 +40,6 @@ from boxflow.solver import (
     enstrophy_audit,
     existence_time,
     nse_solve,
-    nse_step,
     pressure_solve,
     write_diagnostics_csv,
 )
@@ -91,7 +90,7 @@ def test_single_step_matches_viscous_decay():
     grid = BoxGrid(2.0, 16)
     u0 = shear_flow(grid)
     cfg = SolverConfig(dt=1e-3, t_end=1e-3)
-    u1 = nse_step(u0, cfg)
+    u1 = nse_solve(u0, cfg).final
     decay = math.exp(-shear_rate(grid) * cfg.dt)
     assert np.abs(u1.physical - decay * u0.physical).max() < 1e-12
 
@@ -261,7 +260,7 @@ def test_cfl_violation_suggests_step_size():
     grid = BoxGrid(2.0, 16)
     u0 = shear_flow(grid)
     with pytest.raises(StepSizeError) as exc:
-        nse_step(u0, SolverConfig(dt=0.2, t_end=0.2))
+        nse_solve(u0, SolverConfig(dt=0.2, t_end=0.2))
     suggested = exc.value.suggested_dt
     umax = np.sqrt((u0.physical**2).sum(axis=0)).max()
     assert abs(suggested - 0.5 * grid.h / umax) < 1e-12
@@ -282,17 +281,17 @@ def test_solver_input_validation(rng):
     bad = np.zeros((3, 16, 16, 16))
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(DataError):
-        nse_step(Field.from_physical(grid, bad), cfg)
+        nse_solve(Field.from_physical(grid, bad), cfg)
     from conftest import smooth_field
 
     divergent = smooth_field(grid, rng, rank="vector")
     with pytest.raises(DataError):
-        nse_step(divergent, cfg)
+        nse_solve(divergent, cfg)
     with_mean = Field.from_physical(grid, np.ones((3, 16, 16, 16)))
     with pytest.raises(DataError):
-        nse_step(with_mean, cfg)
+        nse_solve(with_mean, cfg)
     with pytest.raises(UsageError):
-        nse_step(smooth_field(grid, rng), cfg)  # scalar
+        nse_solve(smooth_field(grid, rng), cfg)  # scalar
 
 
 def test_config_validation():

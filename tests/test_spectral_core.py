@@ -6,21 +6,16 @@ import pytest
 from boxflow.errors import ConfigurationError, DataError, UsageError
 from boxflow.spectral_core import (
     BoxGrid,
-    DiffOp,
     Field,
-    apply_diff,
     curl,
     dealias,
     dilate,
     divergence,
     gradient,
-    grid_make,
     laplacian,
     leray_project,
     read_snapshot,
     rescale_field,
-    to_physical,
-    to_spectral,
     write_snapshot,
 )
 
@@ -43,7 +38,7 @@ def lattice_l2(f: Field) -> float:
 
 class TestBoxGrid:
     def test_spacing_and_volume(self):
-        g = grid_make(2.0, 32)
+        g = BoxGrid(2.0, 32)
         assert g.h == pytest.approx(4.0 / 32)
         assert g.volume == pytest.approx(64.0)
         assert g.x1d[0] == -2.0 and g.x1d[-1] == pytest.approx(2.0 - g.h)
@@ -51,7 +46,7 @@ class TestBoxGrid:
     def test_wavevectors(self):
         """k = (pi/alpha) m with m in [-N/2, N/2); set closed under negation
         except the Nyquist row, k = 0 present exactly once."""
-        g = grid_make(1.5, 16)
+        g = BoxGrid(1.5, 16)
         m = g.modes1d
         assert m.min() == -8 and m.max() == 7
         assert np.count_nonzero(m == 0) == 1
@@ -62,7 +57,7 @@ class TestBoxGrid:
         assert g.k1d_diff[m == -8] == 0.0
 
     def test_shared_spacing_grids_nest(self):
-        small, big = grid_make(1.0, 16), grid_make(2.0, 32)
+        small, big = BoxGrid(1.0, 16), BoxGrid(2.0, 32)
         assert small.h == big.h
         # Q_1 lattice is a contiguous block of the Q_2 lattice
         offset = round((big.alpha - small.alpha) / big.h)
@@ -71,12 +66,12 @@ class TestBoxGrid:
     @pytest.mark.parametrize("alpha,n", [(0.0, 16), (-1.0, 16), (1.0, 15), (1.0, 4), (1.0, 16.5)])
     def test_rejects_bad_parameters(self, alpha, n):
         with pytest.raises(ConfigurationError):
-            grid_make(alpha, n)
+            BoxGrid(alpha, n)
 
 
 class TestTransforms:
     def test_round_trip(self, rng):
-        g = grid_make(1.0, 16)
+        g = BoxGrid(1.0, 16)
         for rank in ("scalar", "vector"):
             f = white_field(g, rng, rank=rank)
             back = np.ascontiguousarray(
@@ -85,7 +80,7 @@ class TestTransforms:
             np.testing.assert_allclose(back, f.physical, rtol=0, atol=1e-12 * np.abs(f.physical).max())
 
     def test_constant_field(self):
-        g = grid_make(2.0, 16)
+        g = BoxGrid(2.0, 16)
         f = Field.from_physical(g, np.full((16, 16, 16), 3.25))
         fh = f.spectral.copy()
         assert fh[0, 0, 0] == pytest.approx(3.25)
@@ -95,7 +90,7 @@ class TestTransforms:
     def test_single_sine_two_modes(self):
         """sin(pi x1 / alpha) lives at m = (+-1, 0, 0) alone, weight 1/2 each
         (corner phase origin flips the sign of odd modes)."""
-        g = grid_make(2.0, 16)
+        g = BoxGrid(2.0, 16)
         x = g.meshgrid()[0]
         f = Field.from_physical(g, np.sin(np.pi * x / g.alpha))
         assert coeff(f, (1, 0, 0)) == pytest.approx(0.5j, abs=1e-14)
@@ -105,30 +100,30 @@ class TestTransforms:
         assert np.abs(fh).max() < 1e-14
 
     def test_parseval(self, rng):
-        f = white_field(grid_make(1.7, 24), rng)
+        f = white_field(BoxGrid(1.7, 24), rng)
         assert spectral_l2(f) == pytest.approx(lattice_l2(f), rel=1e-12)
 
     def test_reality_is_hermitian_symmetry(self, rng):
-        f = white_field(grid_make(1.0, 16), rng)
+        f = white_field(BoxGrid(1.0, 16), rng)
         fh = f.spectral
         mirrored = np.roll(np.flip(fh, axis=(0, 1, 2)), 1, axis=(0, 1, 2))
         np.testing.assert_allclose(mirrored, np.conj(fh), atol=1e-13)
 
     def test_non_finite_samples_rejected(self):
-        g = grid_make(1.0, 16)
+        g = BoxGrid(1.0, 16)
         bad = np.zeros((16, 16, 16))
         bad[3, 4, 5] = np.nan
         with pytest.raises(DataError):
-            to_spectral(Field.from_physical(g, bad))
+            Field.from_physical(g, bad).spectral
         badh = np.zeros((16, 16, 16), dtype=complex)
         badh[0, 0, 1] = np.inf
         with pytest.raises(DataError):
-            to_physical(Field.from_spectral(g, badh))
+            Field.from_spectral(g, badh).physical
 
 
 class TestDiffOps:
     def test_gradient_of_sine(self):
-        g = grid_make(3.0, 32)
+        g = BoxGrid(3.0, 32)
         x = g.meshgrid()[0]
         s = np.pi / g.alpha
         grad = gradient(Field.from_physical(g, np.sin(s * x)))
@@ -136,23 +131,23 @@ class TestDiffOps:
         assert np.abs(grad.physical[1:]).max() < 1e-13
 
     def test_curl_of_gradient_vanishes(self, rng):
-        f = smooth_field(grid_make(1.0, 24), rng)
+        f = smooth_field(BoxGrid(1.0, 24), rng)
         w = curl(gradient(f))
         assert np.abs(w.physical).max() < 1e-12 * np.abs(f.physical).max()
 
     def test_divergence_of_curl_vanishes(self, rng):
-        v = smooth_field(grid_make(2.0, 24), rng, rank="vector")
+        v = smooth_field(BoxGrid(2.0, 24), rng, rank="vector")
         d = divergence(curl(v))
         assert np.abs(d.physical).max() < 1e-12 * np.abs(v.physical).max()
 
     def test_laplacian_is_div_grad(self, rng):
-        f = smooth_field(grid_make(1.3, 24), rng)
+        f = smooth_field(BoxGrid(1.3, 24), rng)
         lhs = laplacian(f).physical
         rhs = divergence(gradient(f)).physical
         np.testing.assert_allclose(lhs, rhs, atol=1e-11 * np.abs(lhs).max())
 
     def test_rank_rules(self, rng):
-        g = grid_make(1.0, 16)
+        g = BoxGrid(1.0, 16)
         s = white_field(g, rng)
         v = white_field(g, rng, rank="vector")
         with pytest.raises(UsageError):
@@ -163,18 +158,10 @@ class TestDiffOps:
             curl(s)
         # laplacian accepts both
         laplacian(s), laplacian(v)
-        with pytest.raises(UsageError):
-            apply_diff("hessian", s)
-
-    def test_apply_diff_dispatch(self, rng):
-        f = smooth_field(grid_make(1.0, 16), rng)
-        np.testing.assert_array_equal(
-            apply_diff(DiffOp.GRADIENT, f).spectral, gradient(f).spectral
-        )
 
     def test_second_derivatives_sum_to_laplacian_norm(self, rng):
         """sum_ij ||d_i d_j f||^2 equals ||lap f||^2 (|k_i k_j|^2 sums to |k|^4)."""
-        f = smooth_field(grid_make(1.0, 24), rng)
+        f = smooth_field(BoxGrid(1.0, 24), rng)
         total = 0.0
         for gi in (gradient(f).component(i) for i in range(3)):
             for c in gradient(gi).component(0), gradient(gi).component(1), gradient(gi).component(2):
@@ -184,7 +171,7 @@ class TestDiffOps:
 
     def test_poincare(self, rng):
         """||f|| <= (alpha/pi) ||grad f|| for zero-mean f; ratio linear in alpha."""
-        base = smooth_field(grid_make(1.0, 24), rng, zero_mean=True, m0=6.0)
+        base = smooth_field(BoxGrid(1.0, 24), rng, zero_mean=True, m0=6.0)
         ratios = []
         for alpha in (1.0, 2.0, 4.0):
             f = dilate(base, alpha)
@@ -201,17 +188,17 @@ class TestDiffOps:
 
 class TestLeray:
     def test_kills_gradients(self, rng):
-        f = smooth_field(grid_make(1.0, 24), rng)
+        f = smooth_field(BoxGrid(1.0, 24), rng)
         g = gradient(f)
         proj = leray_project(g)
         assert np.abs(proj.physical).max() < 1e-12 * np.abs(g.physical).max()
 
     def test_fixes_divergence_free_fields(self):
-        u = taylor_green(grid_make(np.pi, 16))
+        u = taylor_green(BoxGrid(np.pi, 16))
         np.testing.assert_allclose(leray_project(u).physical, u.physical, atol=1e-12)
 
     def test_idempotent(self, rng):
-        v = smooth_field(grid_make(1.0, 16), rng, rank="vector")
+        v = smooth_field(BoxGrid(1.0, 16), rng, rank="vector")
         once = leray_project(v)
         twice = leray_project(once)
         np.testing.assert_allclose(
@@ -219,7 +206,7 @@ class TestLeray:
         )
 
     def test_self_adjoint(self, rng):
-        g = grid_make(1.0, 16)
+        g = BoxGrid(1.0, 16)
         v, w = (smooth_field(g, rng, rank="vector") for _ in range(2))
         inner = lambda a, b: np.sum(a.physical * b.physical) * g.h**3
         assert inner(leray_project(v), w) == pytest.approx(
@@ -227,12 +214,12 @@ class TestLeray:
         )
 
     def test_projected_field_is_divergence_free(self, rng):
-        v = white_field(grid_make(1.0, 16), rng, rank="vector")
+        v = white_field(BoxGrid(1.0, 16), rng, rank="vector")
         d = divergence(leray_project(v))
         assert np.abs(d.physical).max() < 1e-12 * np.abs(v.physical).max()
 
     def test_mean_mode_untouched(self, rng):
-        g = grid_make(1.0, 16)
+        g = BoxGrid(1.0, 16)
         v = smooth_field(g, rng, rank="vector", zero_mean=False)
         np.testing.assert_allclose(
             leray_project(v).spectral[:, 0, 0, 0], v.spectral[:, 0, 0, 0], atol=1e-15
@@ -241,7 +228,7 @@ class TestLeray:
 
 class TestDealias:
     def test_two_thirds_mask(self, rng):
-        f = white_field(grid_make(1.0, 16), rng)
+        f = white_field(BoxGrid(1.0, 16), rng)
         fd = dealias(f)
         m = f.grid.modes1d
         keep = np.abs(m) <= 16 / 3
@@ -255,7 +242,7 @@ class TestDealias:
 
     def test_two_thirds_rule_is_strict_when_three_divides_n(self):
         # 3|m| < N: at N=24 the |m| = 8 modes go, since 8 + 8 aliases to -8
-        g = grid_make(1.0, 24)
+        g = BoxGrid(1.0, 24)
         keep = g.dealias_keep1d
         assert np.abs(g.modes1d[keep]).max() == 7
         assert keep.sum() == 15
@@ -263,7 +250,7 @@ class TestDealias:
     def test_product_matches_double_resolution(self):
         """Dealiased product at N agrees with the 2N product truncated to the
         retained modes."""
-        gN, g2N = grid_make(1.0, 16), grid_make(1.0, 32)
+        gN, g2N = BoxGrid(1.0, 16), BoxGrid(1.0, 32)
         def product_field(g):
             x = g.meshgrid()[0]
             return Field.from_physical(
@@ -283,7 +270,7 @@ class TestRescale:
         [(2, 0, 2.0), (2, 1, 2.0), (2, 2, 2.0), (4, 0, 2.0), (2, 0, 4.0), (4, 0, 4.0)],
     )
     def test_scaling_law(self, p, k, alpha):
-        g = grid_make(1.0, 32)
+        g = BoxGrid(1.0, 32)
         x = g.meshgrid()[0]
         f = Field.from_physical(g, np.sin(np.pi * x))
         rep = rescale_field(f, alpha, p, k)
@@ -291,17 +278,17 @@ class TestRescale:
         assert rep.rel_error < 1e-10
 
     def test_scaling_law_smooth_random(self, rng):
-        f = smooth_field(grid_make(1.0, 24), rng)
+        f = smooth_field(BoxGrid(1.0, 24), rng)
         for (p, k) in [(2, 0), (2, 1), (2, 2), (4, 0), (3, 1)]:
             assert rescale_field(f, 2.0, p, k).rel_error < 1e-10
 
     def test_sup_norm_invariant(self, rng):
-        f = smooth_field(grid_make(1.0, 16), rng)
+        f = smooth_field(BoxGrid(1.0, 16), rng)
         rep = rescale_field(f, 4.0, np.inf, 0)
         assert rep.measured_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_usage_errors(self, rng):
-        f = smooth_field(grid_make(1.0, 16), rng)
+        f = smooth_field(BoxGrid(1.0, 16), rng)
         with pytest.raises(UsageError):
             rescale_field(f, 2.0, 2, 3)
         with pytest.raises(UsageError):
@@ -310,7 +297,7 @@ class TestRescale:
 
 class TestSnapshots:
     def test_round_trip(self, tmp_path, rng):
-        g = grid_make(1.25, 16)
+        g = BoxGrid(1.25, 16)
         u = smooth_field(g, rng, rank="vector")
         write_snapshot(u, tmp_path / "snap", name="velocity", time=0.375)
         back, meta = read_snapshot(tmp_path / "snap")
@@ -321,7 +308,7 @@ class TestSnapshots:
         assert meta["rank"] == "vector3"
 
     def test_layout_is_x_fastest_little_endian(self, tmp_path):
-        g = grid_make(1.0, 8)
+        g = BoxGrid(1.0, 8)
         vals = np.zeros((8, 8, 8))
         vals[1, 0, 0] = 2.0  # second value in x-fastest order
         vals[0, 1, 0] = 3.0  # ninth value
@@ -331,7 +318,7 @@ class TestSnapshots:
         assert raw[8] == 3.0
 
     def test_truncated_file_rejected(self, tmp_path, rng):
-        g = grid_make(1.0, 8)
+        g = BoxGrid(1.0, 8)
         write_snapshot(white_field(g, rng), tmp_path / "s")
         data = (tmp_path / "s.f64").read_bytes()
         (tmp_path / "s.f64").write_bytes(data[:-16])
@@ -341,7 +328,7 @@ class TestSnapshots:
 
 class TestFieldArithmetic:
     def test_add_sub_scale(self, rng):
-        g = grid_make(1.0, 16)
+        g = BoxGrid(1.0, 16)
         a, b = (white_field(g, rng) for _ in range(2))
         np.testing.assert_allclose(
             (a + b).physical, a.physical + b.physical, atol=1e-14
@@ -351,7 +338,7 @@ class TestFieldArithmetic:
         )
 
     def test_mismatched_grids_rejected(self, rng):
-        a = white_field(grid_make(1.0, 16), rng)
-        b = white_field(grid_make(2.0, 16), rng)
+        a = white_field(BoxGrid(1.0, 16), rng)
+        b = white_field(BoxGrid(2.0, 16), rng)
         with pytest.raises(UsageError):
             a + b
