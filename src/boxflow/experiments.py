@@ -63,8 +63,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -75,6 +77,7 @@ import numpy as np
 from .errors import (
     BlowUpError,
     ConfigurationError,
+    DataError,
     DomainTooSmallError,
     StepSizeError,
     UsageError,
@@ -568,7 +571,12 @@ def _box_grids(cfg: StudyConfig):
 
 
 def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
-    """Realise the configured vorticity family on one grid."""
+    """Realise the configured vorticity family on one grid.
+
+    Data that does not fit the box, or that fails the vorticity checks
+    (divergence, mean, support) at this resolution and these tolerances, is
+    a configuration error.
+    """
     data = cfg.initial_data
     try:
         if data["family"] == "bump":
@@ -591,6 +599,11 @@ def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
     except DomainTooSmallError as exc:
         raise ConfigurationError(
             f"initial data does not fit the alpha={grid.alpha} box: {exc}"
+        ) from exc
+    except DataError as exc:
+        raise ConfigurationError(
+            f"{data['family']} initial data is rejected on the "
+            f"alpha={grid.alpha:g} box (N={grid.N}): {exc}"
         ) from exc
     zeros = Field.from_physical(grid, np.zeros((3, grid.N, grid.N, grid.N)))
     return VorticityField(zeros, support_radius=data["support_radius"])
@@ -988,10 +1001,14 @@ def run_tail_study(cfg: StudyConfig) -> dict:
     checks.append(
         CheckRecord(
             "tail_bound_margin_nonnegative",
-            min_margin >= 0.0,
+            bool(rows) and min_margin >= 0.0,
             min_margin if math.isfinite(min_margin) else float("nan"),
             0.0,
-            note="min over all snapshot times and radii of RHS - LHS",
+            note=(
+                "min over all snapshot times and radii of RHS - LHS"
+                if rows
+                else "no snapshot measured"
+            ),
         )
     )
     return dict(
@@ -1176,12 +1193,25 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    into place: a report file is either the old one or complete."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(row[c]) for c in columns])
+    _write_atomic(path, buffer.getvalue())
 
 
 def _json_safe(value):
@@ -1199,8 +1229,10 @@ def _json_safe(value):
 def emit_report(result: StudyResult, out_dir) -> list[Path]:
     """Write the study's CSV tables, check records, and metadata.
 
-    Returns the written paths.  CSV bytes depend only on the config on the
-    single-threaded path; ``metadata.json`` additionally records wall time.
+    Each file is written atomically (temporary file, then rename), so an
+    interrupted run never leaves a truncated report.  Returns the written
+    paths.  CSV bytes depend only on the config on the single-threaded path;
+    ``metadata.json`` additionally records wall time.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1244,6 +1276,8 @@ def emit_report(result: StudyResult, out_dir) -> list[Path]:
         **{k: v for k, v in result.extras.items()},
     }
     meta_path = out / "metadata.json"
-    meta_path.write_text(json.dumps(_json_safe(meta), indent=2, sort_keys=True) + "\n")
+    _write_atomic(
+        meta_path, json.dumps(_json_safe(meta), indent=2, sort_keys=True) + "\n"
+    )
     written.append(meta_path)
     return written

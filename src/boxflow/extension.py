@@ -132,10 +132,10 @@ def extend_field(u: Field, target: BoxGrid, cutoff: Cutoff) -> Field:
             f"Q_{cutoff.alpha} (need beta >= alpha + 1)"
         )
     idx = (np.arange(target.N) - offset) % u.grid.N
-    ext = u.physical[
-        ..., idx[:, None, None], idx[None, :, None], idx[None, None, :]
-    ]
-    ext = ext * cutoff.sample(target)
+    ext = u.physical
+    for axis in (-1, -2, -3):  # one gather per axis, the smallest first
+        ext = np.take(ext, idx, axis=axis)
+    ext *= cutoff.sample(target)
     return Field.from_physical(target, ext)
 
 

@@ -92,11 +92,10 @@ def bump_vorticity(
     if norm == 0.0:
         raise UsageError("bump direction must be a nonzero vector")
     e = e / norm
-    x, y, z = grid.meshgrid()
-    g = mollifier(np.sqrt(x**2 + y**2 + z**2) / r) * spec.amplitude
-    potential = Field.from_physical(
-        grid, np.stack([g * e[0], g * e[1], g * e[2]])
-    )
+    g = mollifier(np.sqrt(grid.radius_sq()) / r) * spec.amplitude
+    # the potential's spectrum is e times that of the scalar profile
+    ghat = Field.from_physical(grid, g).spectral
+    potential = Field.from_spectral(grid, e[:, None, None, None] * ghat)
     return VorticityField(curl(potential), r, support_tol=support_tol)
 
 
@@ -215,19 +214,13 @@ def trefoil_vorticity(
             )
             raw[window] += tangent[:, None, None, None] * prof
 
-    projected = leray_project(Field.from_physical(grid, raw))
-    cleaned = projected.spectral.copy()
+    cleaned = leray_project(Field.from_physical(grid, raw)).spectral
     cleaned[..., 0, 0, 0] = 0.0
     field = Field.from_spectral(grid, cleaned)
     projection_div_rel = relative_divergence(field)
 
     phys = field.physical.copy()
-    r2 = (
-        x1d[:, None, None] ** 2
-        + x1d[None, :, None] ** 2
-        + x1d[None, None, :] ** 2
-    )
-    outside = r2 > support_radius**2
+    outside = grid.radius_sq() > support_radius**2
     peak = float(np.abs(phys).max())
     leak = float(np.abs(phys[:, outside]).max()) if peak else 0.0
     phys[:, outside] = 0.0

@@ -7,9 +7,9 @@ by Parseval).  Sobolev norms are spectral sums,
     inhomogeneous  ||f||_{H^s}^2    = vol * sum_k (1 + |k|^2)^s |fhat_k|^2,
 
 with vol = (2 alpha)^3 and the k = 0 term of the homogeneous sum dropped for
-s > 0.  When a field arrives without cached coefficients the sums run through
-a real-to-complex transform one component at a time, which matters on the
-largest reference boxes; both routes agree to machine precision.
+s > 0.  The sums run over the stored half-spectrum with the Hermitian
+multiplicities `BoxGrid.mult`; a field given by its samples is transformed
+once and keeps its coefficients, so several norms of one field share them.
 
 The dimensionless ratios reported by `inequality_report`,
 
@@ -28,9 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import spectral_core
 from .errors import DataError, UsageError
-from .spectral_core import BoxGrid, Field, divergence
+from .spectral_core import Field, divergence
 
 _ZERO_MEAN_RTOL = 1e-8
 
@@ -38,22 +37,6 @@ _ZERO_MEAN_RTOL = 1e-8
 # ---------------------------------------------------------------------------
 # Spectral moments
 # ---------------------------------------------------------------------------
-
-def _half_grid_weights(grid: BoxGrid, diff: bool):
-    """|k|^2 on the rfft half-grid plus the Hermitian multiplicity factors."""
-    k = grid.k1d_diff if diff else grid.k1d
-    nh = grid.N // 2 + 1
-    kz = np.abs(k[:nh])
-    if not diff:
-        kz[-1] = abs(k[grid.N // 2])  # the +N/2 column mirrors the stored -N/2 row
-    ksq = (
-        k[:, None, None] ** 2 + k[None, :, None] ** 2 + (kz**2)[None, None, :]
-    )
-    mult = np.full(nh, 2.0)
-    mult[0] = 1.0
-    mult[-1] = 1.0
-    return ksq, mult
-
 
 def spectral_moment(f: Field, weight, diff: bool = False) -> float:
     """vol * sum_k weight(|k|^2) |fhat_k|^2, summed over components.
@@ -63,17 +46,14 @@ def spectral_moment(f: Field, weight, diff: bool = False) -> float:
     the result consistent with the package's differential operators.
     """
     g = f.grid
-    if f.has_spectral:
-        ksq = g.ksq_diff if diff else g.ksq
-        total = float(np.sum(weight(ksq) * np.abs(f.spectral) ** 2))
-        return g.volume * total
-    ksq, mult = _half_grid_weights(g, diff)
-    w = weight(ksq) * mult[None, None, :]
-    comps = f.physical[None] if f.rank == "scalar" else f.physical
+    w = weight(g.ksq_diff if diff else g.ksq) * g.mult
+    fh = f.spectral
     total = 0.0
-    for c in comps:
-        ch = spectral_core._rfftn(c)
-        total += float(np.sum(w * (ch.real**2 + ch.imag**2)))
+    for c in fh[None] if f.rank == "scalar" else fh:
+        sq = c.real * c.real
+        sq += c.imag * c.imag
+        sq *= w
+        total += float(sq.sum())
     return g.volume * total
 
 
@@ -144,9 +124,7 @@ def tail_mass(f: Field, R: float) -> float:
     """int_{|x| >= R} |f|^2 over the box, lattice quadrature."""
     if R < 0:
         raise UsageError(f"tail radius must be nonnegative, got {R!r}")
-    x = f.grid.x1d
-    r2 = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
-    mask = r2 >= R * R
+    mask = f.grid.radius_sq() >= R * R
     mag2 = f.magnitude() ** 2
     return float(np.sum(mag2[mask]) * f.grid.h**3)
 

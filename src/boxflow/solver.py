@@ -1,7 +1,8 @@
 """Strong-solution time integration of incompressible Navier-Stokes on Q_alpha.
 
-The state is the rfftn half-spectrum of the velocity, shape (3, N, N, N/2+1),
-marched by an integrating-factor RK4: the viscous semigroup e^{-nu |k|^2 dt}
+The state is the velocity's half-spectrum `u.spectral`, shape
+(3, N, N, N/2+1), and every stored snapshot wraps the state of its step.  It
+is marched by an integrating-factor RK4: the viscous semigroup e^{-nu |k|^2 dt}
 is applied exactly (true |k|^2, Nyquist included), so only the nonlinear term
 is under the Runge-Kutta clock.  That term is omega x u (rotational form) of
 the state truncated to the 2/3-rule modes, so products of kept modes alias
@@ -32,13 +33,8 @@ from .errors import (
     StepSizeError,
     UsageError,
 )
-from .norms import (
-    DiagnosticsRecord,
-    _half_grid_weights,
-    relative_divergence,
-    sobolev_norm,
-)
-from .spectral_core import BoxGrid, Field, _hermitian_fill, _irfftn, _rfftn
+from .norms import DiagnosticsRecord, relative_divergence, sobolev_norm
+from .spectral_core import BoxGrid, Field, _irfftn, _rfftn
 
 DIAGNOSTIC_COLUMNS = (
     "t",
@@ -144,20 +140,11 @@ class _StepKernel:
     def __init__(self, grid: BoxGrid, viscosity: float = 1.0):
         self.grid = grid
         self.viscosity = viscosity
-        nh = grid.N // 2 + 1
-        k = grid.k1d_diff
-        self.k = (k[:, None, None], k[None, :, None], k[:nh])
-        self.ksq_true = _half_grid_weights(grid, diff=False)[0]
-        self.ksq, self.mult = _half_grid_weights(grid, diff=True)
-        with np.errstate(divide="ignore"):
-            self.inv_ksq = np.where(self.ksq > 0.0, 1.0 / self.ksq, 0.0)
-        keep = grid.dealias_keep1d
-        self.keep = (keep[:, None, None] & keep[None, :, None] & keep[:nh]) * 1.0
+        self.k = grid.k_axes()
+        self.ksq_true, self.ksq = grid.ksq, grid.ksq_diff
+        self.mult, self.inv_ksq = grid.mult, grid.inv_ksq
+        self.keep = grid.dealias_mask
         self._decay = {}  # dt -> (e^{-nu |k|^2 dt / 2}, e^{-nu |k|^2 dt})
-
-    def half(self, full: np.ndarray) -> np.ndarray:
-        """The stored columns m_3 = 0..N/2 of a full coefficient array."""
-        return np.ascontiguousarray(full[..., : self.grid.N // 2 + 1])
 
     def sum_sq(self, arrays, weight=1.0) -> float:
         """sum over the full spectrum of weight |a|^2, from half-spectra."""
@@ -279,7 +266,7 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
     lengths, step_times = _plan_steps(cfg)
     snap_at = _snapshot_steps(cfg, step_times)
 
-    uhat = kernel.half(u0.spectral)
+    uhat = u0.spectral  # never written to: each step makes a new array
     times = [0.0]
     states = [u0]
     diagnostics: list[DiagnosticsRecord] = []
@@ -332,7 +319,7 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
             audit(t_k, moments, umax, pressure)
         if step in snap_at:
             times.append(t_k)
-            states.append(Field.from_spectral(u0.grid, _hermitian_fill(uhat)))
+            states.append(Field.from_spectral(u0.grid, uhat))
         t_prev = t_k
 
     return Trajectory(
@@ -353,7 +340,7 @@ def pressure_solve(u: Field) -> Field:
     if u.rank != "vector":
         raise UsageError("pressure solve needs a velocity field")
     kernel = _StepKernel(u.grid)
-    uhat = kernel.half(u.spectral)
+    uhat = u.spectral
     f = sum(
         u_j * _irfftn(1j * k_j * uhat, u.grid.N)
         for u_j, k_j in zip(u.physical, kernel.k)
@@ -361,7 +348,7 @@ def pressure_solve(u: Field) -> Field:
     fhat = kernel.keep * _rfftn(f)
     phat = 1j * kernel.inv_ksq * sum(k * f for k, f in zip(kernel.k, fhat))
     phat[0, 0, 0] = 0.0
-    return Field.from_spectral(u.grid, _hermitian_fill(phat))
+    return Field.from_spectral(u.grid, phat)
 
 
 def write_diagnostics_csv(records, path) -> None:

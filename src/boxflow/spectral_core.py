@@ -13,11 +13,19 @@ so the corner origin is never observable outside the raw phases.  A constant
 field has fhat_0 equal to that constant and Parseval reads
 int |f|^2 = (2 alpha)^3 sum |fhat|^2.
 
-The m_i = -N/2 (Nyquist) rows have no negation partner on the grid, so every
-differential operator here forces their wavevector component to zero.  That
-keeps the operator algebra closed to machine precision (div curl = 0,
-curl grad = 0, laplacian = div grad) at the cost of ignoring content that
-resolved fields do not carry anyway.
+Every field is real, so only its half-spectrum is stored (the rfftn layout,
+last axis m_3 = 0..N/2, shape (..., N, N, N/2+1)); the coefficients with
+m_3 < 0 are conj(fhat_{-m}).  The first two axes hold m_1, m_2 in FFT order.
+A sum over the full spectrum counts the columns m_3 = 1..N/2-1 twice
+(`BoxGrid.mult`).  The last column is the +-N/2 plane: its entries stand for
+both m_3 = N/2 and m_3 = -N/2, counted once.
+
+The m_i = -N/2 (Nyquist) modes have no negation partner on the grid, so
+every differential operator here forces their wavevector component to zero
+(on the last axis: the whole +-N/2 column).  That keeps the operator algebra
+closed to machine precision (div curl = 0, curl grad = 0, laplacian =
+div grad) at the cost of ignoring content that resolved fields do not carry
+anyway.
 
 Grids meant to be compared share the lattice spacing h = 2*alpha/N: a larger
 box means proportionally larger N, and the lattices of nested boxes then
@@ -56,17 +64,9 @@ def get_default_workers() -> int:
 
 
 # Every transform in the package goes through these helpers, so the worker
-# count of `set_default_workers` reaches all of them.  The real pair works on
-# the half-spectrum m_3 = 0..N/2 (last axis) of a real field.
+# count of `set_default_workers` reaches all of them.  They map the samples
+# of a real field to its half-spectrum m_3 = 0..N/2 (last axis) and back.
 _AXES = (-3, -2, -1)
-
-
-def _fftn(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.fftn(a, axes=_AXES, norm="forward", workers=_workers)
-
-
-def _ifftn(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifftn(a, axes=_AXES, norm="forward", workers=_workers)
 
 
 def _rfftn(a: np.ndarray) -> np.ndarray:
@@ -77,18 +77,6 @@ def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
     return scipy.fft.irfftn(
         a, s=(n, n, n), axes=_AXES, norm="forward", workers=_workers
     )
-
-
-def _hermitian_fill(half: np.ndarray) -> np.ndarray:
-    """Full coefficients of a real field from its half-spectrum: columns
-    m_3 = N/2+1 .. N-1 become conj(fhat_{-m}), stored ones are copied."""
-    n = half.shape[-2]
-    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., : n // 2 + 1] = half
-    neg = -np.arange(n) % n
-    mirror = half[..., neg, :, n // 2 - 1 : 0 : -1][..., neg, :]
-    np.conjugate(mirror, out=full[..., n // 2 + 1 :])
-    return full
 
 
 class BoxGrid:
@@ -121,6 +109,11 @@ class BoxGrid:
         """Sample coordinates along one axis, [-alpha, alpha - h]."""
         return -self.alpha + self.h * np.arange(self.N)
 
+    def radius_sq(self) -> np.ndarray:
+        """|x|^2 on the lattice, shape (N, N, N), built by broadcasting."""
+        x2 = self.x1d**2
+        return x2[:, None, None] + x2[None, :, None] + x2[None, None, :]
+
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full 3-d coordinate arrays indexed [x, y, z]."""
         return np.meshgrid(self.x1d, self.x1d, self.x1d, indexing="ij")
@@ -143,13 +136,15 @@ class BoxGrid:
         return k
 
     def k_axes(self, diff: bool = True):
-        """The three wavevector components shaped for broadcasting over [x,y,z]."""
+        """The three wavevector components shaped for broadcasting over the
+        half-spectrum: the last axis holds m_3 = 0..N/2, its last entry the
+        +-N/2 plane (zero with diff=True)."""
         k = self.k1d_diff if diff else self.k1d
-        return k[:, None, None], k[None, :, None], k[None, None, :]
+        return k[:, None, None], k[None, :, None], k[None, None, : self.N // 2 + 1]
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        """|k|^2 on the full mode lattice (true wavevectors, Nyquist included)."""
+        """|k|^2 on the half-spectrum (true wavevectors, Nyquist included)."""
         kx, ky, kz = self.k_axes(diff=False)
         return kx**2 + ky**2 + kz**2
 
@@ -160,10 +155,33 @@ class BoxGrid:
         return kx**2 + ky**2 + kz**2
 
     @cached_property
+    def inv_ksq(self) -> np.ndarray:
+        """1 / `ksq_diff`, and 0 where that vanishes: the zero mode and the
+        modes whose every component is 0 or Nyquist."""
+        ksq = self.ksq_diff
+        return np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0.0)
+
+    @cached_property
+    def mult(self) -> np.ndarray:
+        """How often each half-spectrum column occurs in the full spectrum:
+        2 for m_3 = 1..N/2-1, 1 for the m_3 = 0 and +-N/2 columns."""
+        mult = np.full(self.N // 2 + 1, 2.0)
+        mult[0] = mult[-1] = 1.0
+        return mult
+
+    @cached_property
     def dealias_keep1d(self) -> np.ndarray:
         """Boolean 3|m| < N mask along one axis (the 2/3 rule); strict, so a
         sum of two kept modes aliases only onto dropped ones."""
         return 3 * np.abs(self.modes1d) < self.N
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """The 2/3 rule on the half-spectrum as 1.0 (kept) / 0.0 (dropped)."""
+        keep = self.dealias_keep1d
+        return (
+            keep[:, None, None] & keep[None, :, None] & keep[: self.N // 2 + 1]
+        ) * 1.0
 
     def __eq__(self, other) -> bool:
         return (
@@ -182,10 +200,11 @@ class BoxGrid:
 class Field:
     """A real scalar or 3-vector field on a BoxGrid.
 
-    Holds physical samples (float64, shape (N,N,N) or (3,N,N,N)) and/or
-    spectral coefficients (complex128, same shape); whichever is missing is
-    computed on demand and cached.  Instances are treated as immutable:
-    arithmetic returns new fields.
+    Holds physical samples (float64, shape (N,N,N) or (3,N,N,N)) and/or the
+    rfftn half-spectrum (complex128, shape (N,N,N/2+1) or (3,N,N,N/2+1), see
+    the module docstring); whichever is missing is computed on demand and
+    cached, so a field is transformed at most once each way.  Instances are
+    treated as immutable: arithmetic returns new fields.
     """
 
     def __init__(self, grid: BoxGrid, physical=None, spectral=None):
@@ -194,16 +213,19 @@ class Field:
         self.grid = grid
         self._physical = physical
         self._spectral = spectral
-        shape = physical.shape if physical is not None else spectral.shape
         n = grid.N
-        if shape == (n, n, n):
+        if physical is not None:
+            shape, lattice, label = physical.shape, (n, n, n), "N"
+        else:
+            shape, lattice, label = spectral.shape, (n, n, n // 2 + 1), "N/2+1"
+        if shape == lattice:
             self.rank = "scalar"
-        elif shape == (3, n, n, n):
+        elif shape == (3,) + lattice:
             self.rank = "vector"
         else:
             raise UsageError(
                 f"field shape {shape} does not match grid N={n} "
-                "(expected (N,N,N) or (3,N,N,N))"
+                f"(expected (N,N,{label}) or (3,N,N,{label}))"
             )
 
     @classmethod
@@ -219,7 +241,7 @@ class Field:
         if self._physical is None:
             if not np.all(np.isfinite(self._spectral.view(np.float64))):
                 raise DataError("non-finite spectral coefficients")
-            self._physical = np.ascontiguousarray(_ifftn(self._spectral).real)
+            self._physical = _irfftn(self._spectral, self.grid.N)
         return self._physical
 
     @property
@@ -227,7 +249,7 @@ class Field:
         if self._spectral is None:
             if not np.all(np.isfinite(self._physical)):
                 raise DataError("non-finite field samples")
-            self._spectral = _fftn(self._physical)
+            self._spectral = _rfftn(self._physical)
         return self._spectral
 
     @property
@@ -339,10 +361,7 @@ def leray_project(f: Field) -> Field:
         raise UsageError("leray_project expects a vector field")
     kx, ky, kz = f.grid.k_axes()
     fh = f.spectral
-    ksq = f.grid.ksq_diff
-    kdotu = kx * fh[0] + ky * fh[1] + kz * fh[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(ksq > 0.0, kdotu / np.where(ksq > 0.0, ksq, 1.0), 0.0)
+    coef = (kx * fh[0] + ky * fh[1] + kz * fh[2]) * f.grid.inv_ksq
     out = np.empty_like(fh)
     out[0] = fh[0] - kx * coef
     out[1] = fh[1] - ky * coef
@@ -352,11 +371,7 @@ def leray_project(f: Field) -> Field:
 
 def dealias(f: Field) -> Field:
     """Zero all coefficients with any 3|m_i| >= N (the 2/3 rule)."""
-    keep = f.grid.dealias_keep1d
-    mask = (
-        keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-    )
-    return Field(f.grid, spectral=f.spectral * mask)
+    return Field(f.grid, spectral=f.spectral * f.grid.dealias_mask)
 
 
 def dilate(f: Field, alpha: float) -> Field:
@@ -386,15 +401,15 @@ def _deriv_magnitude(f: Field, order: int) -> np.ndarray:
     kaxes = f.grid.k_axes()
     fh = f.spectral
     comps = fh[None] if f.rank == "scalar" else fh
-    acc = np.zeros(comps.shape[1:], dtype=np.float64)
+    acc = np.zeros((f.grid.N,) * 3)
     for c in comps:
         if order == 1:
             for ki in kaxes:
-                acc += _ifftn(1j * ki * c).real ** 2
+                acc += _irfftn(1j * ki * c, f.grid.N) ** 2
         else:
             for ki in kaxes:
                 for kj in kaxes:
-                    acc += _ifftn(-ki * kj * c).real ** 2
+                    acc += _irfftn(-ki * kj * c, f.grid.N) ** 2
     return np.sqrt(acc)
 
 

@@ -89,9 +89,7 @@ class VorticityField:
             raise DataError(
                 f"vorticity carries a mean: relative mean {self.mean_rel:.3e}"
             )
-        x = omega.grid.x1d
-        r2 = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
-        outside = r2 > self.support_radius**2
+        outside = omega.grid.radius_sq() > self.support_radius**2
         if np.any(outside):
             leak = float(omega.magnitude()[outside].max())
         else:
@@ -120,17 +118,8 @@ def curl_inv_periodic(w: VorticityField) -> Field:
             f"support radius {w.support_radius} does not fit strictly inside "
             f"Q_{g.alpha}"
         )
-    kx, ky, kz = g.k_axes(diff=True)
-    wx, wy, wz = w.omega.spectral
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(g.ksq_diff > 0.0, 1.0 / g.ksq_diff, 0.0)
-    uhat = np.stack(
-        [
-            1j * (ky * wz - kz * wy) * inv,
-            1j * (kz * wx - kx * wz) * inv,
-            1j * (kx * wy - ky * wx) * inv,
-        ]
-    )
+    uhat = curl(w.omega).spectral  # a fresh array: scaled in place
+    uhat *= g.inv_ksq
     return Field.from_spectral(g, uhat)
 
 
@@ -150,8 +139,7 @@ def rehost_vorticity(w: VorticityField, target: BoxGrid) -> VorticityField:
             f"support radius {w.support_radius} does not fit inside "
             f"Q_{target.alpha}"
         )
-    moved = leray_project(rehost_compact(w.omega, target))
-    cleaned = moved.spectral.copy()
+    cleaned = leray_project(rehost_compact(w.omega, target)).spectral
     cleaned[..., 0, 0, 0] = 0.0
     return VorticityField(
         Field.from_spectral(target, cleaned),
@@ -183,8 +171,7 @@ def biot_savart_r3(w: VorticityField, query_points) -> BiotSavartResult:
         raise UsageError("query points must have shape (M, 3)")
     g = w.grid
     x = g.x1d
-    r2 = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
-    inside = r2 <= w.support_radius**2
+    inside = g.radius_sq() <= w.support_radius**2
     xs, ys_, zs = np.meshgrid(x, x, x, indexing="ij")
     sources = np.stack([xs[inside], ys_[inside], zs[inside]], axis=1)  # (K, 3)
     weights = w.omega.physical[:, inside].T  # (K, 3)

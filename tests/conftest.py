@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from boxflow.spectral_core import BoxGrid, Field, leray_project
 
@@ -17,6 +18,17 @@ def white_field(grid: BoxGrid, rng, rank="scalar") -> Field:
     return Field.from_physical(grid, rng.standard_normal(shape))
 
 
+def full_spectrum(f: Field) -> np.ndarray:
+    """Oracle: all N^3 coefficients of f, by a complex FFT of its samples."""
+    return scipy.fft.fftn(f.physical, axes=(-3, -2, -1), norm="forward")
+
+
+def full_ksq(grid: BoxGrid, diff: bool = True) -> np.ndarray:
+    """|k|^2 on the full N^3 mode lattice, for `full_spectrum` sums."""
+    k = grid.k1d_diff if diff else grid.k1d
+    return k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
+
+
 def smooth_field(grid: BoxGrid, rng, rank="scalar", zero_mean=True, m0=None) -> Field:
     """Random field with an exp(-|m|^2/m0^2) spectral envelope.
 
@@ -27,7 +39,8 @@ def smooth_field(grid: BoxGrid, rng, rank="scalar", zero_mean=True, m0=None) -> 
         m0 = grid.N / 8
     f = white_field(grid, rng, rank=rank)
     m = grid.modes1d
-    env = np.exp(-(m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2) / m0**2)
+    mz = m[: grid.N // 2 + 1]  # half-spectrum columns; the last is +-N/2
+    env = np.exp(-(m[:, None, None] ** 2 + m[None, :, None] ** 2 + mz**2) / m0**2)
     coeffs = f.spectral * env
     if zero_mean:
         coeffs[..., 0, 0, 0] = 0.0

@@ -6,8 +6,11 @@ cases (beyond-horizon, reference blow-up) use bump amplitudes tuned so the
 relevant guard trips within a step or two instead of an expensive run.
 """
 
+import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -18,6 +21,7 @@ from hypothesis import given, strategies as st
 from boxflow.cli import main as cli_main
 from boxflow.errors import ConfigurationError, UsageError
 from boxflow.experiments import (
+    _format_cell,
     emit_report,
     load_config,
     parse_config,
@@ -720,6 +724,32 @@ def test_reports_are_byte_deterministic(tmp_path):
         ).read_bytes()
 
 
+def test_report_files_are_written_atomically(tmp_path, monkeypatch):
+    res = run_study(parse_config(tiny_inversion_data()))
+    out = tmp_path / "out"
+    paths = emit_report(res, out)
+    # no temporary file is left behind
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in paths)
+    # the table bytes are those of a csv.writer streaming into the file
+    plain = io.StringIO()
+    writer = csv.writer(plain, lineterminator="\n")
+    writer.writerow(res.columns)
+    for row in res.rows:
+        writer.writerow([_format_cell(row[c]) for c in res.columns])
+    assert (out / "inversion.csv").read_bytes() == plain.getvalue().encode()
+    # a write that fails before its rename keeps the previous file
+    before = {p.name: p.read_bytes() for p in paths}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    res.rows[0]["grad_norm"] = -1.0
+    with pytest.raises(OSError, match="disk full"):
+        emit_report(res, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.fixture
 def restore_workers():
     yield
@@ -835,6 +865,42 @@ def test_cfl_violation_is_a_failed_check_with_a_report(tmp_path, capsys, data, c
     record = next(line for line in lines if line.startswith(check + ","))
     assert record.startswith(f"{check},0,nan,")
     assert "advective CFL violated" in record
+
+
+def test_tail_margin_check_fails_when_no_snapshot_is_measured():
+    # the only box fails CFL, so there is no margin to report
+    data = tail_data(base_n=32,
+                     initial_data={"family": "bump", "support_radius": 1.0,
+                                   "amplitude": 10.0},
+                     solver={"dt": 5e-2, "t_end": 0.1})
+    res = run_tail_study(parse_config(data))
+    assert res.rows == []
+    record = next(
+        c for c in res.checks if c.name == "tail_bound_margin_nonnegative"
+    )
+    assert not record.passed
+    assert math.isnan(record.measured)
+    assert record.note == "no snapshot measured"
+
+
+@pytest.mark.parametrize("command", ["inversion", "audit"])
+def test_cli_invalid_vorticity_is_config_error(tmp_path, capsys, command):
+    # a trefoil too coarse for the strict divergence tolerance
+    data = inversion_data(
+        alphas=[2],
+        base_n=32,
+        initial_data={"family": "trefoil", "major_radius": 0.6,
+                      "tube_radius": 0.12, "strength": 1.0, "resolution": 256},
+    )
+    path = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: trefoil initial data")
+    assert "not divergence-free" in err
+    box = "alpha=2 box" if command == "audit" else "alpha=4 box"  # Q_beta first
+    assert box in err
+    assert not out.exists()
 
 
 def test_cli_audit_accepts_any_kind(tmp_path):

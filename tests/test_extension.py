@@ -92,6 +92,28 @@ class TestExtendField:
         sl = slice(off, off + self.src.N)
         assert np.array_equal(ext.physical[:, sl, sl, sl], u.physical)
 
+    @pytest.mark.parametrize(
+        "src,dst,cut",
+        [
+            (BoxGrid(1.25, 10), BoxGrid(2.5, 20), 1.25),  # odd offset 5
+            (BoxGrid(1.0, 8), BoxGrid(2.75, 22), 1.0),  # odd offset 7
+            (BoxGrid(2.0, 16), BoxGrid(2.0, 16), 1.0),  # equal size
+        ],
+    )
+    def test_gather_matches_fancy_index(self, rng, src, dst, cut):
+        """Bit for bit the single 3-d fancy-index gather it replaced."""
+        cutoff = make_cutoff(cut)
+        off = (dst.N - src.N) // 2
+        idx = (np.arange(dst.N) - off) % src.N
+        for rank in ("scalar", "vector"):
+            u = smooth_field(src, rng, rank=rank)
+            old = u.physical[
+                ..., idx[:, None, None], idx[None, :, None], idx[None, None, :]
+            ] * cutoff.sample(dst)
+            got = extend_field(u, dst, cutoff).physical
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(old).tobytes()
+
     def test_zero_outside_padded_box(self, rng):
         u = smooth_field(self.src, rng, rank="vector")
         ext = extend_field(u, self.dst, self.cutoff)

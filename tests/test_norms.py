@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boxflow import (
     BoxGrid,
@@ -20,7 +21,26 @@ from boxflow import (
 )
 from boxflow.norms import grad_l2_sq, lap_l2_sq, spectral_moment
 
-from conftest import div_free_field, smooth_field, taylor_green, white_field
+from conftest import (
+    div_free_field,
+    full_ksq,
+    full_spectrum,
+    smooth_field,
+    taylor_green,
+    white_field,
+)
+
+WEIGHTS = {
+    "1": lambda ksq: np.ones_like(ksq),
+    "k2": lambda ksq: ksq,
+    "k4": lambda ksq: ksq**2,
+}
+
+
+def full_moment(f: Field, weight, diff: bool = False) -> float:
+    """Oracle for `spectral_moment`: the same sum over all N^3 modes."""
+    w = weight(full_ksq(f.grid, diff))
+    return f.grid.volume * float(np.sum(w * np.abs(full_spectrum(f)) ** 2))
 
 
 class TestLebesgue:
@@ -28,7 +48,7 @@ class TestLebesgue:
         g = BoxGrid(2.0, 16)
         f = smooth_field(g, rng)
         lattice = lebesgue_norm(f, 2)
-        spectral = np.sqrt(g.volume * np.sum(np.abs(f.spectral) ** 2))
+        spectral = np.sqrt(g.volume * np.sum(np.abs(full_spectrum(f)) ** 2))
         assert lattice == pytest.approx(spectral, rel=1e-12)
         assert l2_norm(f) == pytest.approx(lattice, rel=1e-12)
 
@@ -104,19 +124,29 @@ class TestSobolev:
             lhs = sobolev_norm(f, 1.0 + theta)
             assert lhs <= h1 ** (1 - theta) * h2**theta * (1 + 1e-10)
 
-    def test_rfft_route_matches_full_spectral(self, rng):
+    def test_half_spectrum_norms_match_full_spectrum(self, rng):
         g = BoxGrid(1.0, 16)
-        samples = smooth_field(g, rng, rank="vector").physical
-        fresh = Field.from_physical(g, samples.copy())  # no cached coefficients
-        cached = Field.from_physical(g, samples.copy())
-        cached.spectral
-        assert not fresh.has_spectral and cached.has_spectral
+        f = smooth_field(g, rng, rank="vector")
+        assert not f.has_spectral
         for s, hom in ((1.0, True), (1.5, False), (2.0, True)):
-            a = sobolev_norm(fresh, s, homogeneous=hom)
-            b = sobolev_norm(cached, s, homogeneous=hom)
-            assert a == pytest.approx(b, rel=1e-12)
-        assert grad_l2_sq(fresh) == pytest.approx(grad_l2_sq(cached), rel=1e-12)
-        assert lap_l2_sq(fresh) == pytest.approx(lap_l2_sq(cached), rel=1e-12)
+            weight = (lambda k: k**s) if hom else (lambda k: (1.0 + k) ** s)
+            want = np.sqrt(full_moment(f, weight))
+            assert sobolev_norm(f, s, homogeneous=hom) == pytest.approx(want, rel=1e-12)
+        want = full_moment(f, WEIGHTS["k2"], diff=True)
+        assert grad_l2_sq(f) == pytest.approx(want, rel=1e-12)
+        want = full_moment(f, WEIGHTS["k4"], diff=True)
+        assert lap_l2_sq(f) == pytest.approx(want, rel=1e-12)
+
+    def test_samples_are_transformed_once(self, rng, monkeypatch):
+        import boxflow.spectral_core as sc
+
+        calls = []
+        rfftn = sc._rfftn
+        monkeypatch.setattr(sc, "_rfftn", lambda a: calls.append(a.shape) or rfftn(a))
+        g = BoxGrid(1.0, 16)
+        f = Field.from_physical(g, white_field(g, rng, rank="vector").physical)
+        l2_norm(f), sobolev_norm(f, 1.0), grad_l2_sq(f)
+        assert calls == [(3, 16, 16, 16)] and f.has_spectral
 
     def test_gradient_norm_matches_operator(self, rng):
         g = BoxGrid(2.0, 16)
@@ -244,3 +274,19 @@ class TestHelpers:
         f = smooth_field(g, rng)
         m = spectral_moment(f, lambda ksq: np.ones_like(ksq))
         assert np.sqrt(m) == pytest.approx(l2_norm(f), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.25, 8.0),
+    n=st.integers(4, 24).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+    weight=st.sampled_from(sorted(WEIGHTS)),
+    diff=st.booleans(),
+)
+@example(alpha=1.0, n=8, seed=0, weight="k4", diff=False)
+def test_spectral_moment_matches_full_spectrum(alpha, n, seed, weight, diff):
+    g = BoxGrid(alpha, n)
+    f = white_field(g, np.random.default_rng(seed), rank="vector")
+    want = full_moment(f, WEIGHTS[weight], diff)
+    assert spectral_moment(f, WEIGHTS[weight], diff) == pytest.approx(want, rel=1e-14)

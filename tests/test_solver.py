@@ -46,19 +46,15 @@ from boxflow.solver import (
 from boxflow.spectral_core import (
     BoxGrid,
     Field,
-    _fftn,
-    _hermitian_fill,
-    _rfftn,
     dealias,
     divergence,
     gradient,
     laplacian,
-    leray_project,
     set_default_workers,
 )
 from boxflow.vorticity import curl_inv_periodic
 
-from conftest import div_free_field, taylor_green
+from conftest import div_free_field, full_ksq, full_spectrum, taylor_green
 
 
 def shear_flow(grid: BoxGrid, amplitude: float = 1.0) -> Field:
@@ -186,14 +182,27 @@ def random_velocity(grid: BoxGrid, seed: int) -> Field:
 
 
 def convective_rhs(u: Field) -> np.ndarray:
-    """-P[(v.grad)v] for v the 2/3-truncated u, output masked, zero mode 0."""
-    v = dealias(u)
-    f = np.empty_like(v.physical)
-    for i in range(3):
-        f[i] = np.sum(v.physical * gradient(v.component(i)).physical, axis=0)
-    out = leray_project(dealias(Field.from_physical(u.grid, f))).spectral
+    """-P[(v.grad)v] for v the 2/3-truncated u, output masked, zero mode 0,
+    built on the full spectrum with complex FFTs; returns its m_3 >= 0 half."""
+    g = u.grid
+    k = g.k1d_diff
+    kx, ky, kz = k[:, None, None], k[None, :, None], k[None, None, :]
+    keep = g.dealias_keep1d
+    mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+    axes = (-3, -2, -1)
+    vhat = full_spectrum(u) * mask
+    v = scipy.fft.ifftn(vhat, axes=axes, norm="forward").real
+    f = sum(
+        v[j] * scipy.fft.ifftn(1j * kj * vhat, axes=axes, norm="forward").real
+        for j, kj in enumerate((kx, ky, kz))
+    )
+    fhat = scipy.fft.fftn(f, axes=axes, norm="forward") * mask
+    ksq = full_ksq(g)
+    kdotf = kx * fhat[0] + ky * fhat[1] + kz * fhat[2]
+    coef = np.divide(kdotf, ksq, out=np.zeros_like(kdotf), where=ksq > 0.0)
+    out = fhat - np.stack([kx * coef, ky * coef, kz * coef])
     out[:, 0, 0, 0] = 0.0
-    return -out
+    return -out[..., : g.N // 2 + 1]
 
 
 @properties
@@ -203,7 +212,7 @@ def convective_rhs(u: Field) -> np.ndarray:
 def test_rotational_rhs_matches_convective_product(grid, seed):
     u = random_velocity(grid, seed)
     kernel = _StepKernel(grid)
-    got = _hermitian_fill(kernel.rhs(kernel.half(u.spectral)))
+    got = kernel.rhs(u.spectral)
     want = convective_rhs(u)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -214,7 +223,7 @@ def test_rotational_rhs_matches_convective_product(grid, seed):
 def test_nonlinear_term_does_no_work(grid, seed):
     u = random_velocity(grid, seed)
     kernel = _StepKernel(grid)
-    uhat = kernel.half(u.spectral)
+    uhat = u.spectral
     rhs = kernel.rhs(uhat)
     work = np.sum(kernel.mult * np.real(np.conj(uhat) * rhs))
     scale = np.sqrt(np.sum(kernel.mult * np.abs(uhat) ** 2))
@@ -222,24 +231,13 @@ def test_nonlinear_term_does_no_work(grid, seed):
     assert abs(work) <= 1e-13 * scale
 
 
-@properties
-@given(n=st.integers(4, 24).map(lambda k: 2 * k), seed=seeds)
-def test_hermitian_fill_restores_full_spectrum(n, seed):
-    x = np.random.default_rng(seed).standard_normal((3, n, n, n))
-    full = _fftn(x)
-    # exact on the stored columns of a full transform ...
-    assert np.array_equal(_hermitian_fill(full[..., : n // 2 + 1]), full)
-    # ... and at roundoff from the real-to-complex transform, whose
-    # butterflies differ from the complex transform's by ~1e-17
-    assert np.abs(_hermitian_fill(_rfftn(x)) - full).max() <= 1e-15 * np.abs(full).max()
-
-
 def test_every_solver_transform_gets_the_worker_count(monkeypatch):
-    seen = []
+    seen, names = [], set()
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
 
-        def spy(*args, _fft=getattr(scipy.fft, name), **kwargs):
+        def spy(*args, _fft=getattr(scipy.fft, name), _name=name, **kwargs):
             seen.append(kwargs.get("workers"))
+            names.add(_name)
             return _fft(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, spy)
@@ -251,6 +249,7 @@ def test_every_solver_transform_gets_the_worker_count(monkeypatch):
     finally:
         set_default_workers(1)
     assert len(seen) > 20 and set(seen) == {2}
+    assert names == {"rfftn", "irfftn"}
 
 
 # ------------------------------------------------------------ error contract

@@ -1,7 +1,14 @@
-"""Grid, transform, and spectral-operator behaviour."""
+"""Grid, transform, and spectral-operator behaviour.
+
+Fields store half-spectra; tests that need a coefficient with m_3 < 0 or a
+sum over every mode read them from `full_spectrum`, a complex FFT of the
+samples.  Hypothesis properties over random (alpha, N) pin the half-spectrum
+round trip, Parseval and the operator algebra.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boxflow.errors import ConfigurationError, DataError, UsageError
 from boxflow.spectral_core import (
@@ -19,17 +26,26 @@ from boxflow.spectral_core import (
     write_snapshot,
 )
 
-from conftest import div_free_field, smooth_field, taylor_green, white_field
+from conftest import (
+    div_free_field,
+    full_ksq,
+    full_spectrum,
+    smooth_field,
+    taylor_green,
+    white_field,
+)
 
 
 def coeff(f: Field, m):
-    """Spectral coefficient at integer mode triple m."""
+    """Spectral coefficient at integer mode triple m (any sign of m_3)."""
     modes = list(f.grid.modes1d)
-    return f.spectral[..., modes.index(m[0]), modes.index(m[1]), modes.index(m[2])]
+    return full_spectrum(f)[
+        ..., modes.index(m[0]), modes.index(m[1]), modes.index(m[2])
+    ]
 
 
 def spectral_l2(f: Field) -> float:
-    return float(np.sqrt(f.grid.volume * np.sum(np.abs(f.spectral) ** 2)))
+    return float(np.sqrt(f.grid.volume * np.sum(np.abs(full_spectrum(f)) ** 2)))
 
 
 def lattice_l2(f: Field) -> float:
@@ -104,10 +120,22 @@ class TestTransforms:
         assert spectral_l2(f) == pytest.approx(lattice_l2(f), rel=1e-12)
 
     def test_reality_is_hermitian_symmetry(self, rng):
+        """The stored half is the m_3 = 0..N/2 part of the full spectrum, and
+        Hermitian symmetry gives the rest."""
         f = white_field(BoxGrid(1.0, 16), rng)
-        fh = f.spectral
-        mirrored = np.roll(np.flip(fh, axis=(0, 1, 2)), 1, axis=(0, 1, 2))
-        np.testing.assert_allclose(mirrored, np.conj(fh), atol=1e-13)
+        full = full_spectrum(f)
+        assert f.spectral.shape == (16, 16, 9)
+        np.testing.assert_allclose(f.spectral, full[..., :9], atol=1e-15)
+        mirrored = np.roll(np.flip(full, axis=(0, 1, 2)), 1, axis=(0, 1, 2))
+        np.testing.assert_allclose(mirrored, np.conj(full), atol=1e-13)
+
+    def test_spectral_shape_is_the_half_spectrum(self, rng):
+        g = BoxGrid(1.0, 16)
+        for shape in ((16, 16, 9), (3, 16, 16, 9)):
+            Field.from_spectral(g, np.zeros(shape, dtype=complex))
+        for shape in ((16, 16, 16), (3, 16, 16, 16), (16, 16, 8)):
+            with pytest.raises(UsageError):
+                Field.from_spectral(g, np.zeros(shape, dtype=complex))
 
     def test_non_finite_samples_rejected(self):
         g = BoxGrid(1.0, 16)
@@ -115,7 +143,7 @@ class TestTransforms:
         bad[3, 4, 5] = np.nan
         with pytest.raises(DataError):
             Field.from_physical(g, bad).spectral
-        badh = np.zeros((16, 16, 16), dtype=complex)
+        badh = np.zeros((16, 16, 9), dtype=complex)
         badh[0, 0, 1] = np.inf
         with pytest.raises(DataError):
             Field.from_spectral(g, badh).physical
@@ -177,7 +205,8 @@ class TestDiffOps:
             f = dilate(base, alpha)
             l2 = spectral_l2(f)
             grad = np.sqrt(
-                f.grid.volume * np.sum(f.grid.ksq_diff * np.abs(f.spectral) ** 2)
+                f.grid.volume
+                * np.sum(full_ksq(f.grid) * np.abs(full_spectrum(f)) ** 2)
             )
             assert l2 <= (alpha / np.pi) * grad
             ratios.append(l2 / grad)
@@ -342,3 +371,50 @@ class TestFieldArithmetic:
         b = white_field(BoxGrid(2.0, 16), rng)
         with pytest.raises(UsageError):
             a + b
+
+
+# even N in [8, 48] on random boxes
+grids = st.builds(
+    BoxGrid,
+    alpha=st.floats(0.25, 8.0),
+    N=st.integers(4, 24).map(lambda k: 2 * k),
+)
+seeds = st.integers(0, 2**32 - 1)
+properties = settings(max_examples=25, deadline=None)
+
+
+def random_samples(grid: BoxGrid, seed: int, rank="vector") -> Field:
+    return white_field(grid, np.random.default_rng(seed), rank=rank)
+
+
+class TestHalfSpectrumProperties:
+    @properties
+    @given(grid=grids, seed=seeds)
+    @example(grid=BoxGrid(1.0, 8), seed=0)
+    def test_round_trip(self, grid, seed):
+        f = random_samples(grid, seed)
+        back = Field.from_spectral(grid, f.spectral).physical
+        assert np.abs(back - f.physical).max() <= 1e-14 * np.abs(f.physical).max()
+
+    @properties
+    @given(grid=grids, seed=seeds)
+    def test_parseval(self, grid, seed):
+        f = random_samples(grid, seed)
+        half = grid.volume * np.sum(grid.mult * np.abs(f.spectral) ** 2)
+        assert half == pytest.approx(lattice_l2(f) ** 2, rel=1e-13)
+
+    @properties
+    @given(grid=grids, seed=seeds)
+    @example(grid=BoxGrid(0.25, 48), seed=1)
+    def test_divergence_of_curl_vanishes(self, grid, seed):
+        f = random_samples(grid, seed)
+        d = divergence(curl(f)).spectral
+        assert np.linalg.norm(d) <= 1e-14 * np.linalg.norm(laplacian(f).spectral)
+
+    @properties
+    @given(grid=grids, seed=seeds)
+    @example(grid=BoxGrid(1.0, 24), seed=2)
+    def test_leray_idempotent(self, grid, seed):
+        once = leray_project(random_samples(grid, seed)).spectral
+        twice = leray_project(Field.from_spectral(grid, once)).spectral
+        assert np.linalg.norm(twice - once) <= 1e-14 * np.linalg.norm(once)
