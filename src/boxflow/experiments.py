@@ -658,20 +658,27 @@ def measure_constants(fields) -> dict[str, float]:
     pressure Calderon-Zygmund ratio ||p|| / ||u||_{L^4}^2; entries are NaN
     when every field is degenerate (zero).
     """
-    agmon, sob6, press = [], [], []
+    rows = []
     for u in fields:
         report = inequality_report(u)
-        if report.flags["degenerate"]:
-            continue
-        agmon.append(report.entries["agmon_ratio"])
-        sob6.append(report.entries["l6_ratio"])
-        l4 = lebesgue_norm(u, 4)
-        if l4 > 0.0:
-            press.append(l2_norm(pressure_solve(u)) / l4**2)
+        if not report.flags["degenerate"]:
+            rows.append(dict(report.entries, pressure_ratio=_pressure_ratio(u)))
+    return _largest_ratios(rows)
+
+
+def _pressure_ratio(u: Field) -> float:
+    """||p|| / ||u||_{L^4}^2 for the pressure of u; NaN for zero u."""
+    l4 = lebesgue_norm(u, 4)
+    return l2_norm(pressure_solve(u)) / l4**2 if l4 > 0.0 else float("nan")
+
+
+def _largest_ratios(rows) -> dict[str, float]:
+    """The `measure_constants` maxima over rows of non-degenerate fields."""
+    press = [r["pressure_ratio"] for r in rows if not math.isnan(r["pressure_ratio"])]
     return {
-        "c_agmon": max(agmon) if agmon else float("nan"),
-        "c_sobolev6": max(sob6) if sob6 else float("nan"),
-        "c_pressure": max(press) if press else float("nan"),
+        "c_agmon": max((r["agmon_ratio"] for r in rows), default=float("nan")),
+        "c_sobolev6": max((r["l6_ratio"] for r in rows), default=float("nan")),
+        "c_pressure": max(press, default=float("nan")),
     }
 
 
@@ -1130,15 +1137,10 @@ def run_snapshot_audit(cfg: StudyConfig) -> dict:
     """
     rows: list[dict] = []
     checks: list[CheckRecord] = []
-    fields = []
     for alpha, grid in _box_grids(cfg):
         u = _initial_velocity(cfg, grid)
         report = inequality_report(u)
         identity = curl_identity_report(u)
-        l4 = lebesgue_norm(u, 4)
-        pressure_ratio = (
-            l2_norm(pressure_solve(u)) / l4**2 if l4 > 0.0 else float("nan")
-        )
         degenerate = report.flags["degenerate"]
         rows.append(
             {
@@ -1148,7 +1150,7 @@ def run_snapshot_audit(cfg: StudyConfig) -> dict:
                 "agmon_ratio": report.entries["agmon_ratio"],
                 "l6_ratio": report.entries["l6_ratio"],
                 "interp_ratio": report.entries["interp_ratio"],
-                "pressure_ratio": pressure_ratio,
+                "pressure_ratio": _pressure_ratio(u),
                 "grad_norm": identity.entries["grad_norm"],
                 "curl_norm": identity.entries["curl_norm"],
                 "curl_rel_diff": identity.entries["rel_diff"],
@@ -1166,12 +1168,11 @@ def run_snapshot_audit(cfg: StudyConfig) -> dict:
                 note="" if applicable else "degenerate field; vacuous",
             )
         )
-        fields.append(u)
     return dict(
         columns=tuple(rows[0]),
         rows=rows,
         checks=checks,
-        constants=measure_constants(fields),
+        constants=_largest_ratios([r for r in rows if not r["degenerate"]]),
         extras={"h": cfg.h},
     )
 

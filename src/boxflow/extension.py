@@ -139,6 +139,21 @@ def extend_field(u: Field, target: BoxGrid, cutoff: Cutoff) -> Field:
     return Field.from_physical(target, ext)
 
 
+def _require_inside(u: Field, n: int, what: str) -> None:
+    """Raise SupportError when u has a sample outside its centred n^3 block
+    larger than _LEAK_RTOL of its largest sample."""
+    off = (u.grid.N - n) // 2
+    sl = slice(off, off + n)
+    mag = np.abs(u.physical)
+    overall = float(mag.max())
+    mag[..., sl, sl, sl] = 0.0
+    leak = float(mag.max())
+    if leak > _LEAK_RTOL * overall:
+        raise SupportError(
+            f"{what}: max outside = {leak:.3e} vs max overall = {overall:.3e}"
+        )
+
+
 def restrict_field(u: Field, alpha: float, band: float = 1.0) -> tuple[Field, float]:
     """Copy samples onto the Q_alpha sub-lattice and re-enforce zero mean.
 
@@ -172,17 +187,7 @@ def restrict_field(u: Field, alpha: float, band: float = 1.0) -> tuple[Field, fl
     sl = slice(off, off + n_target)
 
     n_keep = min(int(round(2.0 * (alpha + band) / src.h)), src.N)
-    off_keep = (src.N - n_keep) // 2
-    sk = slice(off_keep, off_keep + n_keep)
-    mag = np.abs(u.physical)
-    overall = float(mag.max())
-    mag[..., sk, sk, sk] = 0.0
-    leak = float(mag.max())
-    if leak > _LEAK_RTOL * overall:
-        raise SupportError(
-            f"field leaks outside Q_{alpha + band}: max outside = {leak:.3e} "
-            f"vs max overall = {overall:.3e}"
-        )
+    _require_inside(u, n_keep, f"field leaks outside Q_{alpha + band}")
 
     block = u.physical[..., sl, sl, sl].copy()
     means = block.mean(axis=(-3, -2, -1), keepdims=True)
@@ -206,15 +211,6 @@ def rehost_compact(f: Field, target: BoxGrid) -> Field:
         sl = slice(offset, offset + f.grid.N)
         out[..., sl, sl, sl] = f.physical
         return Field.from_physical(target, out)
-    off = -offset
-    sl = slice(off, off + target.N)
-    mag = np.abs(f.physical)
-    overall = float(mag.max())
-    mag[..., sl, sl, sl] = 0.0
-    leak = float(mag.max())
-    if leak > _LEAK_RTOL * overall:
-        raise SupportError(
-            f"cropping to Q_{target.alpha} would discard samples of size "
-            f"{leak:.3e} (max overall {overall:.3e})"
-        )
+    _require_inside(f, target.N, f"cropping to Q_{target.alpha} would discard samples")
+    sl = slice(-offset, -offset + target.N)
     return Field.from_physical(target, f.physical[..., sl, sl, sl].copy())

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import DataError, UsageError
-from .spectral_core import Field, divergence
+from .spectral_core import Field, _lattice_lp, divergence
 
 _ZERO_MEAN_RTOL = 1e-8
 
@@ -41,9 +41,10 @@ _ZERO_MEAN_RTOL = 1e-8
 def spectral_moment(f: Field, weight, diff: bool = False) -> float:
     """vol * sum_k weight(|k|^2) |fhat_k|^2, summed over components.
 
-    `weight` maps an array of |k|^2 values to the per-mode weight.  With
-    diff=True the Nyquist-zeroed differentiation wavevectors are used, making
-    the result consistent with the package's differential operators.
+    `weight` maps an array of |k|^2 values to the per-mode weight (a
+    constant broadcasts over the modes).  With diff=True the Nyquist-zeroed
+    differentiation wavevectors are used, making the result consistent with
+    the package's differential operators.
     """
     g = f.grid
     w = weight(g.ksq_diff if diff else g.ksq) * g.mult
@@ -57,9 +58,14 @@ def spectral_moment(f: Field, weight, diff: bool = False) -> float:
     return g.volume * total
 
 
+def l2_sq(f: Field) -> float:
+    """||f||_{L^2}^2 via Parseval (all components)."""
+    return spectral_moment(f, lambda ksq: 1.0)
+
+
 def l2_norm(f: Field) -> float:
     """||f||_{L^2} via Parseval (all components)."""
-    return float(np.sqrt(spectral_moment(f, lambda ksq: 1.0 + 0.0 * ksq)))
+    return float(np.sqrt(l2_sq(f)))
 
 
 def grad_l2_sq(f: Field) -> float:
@@ -90,9 +96,7 @@ def lebesgue_norm(f: Field, p: float) -> float:
     mag = f.magnitude()
     if not np.all(np.isfinite(mag)):
         raise DataError("non-finite field samples")
-    if np.isinf(p):
-        return float(mag.max())
-    return float((np.sum(mag**p) * f.grid.h**3) ** (1.0 / p))
+    return _lattice_lp(mag, f.grid.h, p)
 
 
 def _require_zero_mean(f: Field, context: str) -> None:

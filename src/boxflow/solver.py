@@ -10,11 +10,14 @@ only onto dropped ones (Orszag's condition); it is masked, Leray-projected,
 and its zero mode is zeroed, which makes momentum conservation bit-exact.
 A stage costs nine real transforms.  The stored state keeps every mode.
 
+The curl, Leray projection, pressure and spectral moments are those of
+`spectral_core` and `norms`; the solver keeps no operator of its own.
+
 Each audit point records energy, enstrophy, ||Delta u||, max |u|, the
 running energy-equality residual, and the pressure-gradient-to-nonlinearity
 ratio, reusing the next step's first stage: (u . grad) u = omega x u +
 grad(|u|^2 / 2) costs one more transform.  `energy_audit` / `enstrophy_audit`
-replay those series against the energy equality and the enstrophy
+check those series against the energy equality and the enstrophy
 differential inequality, and `existence_time` evaluates the guaranteed-
 existence horizon T = 2 / (9 C^4 M^2) for an H^1 bound M.
 """
@@ -33,8 +36,24 @@ from .errors import (
     StepSizeError,
     UsageError,
 )
-from .norms import DiagnosticsRecord, relative_divergence, sobolev_norm
-from .spectral_core import BoxGrid, Field, _irfftn, _rfftn
+from .norms import (
+    DiagnosticsRecord,
+    grad_l2_sq,
+    l2_sq,
+    lap_l2_sq,
+    relative_divergence,
+    sobolev_norm,
+)
+from .spectral_core import (
+    BoxGrid,
+    Field,
+    _irfftn,
+    _leray_in_place,
+    _rfftn,
+    curl,
+    gradient,
+    product_pressure,
+)
 
 DIAGNOSTIC_COLUMNS = (
     "t",
@@ -65,16 +84,15 @@ class SolverConfig:
     blowup_max_enstrophy: float = 1e8
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ConfigurationError(
-                f"t_end must be nonnegative, got {self.t_end!r}"
-            )
-        if not (np.isfinite(self.viscosity) and self.viscosity > 0.0):
-            raise ConfigurationError(
-                f"viscosity must be positive, got {self.viscosity!r}"
-            )
+        for name in ("dt", "viscosity", "blowup_max_u", "blowup_max_enstrophy"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be positive, got {value!r}")
+        for t in (self.t_end, *self.snapshot_times):
+            if not (np.isfinite(t) and t >= 0.0):
+                raise ConfigurationError(
+                    f"t_end and snapshot times must be nonnegative, got {t!r}"
+                )
         if int(self.audit_every) != self.audit_every or self.audit_every < 1:
             raise ConfigurationError(
                 f"audit_every must be a positive integer, got {self.audit_every!r}"
@@ -135,61 +153,43 @@ def _cross(a, b) -> np.ndarray:
 
 
 class _StepKernel:
-    """Precomputed half-spectrum machinery for repeated steps on one grid."""
+    """The IF-RK4 step on one grid; every operator comes from spectral_core
+    and norms, only the decay factors are cached here."""
 
     def __init__(self, grid: BoxGrid, viscosity: float = 1.0):
         self.grid = grid
         self.viscosity = viscosity
-        self.k = grid.k_axes()
-        self.ksq_true, self.ksq = grid.ksq, grid.ksq_diff
-        self.mult, self.inv_ksq = grid.mult, grid.inv_ksq
         self.keep = grid.dealias_mask
         self._decay = {}  # dt -> (e^{-nu |k|^2 dt / 2}, e^{-nu |k|^2 dt})
 
-    def sum_sq(self, arrays, weight=1.0) -> float:
-        """sum over the full spectrum of weight |a|^2, from half-spectra."""
-        w = self.mult * weight
-        return float(sum(np.sum(w * (a.real**2 + a.imag**2)) for a in arrays))
-
-    def product(self, uhat):
-        """Masked half-spectrum of omega x u for the truncated state, and u."""
-        v = uhat * self.keep
-        u, w = _irfftn(v, self.grid.N), _irfftn(1j * _cross(self.k, v), self.grid.N)
+    def stage(self, uhat, audit: bool = False):
+        """-P(omega x u) of the truncated state with its zero mode zeroed, u,
+        and (audit only) the pressure ratio of the unprojected product."""
+        n = self.grid.N
+        v = Field.from_spectral(self.grid, uhat * self.keep)
+        u, w = _irfftn(v.spectral, n), _irfftn(curl(v).spectral, n)
         fhat = _rfftn(_cross(w, u))
         fhat *= self.keep
-        return fhat, u
-
-    def project(self, fhat) -> np.ndarray:
-        """-P fhat in place, zero mode exactly zero."""
-        div = self.inv_ksq * sum(k * f for k, f in zip(self.k, fhat))
-        for k, f in zip(self.k, fhat):
-            f -= k * div
+        pressure = self.pressure_ratio(fhat, u) if audit else None
+        _leray_in_place(fhat, self.grid)
         fhat[:, 0, 0, 0] = 0.0
-        return np.negative(fhat, out=fhat)
-
-    def rhs(self, uhat) -> np.ndarray:
-        return self.project(self.product(uhat)[0])
+        return np.negative(fhat, out=fhat), u, pressure
 
     def first_stage(self, uhat, audit: bool):
         """The RHS at uhat, max |u|, and (audit only) the pressure ratio."""
-        fhat, u = self.product(uhat)
-        pressure = self.pressure_ratio(fhat, u) if audit else None
-        return self.project(fhat), float(np.sqrt(np.sum(u * u, axis=0)).max()), pressure
+        a, u, pressure = self.stage(uhat, audit)
+        return a, float(np.sqrt(np.sum(u * u, axis=0)).max()), pressure
 
     def advance(self, uhat, dt: float, a) -> np.ndarray:
-        """One integrating-factor RK4 step of length dt; a = rhs(uhat)."""
+        """One integrating-factor RK4 step of length dt; a = stage(uhat)[0]."""
         if dt not in self._decay:
-            e = np.exp(-0.5 * self.viscosity * dt * self.ksq_true)
+            e = np.exp(-0.5 * self.viscosity * dt * self.grid.ksq)
             self._decay[dt] = (e, e * e)
         e, e2 = self._decay[dt]
-        b = self.rhs(e * (uhat + (0.5 * dt) * a))
-        c = self.rhs(e * uhat + (0.5 * dt) * b)
-        d = self.rhs(e2 * uhat + dt * (e * c))
+        b = self.stage(e * (uhat + (0.5 * dt) * a))[0]
+        c = self.stage(e * uhat + (0.5 * dt) * b)[0]
+        d = self.stage(e2 * uhat + dt * (e * c))[0]
         return e2 * uhat + (dt / 6.0) * (e2 * a + 2.0 * (e * (b + c)) + d)
-
-    def moments(self, uhat) -> list[float]:
-        """||u||^2, ||grad u||^2 and ||lap u||^2 from the half-spectrum."""
-        return [self.grid.volume * self.sum_sq(uhat, self.ksq**p) for p in range(3)]
 
     def check_cfl(self, umax: float, dt: float) -> None:
         if umax * dt / self.grid.h > 0.5:
@@ -203,17 +203,18 @@ class _StepKernel:
         """||grad p|| / ||(u.grad)u||, with the degenerate zero-F flag.
 
         (u.grad)u = omega x u + grad(|u|^2 / 2), from the masked, unprojected
-        `fhat` of `product` and one more transform.  F counts as zero when
+        `fhat` of `stage` and one more transform.  F counts as zero when
         the two parts cancel to roundoff, as they do for a shear flow.
         """
-        g = self.keep * _rfftn(0.5 * np.sum(u * u, axis=0))
-        grad_g = [1j * k * g for k in self.k]
-        conv = [f + dg for f, dg in zip(fhat, grad_g)]
-        f_sq = self.sum_sq(conv)
-        if f_sq <= 1e-24 * (self.sum_sq(fhat) + self.sum_sq(grad_g)):
+        grid = self.grid
+        grad_g = gradient(
+            Field.from_spectral(grid, self.keep * _rfftn(0.5 * np.sum(u * u, axis=0)))
+        )
+        conv = Field.from_spectral(grid, fhat + grad_g.spectral)
+        f_sq = l2_sq(conv)
+        if f_sq <= 1e-24 * (l2_sq(Field.from_spectral(grid, fhat)) + l2_sq(grad_g)):
             return 0.0, True
-        kdotf = sum(k * c for k, c in zip(self.k, conv))
-        return math.sqrt(self.sum_sq([kdotf], self.inv_ksq) / f_sq), False
+        return math.sqrt(grad_l2_sq(product_pressure(conv)) / f_sq), False
 
 
 def _require_solvable(u: Field) -> None:
@@ -273,9 +274,9 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
 
     integral = 0.0  # running trapezoid of enstrophy over audit times
 
-    def audit(t: float, moments, umax: float, pressure) -> None:
+    def audit(t: float, u: Field, enstrophy: float, umax: float, pressure) -> None:
         nonlocal integral
-        energy, enstrophy = 0.5 * moments[0], moments[1]
+        energy = 0.5 * l2_sq(u)
         energy0 = diagnostics[0].entries["energy"] if diagnostics else energy
         if diagnostics:
             last = diagnostics[-1]
@@ -287,7 +288,7 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
                 entries={
                     "energy": energy,
                     "enstrophy": enstrophy,
-                    "laplacian_norm": math.sqrt(moments[2]),
+                    "laplacian_norm": math.sqrt(lap_l2_sq(u)),
                     "max_u": umax,
                     "energy_residual": energy + integral - energy0,
                     "pressure_ratio": ratio,
@@ -298,7 +299,7 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
 
     # each audit's right-hand side is the next step's first stage
     a, umax, pressure = kernel.first_stage(uhat, audit=True)
-    audit(0.0, kernel.moments(uhat), umax, pressure)
+    audit(0.0, u0, grad_l2_sq(u0), umax, pressure)
     t_prev = 0.0
     for step, (dt_k, t_k) in enumerate(zip(lengths, step_times), start=1):
         kernel.check_cfl(umax, dt_k)
@@ -309,17 +310,18 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
             )
         audited = step % cfg.audit_every == 0 or step == len(lengths)
         a, umax, pressure = kernel.first_stage(uhat, audit=audited)
-        moments = kernel.moments(uhat)
-        if umax > cfg.blowup_max_u or moments[1] > cfg.blowup_max_enstrophy:
+        u = Field.from_spectral(u0.grid, uhat)
+        enstrophy = grad_l2_sq(u)
+        if umax > cfg.blowup_max_u or enstrophy > cfg.blowup_max_enstrophy:
             raise BlowUpError(
                 f"blow-up thresholds exceeded at t={t_k}: max|u|={umax:.3e}",
                 last_valid_time=t_prev,
             )
         if audited:
-            audit(t_k, moments, umax, pressure)
+            audit(t_k, u, enstrophy, umax, pressure)
         if step in snap_at:
             times.append(t_k)
-            states.append(Field.from_spectral(u0.grid, uhat))
+            states.append(u)
         t_prev = t_k
 
     return Trajectory(
@@ -339,16 +341,12 @@ def pressure_solve(u: Field) -> Field:
     """
     if u.rank != "vector":
         raise UsageError("pressure solve needs a velocity field")
-    kernel = _StepKernel(u.grid)
     uhat = u.spectral
     f = sum(
         u_j * _irfftn(1j * k_j * uhat, u.grid.N)
-        for u_j, k_j in zip(u.physical, kernel.k)
+        for u_j, k_j in zip(u.physical, u.grid.k_axes())
     )
-    fhat = kernel.keep * _rfftn(f)
-    phat = 1j * kernel.inv_ksq * sum(k * f for k, f in zip(kernel.k, fhat))
-    phat[0, 0, 0] = 0.0
-    return Field.from_spectral(u.grid, phat)
+    return product_pressure(Field(u.grid, spectral=u.grid.dealias_mask * _rfftn(f)))
 
 
 def write_diagnostics_csv(records, path) -> None:
@@ -367,39 +365,22 @@ def write_diagnostics_csv(records, path) -> None:
 
 
 def energy_audit(traj: Trajectory, tol: float | None = None) -> list[DiagnosticsRecord]:
-    """Replay the energy equality over the audit series.
+    """Check the energy equality over the audit series.
 
-    For each audit time t, the residual rho(t) = E(t) + int_0^t ||grad u||^2
-    - E(0) (trapezoid in time) should sit at quadrature level; rho(t) > tol
-    is flagged as a violation of the energy inequality.  Default tol is
-    1e-6 E(0).
+    Each audit record carries the residual rho(t) = E(t) + int_0^t
+    ||grad u||^2 - E(0) (trapezoid in time over the audit times), which
+    should sit at quadrature level; rho(t) > tol is flagged as a violation
+    of the energy inequality.  Default tol is 1e-6 E(0).
     """
     if not traj.diagnostics:
         raise UsageError("trajectory carries no audit records")
-    e0 = traj.diagnostics[0].entries["energy"]
     if tol is None:
-        tol = 1e-6 * e0
+        tol = 1e-6 * traj.diagnostics[0].entries["energy"]
     out = []
-    integral = 0.0
-    prev = None
     for rec in traj.diagnostics:
-        ens = rec.entries["enstrophy"]
-        if prev is not None:
-            t_prev, ens_prev = prev
-            integral += 0.5 * (rec.time - t_prev) * (ens_prev + ens)
-        prev = (rec.time, ens)
-        residual = rec.entries["energy"] + integral - e0
-        out.append(
-            DiagnosticsRecord(
-                time=rec.time,
-                entries={
-                    "energy": rec.entries["energy"],
-                    "dissipation_integral": integral,
-                    "residual": residual,
-                },
-                flags={"violation": residual > tol},
-            )
-        )
+        rho = rec.entries["energy_residual"]
+        entries = {"energy": rec.entries["energy"], "residual": rho}
+        out.append(DiagnosticsRecord(rec.time, entries, {"violation": rho > tol}))
     return out
 
 

@@ -314,12 +314,10 @@ def gradient(f: Field) -> Field:
     """Spectral gradient of a scalar field (rank scalar -> vector)."""
     if f.rank != "scalar":
         raise UsageError("gradient expects a scalar field")
-    kx, ky, kz = f.grid.k_axes()
     fh = f.spectral
     out = np.empty((3,) + fh.shape, dtype=np.complex128)
-    out[0] = 1j * kx * fh
-    out[1] = 1j * ky * fh
-    out[2] = 1j * kz * fh
+    for k_i, out_i in zip(f.grid.k_axes(), out):
+        np.multiply(1j * k_i, fh, out=out_i)
     return Field(f.grid, spectral=out)
 
 
@@ -336,12 +334,12 @@ def curl(f: Field) -> Field:
     """Spectral curl of a vector field."""
     if f.rank != "vector":
         raise UsageError("curl expects a vector field")
-    kx, ky, kz = f.grid.k_axes()
-    fh = f.spectral
+    k, fh = f.grid.k_axes(), f.spectral
     out = np.empty_like(fh)
-    out[0] = 1j * (ky * fh[2] - kz * fh[1])
-    out[1] = 1j * (kz * fh[0] - kx * fh[2])
-    out[2] = 1j * (kx * fh[1] - ky * fh[0])
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # (curl f)_i = i(k_j f_l - k_l f_j)
+        np.multiply(k[j], fh[l], out=out[i])
+        out[i] -= k[l] * fh[j]
+    out *= 1j
     return Field(f.grid, spectral=out)
 
 
@@ -359,14 +357,29 @@ def leray_project(f: Field) -> Field:
     """
     if f.rank != "vector":
         raise UsageError("leray_project expects a vector field")
-    kx, ky, kz = f.grid.k_axes()
-    fh = f.spectral
-    coef = (kx * fh[0] + ky * fh[1] + kz * fh[2]) * f.grid.inv_ksq
-    out = np.empty_like(fh)
-    out[0] = fh[0] - kx * coef
-    out[1] = fh[1] - ky * coef
-    out[2] = fh[2] - kz * coef
-    return Field(f.grid, spectral=out)
+    return Field(f.grid, spectral=_leray_in_place(f.spectral.copy(), f.grid))
+
+
+def _leray_in_place(fh: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """The array core of `leray_project`: overwrites the vector
+    half-spectrum fh with its projection and returns it."""
+    kx, ky, kz = k = grid.k_axes()
+    coef = (kx * fh[0] + ky * fh[1] + kz * fh[2]) * grid.inv_ksq
+    for k_i, f_i in zip(k, fh):
+        f_i -= k_i * coef
+    return fh
+
+
+def product_pressure(f: Field) -> Field:
+    """The zero-mean p with -Delta p = div f, p_k = i (k.f_k) / |k|^2.
+
+    With f the spectrum of (u.grad)u this is the pressure of u; the modes
+    that `inv_ksq` drops (zero and all-Nyquist) get no pressure.
+    """
+    phat = divergence(f).spectral
+    phat *= f.grid.inv_ksq
+    phat[0, 0, 0] = 0.0
+    return Field(f.grid, spectral=phat)
 
 
 def dealias(f: Field) -> Field:

@@ -21,9 +21,12 @@ from hypothesis import given, strategies as st
 from boxflow.cli import main as cli_main
 from boxflow.errors import ConfigurationError, UsageError
 from boxflow.experiments import (
+    _box_grids,
     _format_cell,
+    _initial_velocity,
     emit_report,
     load_config,
+    measure_constants,
     parse_config,
     run_inversion_study,
     run_snapshot_audit,
@@ -354,8 +357,10 @@ def valid_configs(draw):
     if family == "bump":
         initial["support_radius"] = draw(st.floats(0.1, 0.5))
         maybe(initial, "amplitude", draw(st.floats(-10.0, 10.0)))
-        maybe(initial, "direction", draw(
-            st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)))
+        axis = draw(st.integers(0, 2))
+        direction = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+        direction[axis] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        maybe(initial, "direction", direction)
         maybe(initial, "support_tol", draw(unit))
     elif family == "trefoil":
         initial.update(major_radius=draw(st.floats(0.1, 0.3)),
@@ -679,6 +684,13 @@ def test_snapshot_audit_reports_ratios():
         assert 0 < row["agmon_ratio"] < 10
         assert 0 < row["l6_ratio"] < 10
         assert row["curl_rel_diff"] <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["bump", "zero"])
+def test_snapshot_audit_constants_equal_measure_constants(family):
+    cfg = parse_config(inversion_data(initial_data={"family": family, "support_radius": 0.5}))
+    fields = [_initial_velocity(cfg, grid) for _, grid in _box_grids(cfg)]
+    np.testing.assert_equal(run_snapshot_audit(cfg).constants, measure_constants(fields))
 
 
 # -------------------------------------------------------------- reports

@@ -212,7 +212,7 @@ def convective_rhs(u: Field) -> np.ndarray:
 def test_rotational_rhs_matches_convective_product(grid, seed):
     u = random_velocity(grid, seed)
     kernel = _StepKernel(grid)
-    got = kernel.rhs(u.spectral)
+    got = kernel.stage(u.spectral)[0]
     want = convective_rhs(u)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -224,10 +224,10 @@ def test_nonlinear_term_does_no_work(grid, seed):
     u = random_velocity(grid, seed)
     kernel = _StepKernel(grid)
     uhat = u.spectral
-    rhs = kernel.rhs(uhat)
-    work = np.sum(kernel.mult * np.real(np.conj(uhat) * rhs))
-    scale = np.sqrt(np.sum(kernel.mult * np.abs(uhat) ** 2))
-    scale *= np.sqrt(np.sum(kernel.mult * np.abs(rhs) ** 2))
+    rhs = kernel.stage(uhat)[0]
+    work = np.sum(grid.mult * np.real(np.conj(uhat) * rhs))
+    scale = np.sqrt(np.sum(grid.mult * np.abs(uhat) ** 2))
+    scale *= np.sqrt(np.sum(grid.mult * np.abs(rhs) ** 2))
     assert abs(work) <= 1e-13 * scale
 
 
@@ -300,6 +300,12 @@ def test_config_validation():
         dict(dt=1e-3, t_end=-1.0),
         dict(dt=1e-3, t_end=1.0, viscosity=0.0),
         dict(dt=1e-3, t_end=1.0, audit_every=0),
+        dict(dt=1e-3, t_end=1.0, blowup_max_u=math.nan),
+        dict(dt=1e-3, t_end=1.0, blowup_max_u=0.0),
+        dict(dt=1e-3, t_end=1.0, blowup_max_enstrophy=math.inf),
+        dict(dt=1e-3, t_end=1.0, blowup_max_enstrophy=-1.0),
+        dict(dt=1e-3, t_end=1.0, snapshot_times=(0.5, math.nan)),
+        dict(dt=1e-3, t_end=1.0, snapshot_times=(-0.1,)),
     ):
         with pytest.raises(ConfigurationError):
             SolverConfig(**kwargs)
@@ -382,6 +388,22 @@ def test_taylor_green_energy_audit():
     e0 = records[0].entries["energy"]
     assert max(abs(r.entries["residual"]) for r in records) < 1e-6 * e0
     assert not any(r.flags["violation"] for r in records)
+    assert [r.entries["residual"] for r in records] == [
+        d.entries["energy_residual"] for d in traj.diagnostics
+    ]
+    # the running residual is the trapezoid rule over the audit series
+    t, energy, ens = (
+        np.array([d.time for d in traj.diagnostics]),
+        np.array([d.entries["energy"] for d in traj.diagnostics]),
+        np.array([d.entries["enstrophy"] for d in traj.diagnostics]),
+    )
+    integral = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (ens[1:] + ens[:-1]))])
+    np.testing.assert_allclose(
+        [r.entries["residual"] for r in records],
+        energy + integral - e0,
+        rtol=0.0,
+        atol=1e-12 * e0,
+    )
 
 
 def test_energy_residual_is_second_order_in_dt():

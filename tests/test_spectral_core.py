@@ -247,6 +247,12 @@ class TestLeray:
         d = divergence(leray_project(v))
         assert np.abs(d.physical).max() < 1e-12 * np.abs(v.physical).max()
 
+    def test_input_array_untouched(self, rng):
+        v = white_field(BoxGrid(1.0, 16), rng, rank="vector")
+        before = v.spectral.copy()
+        leray_project(v)
+        assert np.array_equal(v.spectral, before)
+
     def test_mean_mode_untouched(self, rng):
         g = BoxGrid(1.0, 16)
         v = smooth_field(g, rng, rank="vector", zero_mean=False)
