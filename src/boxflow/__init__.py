@@ -30,22 +30,18 @@ from .spectral_core import (
     BoxGrid,
     Field,
     curl,
-    dealias,
     dilate,
     divergence,
     gradient,
     laplacian,
     leray_project,
-    read_snapshot,
     rescale_field,
     set_default_workers,
-    write_snapshot,
 )
 from .norms import (
     DiagnosticsRecord,
     NormReport,
     inequality_report,
-    l2_inner,
     l2_norm,
     lebesgue_norm,
     relative_divergence,
@@ -61,24 +57,18 @@ from .extension import (
     Cutoff,
     extend_field,
     make_cutoff,
-    rehost_compact,
-    restrict_field,
 )
 from .vorticity import (
     BiotSavartResult,
-    UniformityRow,
     VorticityField,
     biot_savart_r3,
     curl_identity_report,
     curl_inv_periodic,
-    lplq_uniformity_report,
-    rehost_vorticity,
 )
 from .initial_data import (
     BumpSpec,
     TrefoilSpec,
     bump_vorticity,
-    helicity,
     mollifier,
     trefoil_vorticity,
 )

@@ -1,4 +1,4 @@
-"""Smooth cutoff extension of box fields to a larger box, and restriction back.
+"""Smooth cutoff extension of box fields to a larger box.
 
 A field u on Q_alpha = (-alpha, alpha)^3 is extended to a reference box
 Q_beta by
@@ -27,8 +27,8 @@ images, each weighted by psi^2 <= 1, and any image of a point with |y| < R
 either keeps its coordinates or gains one of size > alpha - 1 >= R).
 
 All grids involved must belong to one shared-spacing family (equal h); the
-lattices of such a family coincide where the boxes overlap, so extension and
-restriction are pure index arithmetic with no interpolation anywhere.
+lattices of such a family coincide where the boxes overlap, so extension is
+pure index arithmetic with no interpolation anywhere.
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    GridCompatibilityError,
-    SupportError,
-    UsageError,
-)
+from .errors import ConfigurationError, GridCompatibilityError, SupportError
 from .spectral_core import BoxGrid, Field
 
 # Per-axis profile bounds for the quintic smoothstep 6t^5 - 15t^4 + 10t^3:
@@ -61,9 +56,6 @@ CUTOFF_HESS_BOUND = float(
 EXTENSION_L2_BOUND = 27.0
 EXTENSION_GRAD_BOUND = max(26.0 * CUTOFF_GRAD_BOUND, 27.0)
 EXTENSION_H2_BOUND = max(27.0 * CUTOFF_HESS_BOUND, 52.0 * CUTOFF_GRAD_BOUND, 27.0)
-
-_LEAK_RTOL = 1e-8
-
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     """The C^2 quintic 6t^5 - 15t^4 + 10t^3 on [0, 1]."""
@@ -138,79 +130,3 @@ def extend_field(u: Field, target: BoxGrid, cutoff: Cutoff) -> Field:
     ext *= cutoff.sample(target)
     return Field.from_physical(target, ext)
 
-
-def _require_inside(u: Field, n: int, what: str) -> None:
-    """Raise SupportError when u has a sample outside its centred n^3 block
-    larger than _LEAK_RTOL of its largest sample."""
-    off = (u.grid.N - n) // 2
-    sl = slice(off, off + n)
-    mag = np.abs(u.physical)
-    overall = float(mag.max())
-    mag[..., sl, sl, sl] = 0.0
-    leak = float(mag.max())
-    if leak > _LEAK_RTOL * overall:
-        raise SupportError(
-            f"{what}: max outside = {leak:.3e} vs max overall = {overall:.3e}"
-        )
-
-
-def restrict_field(u: Field, alpha: float, band: float = 1.0) -> tuple[Field, float]:
-    """Copy samples onto the Q_alpha sub-lattice and re-enforce zero mean.
-
-    No wrapping is ever performed, so the field must not carry data the
-    restriction silently loses.  Samples inside the cutoff band
-    Q_(alpha+band) \\ Q_alpha *are* legitimately discardable — they are what
-    `extend_field`'s fade writes there, which is how the round trip
-    restrict(extend(u), alpha) recovers u exactly.  Anything beyond
-    Q_(alpha+band) larger than 1e-8 of the max magnitude is a support
-    violation; pass band=0.0 to demand genuine compact support in Q_alpha
-    (the right setting when the result feeds a periodic solve).
-
-    Returns the restricted field and the largest per-component mean that was
-    subtracted.
-    """
-    src = u.grid
-    n_exact = 2.0 * alpha / src.h
-    n_target = int(round(n_exact))
-    if abs(n_exact - n_target) > 1e-9:
-        raise GridCompatibilityError(
-            f"Q_{alpha} is not commensurate with lattice spacing {src.h!r}"
-        )
-    if n_target > src.N:
-        raise UsageError(
-            f"restriction target Q_{alpha} exceeds the source box Q_{src.alpha}"
-        )
-    if band < 0:
-        raise UsageError(f"band must be nonnegative, got {band!r}")
-    target = BoxGrid(alpha, n_target)
-    off = (src.N - n_target) // 2
-    sl = slice(off, off + n_target)
-
-    n_keep = min(int(round(2.0 * (alpha + band) / src.h)), src.N)
-    _require_inside(u, n_keep, f"field leaks outside Q_{alpha + band}")
-
-    block = u.physical[..., sl, sl, sl].copy()
-    means = block.mean(axis=(-3, -2, -1), keepdims=True)
-    block -= means
-    return Field.from_physical(target, block), float(np.abs(means).max())
-
-
-def rehost_compact(f: Field, target: BoxGrid) -> Field:
-    """Move a compactly supported field between boxes of one spacing family.
-
-    Pure zero-padding (growing) or cropping (shrinking) of the sample block;
-    cropping checks that nothing is cut off.  Unlike `restrict_field` the
-    samples are left untouched, so an exactly supported field stays exact.
-    """
-    offset = _shared_spacing_offset(f.grid, target)
-    if target.N == f.grid.N:
-        return Field.from_physical(target, f.physical.copy())
-    if target.N > f.grid.N:
-        shape = f.physical.shape[:-3] + (target.N,) * 3
-        out = np.zeros(shape, dtype=np.float64)
-        sl = slice(offset, offset + f.grid.N)
-        out[..., sl, sl, sl] = f.physical
-        return Field.from_physical(target, out)
-    _require_inside(f, target.N, f"cropping to Q_{target.alpha} would discard samples")
-    sl = slice(-offset, -offset + target.N)
-    return Field.from_physical(target, f.physical[..., sl, sl, sl].copy())

@@ -3,7 +3,7 @@
 Two deterministic generators:
 
 * `bump_vorticity` — curl of a mollifier-shaped vector potential
-  A = amplitude * g(|x|/r) * e with g(s) = exp(-1/(1-s^2)).  A curl is
+  A = amplitude * g(|x|/r) * e with g(s) = exp(-9 s^2/(1-s^2)).  A curl is
   divergence-free and mean-free identically, so the construction needs no
   projection; the only imperfection is spectral truncation of the sampled
   profile, which leaks exponentially little outside the support ball as the
@@ -24,10 +24,10 @@ Two deterministic generators:
   re-truncation mop up the (tiny) discretization residues; both residues are
   measured and attached to the result, never hidden.
 
-A trefoil knot is chiral, so its helicity integral H = int u . omega has a
-definite sign; negative `strength` selects the mirror-image knot (z -> -z)
-with circulation |strength|, which flips H's sign along with the sign of
-the requested circulation.
+A trefoil knot is chiral, so the integral H = int u . omega has a definite
+sign; negative `strength` selects the mirror-image knot (z -> -z) with
+circulation |strength|, which flips H's sign along with the sign of the
+requested circulation.
 """
 
 from __future__ import annotations
@@ -37,26 +37,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainTooSmallError, UsageError
-from .norms import l2_inner, relative_divergence
+from .norms import relative_divergence
 from .spectral_core import BoxGrid, Field, curl, leray_project
-from .vorticity import VorticityField, curl_inv_periodic
+from .vorticity import VorticityField
+
+_MOLLIFIER_RATE = 9.0
 
 
-def mollifier(s: np.ndarray, stiffness: float = 9.0) -> np.ndarray:
+def mollifier(s: np.ndarray) -> np.ndarray:
     """The classic bump exp(-c/(1-s^2)), peak-normalized: exp(-c s^2/(1-s^2)).
 
     Identically 0 outside |s| < 1.  Near the center it looks like a Gaussian
-    of scale 1/sqrt(c); the default c = 9 puts that core at a third of the
-    support radius, which keeps spectral truncation ringing at the 1e-4
-    level even on grids with only ~8 points per support radius and drives
-    it down superalgebraically from there.
+    of scale 1/sqrt(c); c = 9 (`_MOLLIFIER_RATE`) puts that core at a third
+    of the support radius, which keeps spectral truncation ringing at the
+    1e-4 level even on grids with only ~8 points per support radius and
+    drives it down superalgebraically from there.
     """
     s = np.asarray(s, dtype=np.float64)
     inside = np.abs(s) < 1.0
     out = np.zeros(s.shape)
     s2 = s * s
     denom = np.where(inside, 1.0 - s2, 1.0)
-    np.exp(-stiffness * s2 / denom, where=inside, out=out)
+    np.exp(-_MOLLIFIER_RATE * s2 / denom, where=inside, out=out)
     return out
 
 
@@ -120,7 +122,7 @@ def _trefoil_curve(spec: TrefoilSpec) -> tuple[np.ndarray, np.ndarray]:
     t = np.linspace(0.0, 2.0 * np.pi, spec.resolution, endpoint=False)
     big_r, small_r = spec.major_radius, 0.5 * spec.major_radius
     # the z-mirror with positive writhe, so positive circulation gives
-    # positive helicity; negative strength selects the other enantiomer
+    # positive int u . omega; negative strength selects the other enantiomer
     chirality = -1.0 if spec.strength >= 0 else 1.0
     ring = big_r + small_r * np.cos(3 * t)
     gamma = np.stack(
@@ -235,7 +237,3 @@ def trefoil_vorticity(
     result.truncation_leak_rel = leak / peak if peak else 0.0
     return result
 
-
-def helicity(w: VorticityField) -> float:
-    """int u . omega with u the periodic inversion of omega."""
-    return l2_inner(curl_inv_periodic(w), w.omega)

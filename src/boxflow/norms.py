@@ -3,13 +3,12 @@
 Lebesgue norms are plain lattice quadrature with weight h^3 (exact for p = 2
 by Parseval).  Sobolev norms are spectral sums,
 
-    homogeneous    ||f||_{Hdot^s}^2 = vol * sum_k |k|^(2s) |fhat_k|^2,
-    inhomogeneous  ||f||_{H^s}^2    = vol * sum_k (1 + |k|^2)^s |fhat_k|^2,
+    ||f||_{H^s}^2 = vol * sum_k (1 + |k|^2)^s |fhat_k|^2,
 
-with vol = (2 alpha)^3 and the k = 0 term of the homogeneous sum dropped for
-s > 0.  The sums run over the stored half-spectrum with the Hermitian
-multiplicities `BoxGrid.mult`; a field given by its samples is transformed
-once and keeps its coefficients, so several norms of one field share them.
+with vol = (2 alpha)^3.  The sums run over the stored half-spectrum with the
+Hermitian multiplicities `BoxGrid.mult`; a field given by its samples is
+transformed once and keeps its coefficients, so several norms of one field
+share them.
 
 The dimensionless ratios reported by `inequality_report`,
 
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import DataError, UsageError
 from .spectral_core import Field, _lattice_lp, divergence
 
-_ZERO_MEAN_RTOL = 1e-8
+_MEAN_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +77,6 @@ def lap_l2_sq(f: Field) -> float:
     return spectral_moment(f, lambda ksq: ksq**2, diff=True)
 
 
-def l2_inner(f: Field, g: Field) -> float:
-    """Lattice L^2 inner product (components contracted)."""
-    if f.grid != g.grid or f.rank != g.rank:
-        raise UsageError("inner product needs matching grids and ranks")
-    return float(np.sum(f.physical * g.physical) * f.grid.h**3)
-
-
 # ---------------------------------------------------------------------------
 # Public norms
 # ---------------------------------------------------------------------------
@@ -99,28 +91,10 @@ def lebesgue_norm(f: Field, p: float) -> float:
     return _lattice_lp(mag, f.grid.h, p)
 
 
-def _require_zero_mean(f: Field, context: str) -> None:
-    mean = np.atleast_1d(f.mean_value())
-    scale = max(float(np.abs(f.physical).max()), 1e-300)
-    if np.abs(mean).max() > _ZERO_MEAN_RTOL * scale:
-        raise DataError(
-            f"{context} requires a zero-mean field "
-            f"(relative mean {np.abs(mean).max() / scale:.2e})"
-        )
-
-
-def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
-    """H^s (or homogeneous Hdot^s) norm by spectral sum; fractional s allowed.
-
-    Homogeneous norms require a zero-mean field (the k = 0 mode carries no
-    derivative information and would silently vanish otherwise).
-    """
+def sobolev_norm(f: Field, s: float) -> float:
+    """H^s norm by spectral sum; fractional s allowed."""
     if not np.isfinite(s) or s < 0:
         raise UsageError(f"Sobolev order must satisfy s >= 0, got {s!r}")
-    if homogeneous:
-        if s > 0:
-            _require_zero_mean(f, "homogeneous Sobolev norm")
-        return float(np.sqrt(spectral_moment(f, lambda ksq: ksq**s)))
     return float(np.sqrt(spectral_moment(f, lambda ksq: (1.0 + ksq) ** s)))
 
 
@@ -144,14 +118,6 @@ class NormReport:
     entries: dict[str, float]
     flags: dict[str, bool] = dataclass_field(default_factory=dict)
 
-    def columns(self) -> list[str]:
-        return list(self.entries) + list(self.flags)
-
-    def row(self) -> list:
-        return [self.entries[k] for k in self.entries] + [
-            int(self.flags[k]) for k in self.flags
-        ]
-
 
 @dataclass
 class DiagnosticsRecord:
@@ -162,20 +128,22 @@ class DiagnosticsRecord:
     flags: dict[str, bool] = dataclass_field(default_factory=dict)
 
 
-def inequality_report(u: Field, zero_mean: bool = True) -> NormReport:
+def inequality_report(u: Field) -> NormReport:
     """Measure the dimensionless functional-inequality ratios on one field.
 
-    Args:
-        u: vector field (conventionally divergence-free, zero-mean).
-        zero_mean: verify the zero-mean precondition (disable for fields that
-            deliberately carry a mean, e.g. cutoff extensions).
-
-    The zero field is reported with NaN ratios and the `degenerate` flag set.
+    `u` is a vector field, conventionally divergence-free; a field whose
+    mean exceeds 1e-8 of its largest sample is rejected.  The zero field is
+    reported with NaN ratios and the `degenerate` flag set.
     """
     if u.rank != "vector":
         raise UsageError("inequality_report expects a vector field")
-    if zero_mean:
-        _require_zero_mean(u, "inequality_report")
+    mean = np.abs(u.mean_value()).max()
+    scale = max(float(np.abs(u.physical).max()), 1e-300)
+    if mean > _MEAN_RTOL * scale:
+        raise DataError(
+            "inequality_report requires a zero-mean field "
+            f"(relative mean {mean / scale:.2e})"
+        )
     linf = lebesgue_norm(u, np.inf)
     l2 = l2_norm(u)
     l6 = lebesgue_norm(u, 6)

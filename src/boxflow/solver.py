@@ -1,10 +1,11 @@
 """Strong-solution time integration of incompressible Navier-Stokes on Q_alpha.
 
 The state is the velocity's half-spectrum `u.spectral`, shape
-(3, N, N, N/2+1), and every stored snapshot wraps the state of its step.  It
-is marched by an integrating-factor RK4: the viscous semigroup e^{-nu |k|^2 dt}
-is applied exactly (true |k|^2, Nyquist included), so only the nonlinear term
-is under the Runge-Kutta clock.  That term is omega x u (rotational form) of
+(3, N, N, N/2+1), and every stored snapshot wraps the state of its step.  The
+equations are taken with nu = 1.  The state is marched by an
+integrating-factor RK4: the viscous semigroup e^{-|k|^2 dt} is applied
+exactly (true |k|^2, Nyquist included), so only the nonlinear term is under
+the Runge-Kutta clock.  That term is omega x u (rotational form) of
 the state truncated to the 2/3-rule modes, so products of kept modes alias
 only onto dropped ones (Orszag's condition); it is masked, Leray-projected,
 and its zero mode is zeroed, which makes momentum conservation bit-exact.
@@ -68,7 +69,8 @@ DIAGNOSTIC_COLUMNS = (
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, horizon, and the knobs around one NSE solve.
+    """Step size, horizon, and the knobs around one NSE solve with nu = 1,
+    the value `energy_audit` and `existence_time` assume.
 
     `dt` must already respect the advective CFL ceiling for the data being
     run (checked per step against max |u| dt / h <= 0.5); the viscous limit
@@ -77,14 +79,13 @@ class SolverConfig:
 
     dt: float
     t_end: float
-    viscosity: float = 1.0
     snapshot_times: tuple[float, ...] = ()
     audit_every: int = 1
     blowup_max_u: float = 1e6
     blowup_max_enstrophy: float = 1e8
 
     def __post_init__(self):
-        for name in ("dt", "viscosity", "blowup_max_u", "blowup_max_enstrophy"):
+        for name in ("dt", "blowup_max_u", "blowup_max_enstrophy"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")
@@ -112,7 +113,6 @@ class Trajectory:
     times: tuple[float, ...]
     states: tuple[Field, ...]
     diagnostics: list[DiagnosticsRecord] = dataclass_field(default_factory=list)
-    config: SolverConfig | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.states) or not self.states:
@@ -156,11 +156,10 @@ class _StepKernel:
     """The IF-RK4 step on one grid; every operator comes from spectral_core
     and norms, only the decay factors are cached here."""
 
-    def __init__(self, grid: BoxGrid, viscosity: float = 1.0):
+    def __init__(self, grid: BoxGrid):
         self.grid = grid
-        self.viscosity = viscosity
-        self.keep = grid.dealias_mask
-        self._decay = {}  # dt -> (e^{-nu |k|^2 dt / 2}, e^{-nu |k|^2 dt})
+        self.keep = grid.two_thirds_mask
+        self._decay = {}  # dt -> (e^{-|k|^2 dt / 2}, e^{-|k|^2 dt})
 
     def stage(self, uhat, audit: bool = False):
         """-P(omega x u) of the truncated state with its zero mode zeroed, u,
@@ -183,7 +182,7 @@ class _StepKernel:
     def advance(self, uhat, dt: float, a) -> np.ndarray:
         """One integrating-factor RK4 step of length dt; a = stage(uhat)[0]."""
         if dt not in self._decay:
-            e = np.exp(-0.5 * self.viscosity * dt * self.grid.ksq)
+            e = np.exp(-0.5 * dt * self.grid.ksq)
             self._decay[dt] = (e, e * e)
         e, e2 = self._decay[dt]
         b = self.stage(e * (uhat + (0.5 * dt) * a))[0]
@@ -263,7 +262,7 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
     or non-finite values) raises with the last valid time attached.
     """
     _require_solvable(u0)
-    kernel = _StepKernel(u0.grid, cfg.viscosity)
+    kernel = _StepKernel(u0.grid)
     lengths, step_times = _plan_steps(cfg)
     snap_at = _snapshot_steps(cfg, step_times)
 
@@ -325,10 +324,7 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
         t_prev = t_k
 
     return Trajectory(
-        times=tuple(times),
-        states=tuple(states),
-        diagnostics=diagnostics,
-        config=cfg,
+        times=tuple(times), states=tuple(states), diagnostics=diagnostics
     )
 
 
@@ -346,7 +342,8 @@ def pressure_solve(u: Field) -> Field:
         u_j * _irfftn(1j * k_j * uhat, u.grid.N)
         for u_j, k_j in zip(u.physical, u.grid.k_axes())
     )
-    return product_pressure(Field(u.grid, spectral=u.grid.dealias_mask * _rfftn(f)))
+    fhat = u.grid.two_thirds_mask * _rfftn(f)
+    return product_pressure(Field(u.grid, spectral=fhat))
 
 
 def write_diagnostics_csv(records, path) -> None:

@@ -29,14 +29,13 @@ anyway.
 
 Grids meant to be compared share the lattice spacing h = 2*alpha/N: a larger
 box means proportionally larger N, and the lattices of nested boxes then
-coincide point for point, so extension and restriction never resample.
+coincide point for point, so extension never resamples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.fft
@@ -57,10 +56,6 @@ def set_default_workers(n: int) -> None:
     if int(n) < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {n!r}")
     _workers = int(n)
-
-
-def get_default_workers() -> int:
-    return _workers
 
 
 # Every transform in the package goes through these helpers, so the worker
@@ -170,15 +165,11 @@ class BoxGrid:
         return mult
 
     @cached_property
-    def dealias_keep1d(self) -> np.ndarray:
-        """Boolean 3|m| < N mask along one axis (the 2/3 rule); strict, so a
-        sum of two kept modes aliases only onto dropped ones."""
-        return 3 * np.abs(self.modes1d) < self.N
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """The 2/3 rule on the half-spectrum as 1.0 (kept) / 0.0 (dropped)."""
-        keep = self.dealias_keep1d
+    def two_thirds_mask(self) -> np.ndarray:
+        """The 2/3 rule on the half-spectrum as 1.0 (kept) / 0.0 (dropped):
+        a mode is kept when 3|m_i| < N on every axis.  Strict, so a sum of
+        two kept modes aliases only onto dropped ones."""
+        keep = 3 * np.abs(self.modes1d) < self.N
         return (
             keep[:, None, None] & keep[None, :, None] & keep[: self.N // 2 + 1]
         ) * 1.0
@@ -382,11 +373,6 @@ def product_pressure(f: Field) -> Field:
     return Field(f.grid, spectral=phat)
 
 
-def dealias(f: Field) -> Field:
-    """Zero all coefficients with any 3|m_i| >= N (the 2/3 rule)."""
-    return Field(f.grid, spectral=f.spectral * f.grid.dealias_mask)
-
-
 def dilate(f: Field, alpha: float) -> Field:
     """The field x -> f(x * alpha_old / alpha) on Q_alpha, same N.
 
@@ -479,71 +465,3 @@ def rescale_field(f: Field, alpha: float, p: float, k: int) -> ScalingReport:
         predicted_ratio=predicted,
     )
 
-
-# ---------------------------------------------------------------------------
-# Snapshot files: raw little-endian float64 in x-fastest order plus a sidecar
-# text file with `key = value` lines (alpha, N, rank, time, name).
-# ---------------------------------------------------------------------------
-
-_RANK_LABEL = {"scalar": "scalar", "vector": "vector3"}
-_LABEL_RANK = {v: k for k, v in _RANK_LABEL.items()}
-
-
-def write_snapshot(f: Field, base_path, *, name: str = "field", time: float = 0.0) -> Path:
-    """Write <base>.f64 (raw data) and <base>.meta (sidecar) for a field.
-
-    Data layout: float64 little-endian, x index fastest, then y, then z;
-    vector fields store component 0 fully, then 1, then 2.
-    """
-    base = Path(base_path)
-    data = f.physical
-    comps = data[None] if f.rank == "scalar" else data
-    with open(base.with_suffix(".f64"), "wb") as fh:
-        for c in comps:
-            fh.write(np.ascontiguousarray(c.transpose(2, 1, 0)).astype("<f8").tobytes())
-    meta = {
-        "name": name,
-        "alpha": repr(f.grid.alpha),
-        "N": str(f.grid.N),
-        "rank": _RANK_LABEL[f.rank],
-        "time": repr(float(time)),
-        "dtype": "float64-le",
-        "order": "x-fastest",
-    }
-    with open(base.with_suffix(".meta"), "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"{key} = {val}\n")
-    return base.with_suffix(".f64")
-
-
-def read_snapshot(base_path) -> tuple[Field, dict]:
-    """Read a snapshot written by `write_snapshot`; returns (field, metadata)."""
-    base = Path(base_path)
-    meta: dict[str, str] = {}
-    with open(base.with_suffix(".meta")) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            meta[key.strip()] = val.strip()
-    try:
-        alpha = float(meta["alpha"])
-        n = int(meta["N"])
-        rank = _LABEL_RANK[meta["rank"]]
-        time = float(meta["time"])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad snapshot metadata in {base}.meta: {exc}") from exc
-    grid = BoxGrid(alpha, n)
-    ncomp = 1 if rank == "scalar" else 3
-    raw = np.fromfile(base.with_suffix(".f64"), dtype="<f8")
-    if raw.size != ncomp * n**3:
-        raise DataError(
-            f"snapshot {base}.f64 holds {raw.size} values, expected {ncomp * n**3}"
-        )
-    comps = raw.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1)
-    data = comps[0] if rank == "scalar" else comps
-    field = Field.from_physical(grid, data)
-    meta_out = dict(meta)
-    meta_out["time"] = time
-    return field, meta_out

@@ -18,9 +18,7 @@ never used inside any solver loop.
 For divergence-free u the gradient and the curl carry the same energy,
 ||grad u||_L2 = ||curl u||_L2 — spectrally this is the per-mode identity
 |k|^2 |uhat|^2 = |k x uhat|^2 + |k . uhat|^2 with the last term zero.
-`curl_identity_report` measures both sides; `lplq_uniformity_report`
-measures the vorticity-to-velocity L^p -> L^q operator norm across box
-sizes, which stays bounded as the box grows.
+`curl_identity_report` measures both sides.
 """
 
 from __future__ import annotations
@@ -30,15 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainTooSmallError, SupportError, UsageError
-from .extension import rehost_compact
-from .norms import (
-    DiagnosticsRecord,
-    grad_l2_sq,
-    l2_norm,
-    lebesgue_norm,
-    relative_divergence,
-)
-from .spectral_core import BoxGrid, Field, curl, leray_project
+from .norms import DiagnosticsRecord, grad_l2_sq, l2_norm, relative_divergence
+from .spectral_core import BoxGrid, Field, curl
 
 
 class VorticityField:
@@ -123,33 +114,6 @@ def curl_inv_periodic(w: VorticityField) -> Field:
     return Field.from_spectral(g, uhat)
 
 
-def rehost_vorticity(w: VorticityField, target: BoxGrid) -> VorticityField:
-    """Move compactly supported vorticity onto another box of the family.
-
-    Zero-padding/cropping keeps the samples bit-identical, but the new box
-    reads them through its own trigonometric interpolant, which perturbs the
-    discrete divergence at spectral-truncation level; one projection (plus
-    zeroing the mean mode) restores it to roundoff.  The projection is
-    nonlocal, so it also smears truncation-level content outside the support
-    ball; the rehosted field therefore revalidates under the tolerances the
-    source field was accepted with, not the strict defaults.
-    """
-    if w.support_radius >= target.alpha:
-        raise DomainTooSmallError(
-            f"support radius {w.support_radius} does not fit inside "
-            f"Q_{target.alpha}"
-        )
-    cleaned = leray_project(rehost_compact(w.omega, target)).spectral
-    cleaned[..., 0, 0, 0] = 0.0
-    return VorticityField(
-        Field.from_spectral(target, cleaned),
-        w.support_radius,
-        div_tol=w.div_tol,
-        mean_tol=w.mean_tol,
-        support_tol=w.support_tol,
-    )
-
-
 @dataclass(frozen=True)
 class BiotSavartResult:
     """Velocities at the query points, with per-point resolution warnings."""
@@ -222,53 +186,3 @@ def curl_identity_report(u: Field) -> DiagnosticsRecord:
         flags={"not_applicable": rel_div > 1e-8},
     )
 
-
-@dataclass(frozen=True)
-class UniformityRow:
-    """One box size of the vorticity-to-velocity operator-norm table."""
-
-    alpha: float
-    velocity_norm: float
-    vorticity_norm: float
-    ratio: float
-    degenerate: bool
-
-
-def lplq_uniformity_report(
-    w: VorticityField, p: float, alphas
-) -> list[UniformityRow]:
-    """Measure ||u_alpha||_Lq / ||omega||_Lp across boxes, 1/q = 1/p - 1/3.
-
-    The exponent pairing is the one under which the vorticity-to-velocity
-    map has an alpha-independent bound; the table lets the caller check
-    that the measured ratios indeed show no growth trend.
-    """
-    if not (1.0 < p < 3.0):
-        raise UsageError(f"exponent must lie in (1, 3), got {p!r}")
-    q = 3.0 * p / (3.0 - p)
-    h = w.grid.h
-    rows = []
-    for alpha in sorted(float(a) for a in alphas):
-        n = int(round(2.0 * alpha / h))
-        target = w.grid if target_matches(w.grid, alpha, n) else BoxGrid(alpha, n)
-        hosted = w if target is w.grid else rehost_vorticity(w, target)
-        u = curl_inv_periodic(hosted)
-        un = lebesgue_norm(u, q)
-        wn = lebesgue_norm(hosted.omega, p)
-        degenerate = wn == 0.0
-        ratio = float("nan") if degenerate else un / wn
-        rows.append(
-            UniformityRow(
-                alpha=alpha,
-                velocity_norm=un,
-                vorticity_norm=wn,
-                ratio=ratio,
-                degenerate=degenerate,
-            )
-        )
-    return rows
-
-
-def target_matches(grid: BoxGrid, alpha: float, n: int) -> bool:
-    """Whether (alpha, n) describes this very grid."""
-    return n == grid.N and abs(alpha - grid.alpha) <= 1e-12 * grid.alpha

@@ -29,6 +29,18 @@ def full_ksq(grid: BoxGrid, diff: bool = True) -> np.ndarray:
     return k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
 
 
+def dealias(f: Field) -> Field:
+    """Reference 2/3 rule: zero every coefficient with some 3|m_i| >= N.
+
+    Built from the mode numbers rather than `BoxGrid.two_thirds_mask`, so
+    the tests can hold the solver's mask against it.
+    """
+    n = f.grid.N
+    keep = 3 * np.abs(f.grid.modes1d) < n
+    mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, : n // 2 + 1]
+    return Field(f.grid, spectral=f.spectral * mask)
+
+
 def smooth_field(grid: BoxGrid, rng, rank="scalar", zero_mean=True, m0=None) -> Field:
     """Random field with an exp(-|m|^2/m0^2) spectral envelope.
 

@@ -1,4 +1,4 @@
-"""Cutoff extension: profile bounds, counting constants, exact restriction."""
+"""Cutoff extension: profile bounds, counting constants, exact interior."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from boxflow import (
     BoxGrid,
     ConfigurationError,
-    Field,
     GridCompatibilityError,
     SupportError,
-    UsageError,
     lebesgue_norm,
     sobolev_norm,
     tail_mass,
@@ -22,21 +20,10 @@ from boxflow.extension import (
     EXTENSION_L2_BOUND,
     extend_field,
     make_cutoff,
-    rehost_compact,
-    restrict_field,
 )
 from boxflow.norms import grad_l2_sq
 
 from conftest import smooth_field
-
-
-def ball_supported_field(grid, rng, radius, rank="vector"):
-    """Smooth random field times a mollifier vanishing outside |x| < radius."""
-    x, y, z = grid.meshgrid()
-    s2 = (x**2 + y**2 + z**2) / radius**2
-    envelope = np.where(s2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - s2, 1e-30)), 0.0)
-    base = smooth_field(grid, rng, rank=rank).physical
-    return Field.from_physical(grid, base * envelope)
 
 
 class TestCutoff:
@@ -172,75 +159,3 @@ class TestExtendField:
         with pytest.raises(GridCompatibilityError):
             extend_field(u, BoxGrid(4.0, 48), self.cutoff)
 
-
-class TestRestrictField:
-    def test_round_trip_through_extension(self, rng):
-        src = BoxGrid(2.0, 32)
-        dst = BoxGrid(4.0, 64)
-        u = smooth_field(src, rng, rank="vector")
-        ext = extend_field(u, dst, make_cutoff(2.0))
-        back, subtracted = restrict_field(ext, 2.0)
-        assert back.grid == src
-        assert np.max(np.abs(back.physical - u.physical)) <= 1e-13 * np.max(
-            np.abs(u.physical)
-        )
-        assert subtracted <= 1e-14 * np.max(np.abs(u.physical))
-
-    def test_compact_field_restriction_is_exact(self):
-        # odd-in-x compact profile: lattice mean cancels pairwise, so the
-        # re-enforced zero mean subtracts nothing measurable
-        big = BoxGrid(4.0, 64)
-        x, y, z = big.meshgrid()
-        s2 = (x**2 + y**2 + z**2) / 1.5**2
-        envelope = np.where(s2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - s2, 1e-30)), 0.0)
-        u = Field.from_physical(big, np.stack([x * envelope, y * envelope, z * envelope]))
-        back, subtracted = restrict_field(u, 2.0, band=0.0)
-        off = (64 - back.grid.N) // 2
-        sl = slice(off, off + back.grid.N)
-        scale = np.max(np.abs(u.physical))
-        assert np.allclose(
-            back.physical, u.physical[:, sl, sl, sl], rtol=0, atol=1e-12 * scale
-        )
-        assert subtracted <= 1e-12 * scale
-
-    def test_leaking_field_rejected(self, rng):
-        big = BoxGrid(4.0, 64)
-        u = smooth_field(big, rng, rank="vector")  # global support
-        with pytest.raises(SupportError):
-            restrict_field(u, 2.0)
-
-    def test_incommensurate_target_rejected(self, rng):
-        big = BoxGrid(4.0, 64)
-        u = ball_supported_field(big, rng, radius=1.0)
-        with pytest.raises(GridCompatibilityError):
-            restrict_field(u, 1.7)
-
-    def test_growing_target_rejected(self, rng):
-        small = BoxGrid(2.0, 32)
-        u = smooth_field(small, rng, rank="vector")
-        with pytest.raises(UsageError):
-            restrict_field(u, 4.0)
-
-
-class TestRehostCompact:
-    def test_grow_crop_round_trip(self, rng):
-        small = BoxGrid(1.0, 16)
-        big = BoxGrid(4.0, 64)
-        f = ball_supported_field(small, rng, radius=0.6, rank="scalar")
-        up = rehost_compact(f, big)
-        assert lebesgue_norm(up, 2) == pytest.approx(
-            lebesgue_norm(f, 2), rel=1e-12
-        )
-        down = rehost_compact(up, small)
-        assert np.array_equal(down.physical, f.physical)
-
-    def test_crop_refuses_to_discard(self, rng):
-        big = BoxGrid(4.0, 64)
-        f = smooth_field(big, rng, rank="vector")
-        with pytest.raises(SupportError):
-            rehost_compact(f, BoxGrid(2.0, 32))
-
-    def test_spacing_mismatch(self, rng):
-        f = smooth_field(BoxGrid(2.0, 32), rng)
-        with pytest.raises(GridCompatibilityError):
-            rehost_compact(f, BoxGrid(4.0, 32))

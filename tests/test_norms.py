@@ -11,7 +11,6 @@ from boxflow import (
     UsageError,
     gradient,
     inequality_report,
-    l2_inner,
     l2_norm,
     lebesgue_norm,
     leray_project,
@@ -83,9 +82,6 @@ class TestSobolev:
         k = 3 * np.pi / g.alpha
         l2 = l2_norm(f)
         for s in (0.5, 1.0, 1.7, 2.0):
-            assert sobolev_norm(f, s, homogeneous=True) == pytest.approx(
-                k**s * l2, rel=1e-12
-            )
             assert sobolev_norm(f, s) == pytest.approx(
                 (1 + k**2) ** (s / 2) * l2, rel=1e-12
             )
@@ -101,13 +97,6 @@ class TestSobolev:
         orders = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
         vals = [sobolev_norm(f, s) for s in orders]
         assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
-
-    def test_homogeneous_needs_zero_mean(self, rng):
-        g = BoxGrid(1.0, 8)
-        f = smooth_field(g, rng, zero_mean=False)
-        f = Field.from_physical(g, f.physical + 1.0)
-        with pytest.raises(DataError):
-            sobolev_norm(f, 1.0, homogeneous=True)
 
     def test_negative_order_rejected(self, rng):
         g = BoxGrid(1.0, 8)
@@ -128,10 +117,9 @@ class TestSobolev:
         g = BoxGrid(1.0, 16)
         f = smooth_field(g, rng, rank="vector")
         assert not f.has_spectral
-        for s, hom in ((1.0, True), (1.5, False), (2.0, True)):
-            weight = (lambda k: k**s) if hom else (lambda k: (1.0 + k) ** s)
-            want = np.sqrt(full_moment(f, weight))
-            assert sobolev_norm(f, s, homogeneous=hom) == pytest.approx(want, rel=1e-12)
+        for s in (1.0, 1.5, 2.0):
+            want = np.sqrt(full_moment(f, lambda k: (1.0 + k) ** s))
+            assert sobolev_norm(f, s) == pytest.approx(want, rel=1e-12)
         want = full_moment(f, WEIGHTS["k2"], diff=True)
         assert grad_l2_sq(f) == pytest.approx(want, rel=1e-12)
         want = full_moment(f, WEIGHTS["k4"], diff=True)
@@ -203,8 +191,6 @@ class TestInequalityReport:
         assert rep.entries["h1"] == pytest.approx(
             np.hypot(rep.entries["l2"], rep.entries["grad_l2"]), rel=1e-12
         )
-        assert rep.columns()[-1] == "degenerate"
-        assert len(rep.row()) == len(rep.columns())
 
     def test_single_shell_interp_ratio_is_one(self):
         # every mode of this field sits on one |k| shell, so the H^1 vs
@@ -249,8 +235,6 @@ class TestInequalityReport:
         shifted = Field.from_physical(g, u.physical + 0.5)
         with pytest.raises(DataError):
             inequality_report(shifted)
-        rep = inequality_report(shifted, zero_mean=False)
-        assert np.isfinite(rep.entries["agmon_ratio"])
 
 
 class TestHelpers:
@@ -260,14 +244,6 @@ class TestHelpers:
         assert relative_divergence(u) < 1e-12
         grad = gradient(smooth_field(g, rng))
         assert relative_divergence(grad) > 0.1
-
-    def test_inner_product_polarization(self, rng):
-        g = BoxGrid(1.0, 8)
-        f = smooth_field(g, rng, rank="vector")
-        h = smooth_field(g, rng, rank="vector")
-        lhs = l2_inner(f, h)
-        rhs = 0.25 * (l2_norm(f + h) ** 2 - l2_norm(f - h) ** 2)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_moment_constant_weight(self, rng):
         g = BoxGrid(1.0, 8)

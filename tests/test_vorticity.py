@@ -18,8 +18,6 @@ from boxflow.vorticity import (
     biot_savart_r3,
     curl_identity_report,
     curl_inv_periodic,
-    lplq_uniformity_report,
-    rehost_vorticity,
 )
 
 from conftest import div_free_field, smooth_field, taylor_green
@@ -218,61 +216,3 @@ def test_curl_identity_flags_divergent_field(rng):
     assert rec.entries["rel_div"] > 1e-8
     assert rec.entries["grad_norm"] > 0.0
 
-
-# -------------------------------------------------------------- uniformity
-
-
-def test_uniformity_ratios_stay_bounded():
-    w = bump_vorticity(BumpSpec(0.5), BoxGrid(2.0, 32))
-    rows = lplq_uniformity_report(w, 6.0 / 5.0, (4.0, 2.0, 3.0))
-    assert [r.alpha for r in rows] == [2.0, 3.0, 4.0]
-    ratios = [r.ratio for r in rows]
-    assert all(np.isfinite(r) and r > 0 for r in ratios)
-    assert not any(r.degenerate for r in rows)
-    # measured spread across these boxes is ~0.4%; no growth with alpha
-    assert max(ratios) / min(ratios) < 1.2
-
-
-def test_uniformity_near_critical_exponent():
-    w = bump_vorticity(BumpSpec(0.5), BoxGrid(2.0, 32))
-    rows = lplq_uniformity_report(w, 24.0 / 23.0, (2.0, 4.0))
-    assert all(np.isfinite(r.ratio) and r.ratio > 0 for r in rows)
-
-
-def test_uniformity_zero_field_degenerate():
-    grid = BoxGrid(2.0, 16)
-    w = VorticityField(Field.from_physical(grid, np.zeros((3, 16, 16, 16))), 0.5)
-    rows = lplq_uniformity_report(w, 6.0 / 5.0, (2.0,))
-    assert rows[0].degenerate and np.isnan(rows[0].ratio)
-
-
-def test_uniformity_exponent_domain():
-    grid = BoxGrid(2.0, 16)
-    w = VorticityField(Field.from_physical(grid, np.zeros((3, 16, 16, 16))), 0.5)
-    for p in (1.0, 3.0, 3.5):
-        with pytest.raises(UsageError):
-            lplq_uniformity_report(w, p, (2.0,))
-
-
-# ---------------------------------------------------------------- rehosting
-
-
-def test_rehost_preserves_samples_and_divergence():
-    src = BoxGrid(2.0, 32)
-    w = bump_vorticity(BumpSpec(0.5), src)
-    target = BoxGrid(4.0, 64)
-    moved = rehost_vorticity(w, target)
-    assert moved.grid is target
-    assert moved.support_radius == w.support_radius
-    assert moved.div_rel < 1e-12
-    # samples drift only by the projection's truncation-level correction
-    off = (target.N - src.N) // 2
-    inner = (slice(None),) + (slice(off, off + src.N),) * 3
-    drift = np.abs(moved.omega.physical[inner] - w.omega.physical).max()
-    assert drift < 2e-3 * np.abs(w.omega.physical).max()
-
-
-def test_rehost_too_small_target_rejected():
-    w = bump_vorticity(BumpSpec(0.5), BoxGrid(2.0, 32))
-    with pytest.raises(DomainTooSmallError):
-        rehost_vorticity(w, BoxGrid(0.5, 8))
