@@ -252,6 +252,7 @@ _TYPES = {
 }
 
 _POSITIVE = (lambda v: v > 0.0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 
 _SOLVER_KEYS = {
@@ -264,25 +265,28 @@ _SOLVER_KEYS = {
 _FAMILY_KEYS = {
     "bump": {
         "family": _Key("str"),
-        "support_radius": _Key("number"),
+        "support_radius": _Key("number", rule=_POSITIVE),
         "amplitude": _Key("number", 1.0),
         "direction": _Key(
             "numbers",
             (0.0, 0.0, 1.0),
             (lambda v: len(v) == 3 and any(v), "a nonzero 3-vector"),
         ),
-        "support_tol": _Key("number", 1e-2),
+        "support_tol": _Key("number", 1e-2, _NONNEGATIVE),
     },
     "trefoil": {
         "family": _Key("str"),
-        "major_radius": _Key("number"),
-        "tube_radius": _Key("number"),
+        "major_radius": _Key("number", rule=_POSITIVE),
+        "tube_radius": _Key("number", rule=_POSITIVE),
         "strength": _Key("number"),
-        "resolution": _Key("int", 512),
-        "div_tol": _Key("number", 1e-10),
-        "support_tol": _Key("number", 1e-6),
+        "resolution": _Key("int", 512, _AT_LEAST_ONE),
+        "div_tol": _Key("number", 1e-10, _NONNEGATIVE),
+        "support_tol": _Key("number", 1e-6, _NONNEGATIVE),
     },
-    "zero": {"family": _Key("str"), "support_radius": _Key("number", None)},
+    "zero": {
+        "family": _Key("str"),
+        "support_radius": _Key("number", None, _POSITIVE),
+    },
 }
 
 _CONFIG_KEYS = {
@@ -322,7 +326,7 @@ _CONFIG_KEYS = {
     "checks": _Key(
         {
             "ratio_bound": _Key("number", 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
-            "support_margin": _Key("number", None, (lambda v: v >= 0.0, "nonnegative")),
+            "support_margin": _Key("number", None, _NONNEGATIVE),
         },
         {},
     ),
@@ -899,29 +903,6 @@ def run_solution_study(cfg: StudyConfig) -> dict:
             finite_ok,
             max((r["err_L4T_H1.5"] for r in clean), default=0.0),
             float("inf"),
-        )
-    )
-
-    # t = 0 row must reproduce the plain restriction/inversion error.
-    worst_t0 = 0.0
-    for i, alpha in enumerate(cfg.alphas):
-        t0_rows = [r for r in time_rows if r["alpha"] == alpha and r["t"] == 0.0]
-        if not t0_rows:
-            continue
-        diff0 = extend_field(initial[i], ref_grid, make_cutoff(alpha)) - u0_ref
-        for name, fn in norm_fns:
-            expected = fn(diff0)
-            got = t0_rows[0][f"err_{name}"]
-            scale = max(abs(expected), 1e-300)
-            worst_t0 = max(worst_t0, abs(got - expected) / scale)
-        del diff0
-    checks.append(
-        CheckRecord(
-            "t0_matches_inversion_error",
-            worst_t0 <= 1e-12,
-            worst_t0,
-            1e-12,
-            note="relative gap between t=0 rows and direct restriction errors",
         )
     )
 

@@ -66,13 +66,12 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 class Cutoff:
     """Tensor-product cutoff: 1 on Q_alpha, 0 outside Q_(alpha+1).
 
-    `grad_bound` and `hess_bound` are analytic sup bounds on |grad psi| and
-    the Frobenius norm of the Hessian; both are the same for every alpha.
+    `CUTOFF_GRAD_BOUND` and `CUTOFF_HESS_BOUND` are analytic sup bounds on
+    |grad psi| and the Frobenius norm of its Hessian, the same for every
+    alpha.
     """
 
     alpha: float
-    grad_bound: float = CUTOFF_GRAD_BOUND
-    hess_bound: float = CUTOFF_HESS_BOUND
 
     def axis_profile(self, s) -> np.ndarray:
         """One axis factor: 1 for |s| <= alpha, smooth fade to 0 by alpha+1."""

@@ -175,8 +175,10 @@ def trefoil_vorticity(
     pass the tolerance their resolution actually delivers.
     """
     a = float(spec.tube_radius)
-    if a <= 0 or spec.major_radius <= 0:
-        raise UsageError("tube and major radius must be positive")
+    if a <= 0 or spec.major_radius <= 0 or spec.resolution < 1:
+        raise UsageError(
+            "tube and major radius must be positive and the resolution >= 1"
+        )
     gamma, dgamma = _trefoil_curve(spec)
     support_radius = float(np.sqrt((gamma**2).sum(axis=1)).max() + 3.0 * a)
     if support_radius > 0.9 * grid.alpha:

@@ -10,14 +10,16 @@ Hermitian multiplicities `BoxGrid.mult`; a field given by its samples is
 transformed once and keeps its coefficients, so several norms of one field
 share them.
 
-The dimensionless ratios reported by `inequality_report`,
+`inequality_report` reports three dimensionless ratios,
 
     agmon_ratio  = ||u||_inf / (||grad u|| ||lap u||)^(1/2)
     l6_ratio     = ||u||_L6 / ||grad u||
     interp_ratio = ||u||_H1 / (||u||_L2 ||u||_H2)^(1/2)
 
-are invariant under the pure dilation u(x) -> u(x/lambda), so constants
-measured on the unit box transfer to any box of the shared-spacing family.
+The first two are invariant under the pure dilation u(x) -> u(x/lambda), so
+their constants measured on one box transfer to any box of the
+shared-spacing family.  `interp_ratio` mixes inhomogeneous norms, so a
+dilation changes it; it stays <= 1 by Cauchy-Schwarz.
 Constants are always measured on concrete fields, never assumed.
 """
 

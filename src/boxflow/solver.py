@@ -14,13 +14,12 @@ A stage costs nine real transforms.  The stored state keeps every mode.
 The curl, Leray projection, pressure and spectral moments are those of
 `spectral_core` and `norms`; the solver keeps no operator of its own.
 
-Each audit point records energy, enstrophy, ||Delta u||, max |u|, the
-running energy-equality residual, and the pressure-gradient-to-nonlinearity
-ratio, reusing the next step's first stage: (u . grad) u = omega x u +
-grad(|u|^2 / 2) costs one more transform.  `energy_audit` / `enstrophy_audit`
-check those series against the energy equality and the enstrophy
-differential inequality, and `existence_time` evaluates the guaranteed-
-existence horizon T = 2 / (9 C^4 M^2) for an H^1 bound M.
+Each audit point records energy, enstrophy, ||Delta u||, max |u| and the
+running energy-equality residual; max |u| comes from the next step's first
+stage.  `energy_audit` / `enstrophy_audit` check those series against the
+energy equality and the enstrophy differential inequality, and
+`existence_time` evaluates the guaranteed-existence horizon
+T = 2 / (9 C^4 M^2) for an H^1 bound M.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .spectral_core import (
     _leray_in_place,
     _rfftn,
     curl,
-    gradient,
     product_pressure,
 )
 
@@ -63,14 +61,17 @@ DIAGNOSTIC_COLUMNS = (
     "laplacian_norm",
     "max_u",
     "energy_residual",
-    "pressure_ratio",
 )
+
+# Blow-up thresholds: a step past either one halts the solve.
+BLOWUP_MAX_U = 1e6
+BLOWUP_MAX_ENSTROPHY = 1e8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, horizon, and the knobs around one NSE solve with nu = 1,
-    the value `energy_audit` and `existence_time` assume.
+    """Step size, horizon, snapshot times and audit spacing of one NSE solve
+    with nu = 1, the value `energy_audit` and `existence_time` assume.
 
     `dt` must already respect the advective CFL ceiling for the data being
     run (checked per step against max |u| dt / h <= 0.5); the viscous limit
@@ -81,14 +82,10 @@ class SolverConfig:
     t_end: float
     snapshot_times: tuple[float, ...] = ()
     audit_every: int = 1
-    blowup_max_u: float = 1e6
-    blowup_max_enstrophy: float = 1e8
 
     def __post_init__(self):
-        for name in ("dt", "blowup_max_u", "blowup_max_enstrophy"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ConfigurationError(f"{name} must be positive, got {value!r}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
         for t in (self.t_end, *self.snapshot_times):
             if not (np.isfinite(t) and t >= 0.0):
                 raise ConfigurationError(
@@ -142,7 +139,6 @@ class ExistenceEstimate:
 
     h1_bound: float
     t_guaranteed: float
-    c_agmon: float
 
 
 def _cross(a, b) -> np.ndarray:
@@ -161,23 +157,22 @@ class _StepKernel:
         self.keep = grid.two_thirds_mask
         self._decay = {}  # dt -> (e^{-|k|^2 dt / 2}, e^{-|k|^2 dt})
 
-    def stage(self, uhat, audit: bool = False):
-        """-P(omega x u) of the truncated state with its zero mode zeroed, u,
-        and (audit only) the pressure ratio of the unprojected product."""
+    def stage(self, uhat):
+        """-P(omega x u) of the truncated state with its zero mode zeroed,
+        and u."""
         n = self.grid.N
         v = Field.from_spectral(self.grid, uhat * self.keep)
         u, w = _irfftn(v.spectral, n), _irfftn(curl(v).spectral, n)
         fhat = _rfftn(_cross(w, u))
         fhat *= self.keep
-        pressure = self.pressure_ratio(fhat, u) if audit else None
         _leray_in_place(fhat, self.grid)
         fhat[:, 0, 0, 0] = 0.0
-        return np.negative(fhat, out=fhat), u, pressure
+        return np.negative(fhat, out=fhat), u
 
-    def first_stage(self, uhat, audit: bool):
-        """The RHS at uhat, max |u|, and (audit only) the pressure ratio."""
-        a, u, pressure = self.stage(uhat, audit)
-        return a, float(np.sqrt(np.sum(u * u, axis=0)).max()), pressure
+    def first_stage(self, uhat):
+        """The RHS at uhat and max |u|."""
+        a, u = self.stage(uhat)
+        return a, float(np.sqrt(np.sum(u * u, axis=0)).max())
 
     def advance(self, uhat, dt: float, a) -> np.ndarray:
         """One integrating-factor RK4 step of length dt; a = stage(uhat)[0]."""
@@ -197,23 +192,6 @@ class _StepKernel:
                 f"{umax * dt / self.grid.h:.3f} > 0.5",
                 suggested_dt=0.5 * self.grid.h / umax,
             )
-
-    def pressure_ratio(self, fhat, u) -> tuple[float, bool]:
-        """||grad p|| / ||(u.grad)u||, with the degenerate zero-F flag.
-
-        (u.grad)u = omega x u + grad(|u|^2 / 2), from the masked, unprojected
-        `fhat` of `stage` and one more transform.  F counts as zero when
-        the two parts cancel to roundoff, as they do for a shear flow.
-        """
-        grid = self.grid
-        grad_g = gradient(
-            Field.from_spectral(grid, self.keep * _rfftn(0.5 * np.sum(u * u, axis=0)))
-        )
-        conv = Field.from_spectral(grid, fhat + grad_g.spectral)
-        f_sq = l2_sq(conv)
-        if f_sq <= 1e-24 * (l2_sq(Field.from_spectral(grid, fhat)) + l2_sq(grad_g)):
-            return 0.0, True
-        return math.sqrt(grad_l2_sq(product_pressure(conv)) / f_sq), False
 
 
 def _require_solvable(u: Field) -> None:
@@ -258,8 +236,9 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
     """March u0 to t_end, collecting snapshots and per-audit diagnostics.
 
     Audits happen every `audit_every` steps plus always at t = 0 and the
-    final step.  Blow-up (configured thresholds on max |u| and enstrophy,
-    or non-finite values) raises with the last valid time attached.
+    final step.  Blow-up (max |u| above BLOWUP_MAX_U, enstrophy above
+    BLOWUP_MAX_ENSTROPHY, or non-finite values) raises with the last valid
+    time attached.
     """
     _require_solvable(u0)
     kernel = _StepKernel(u0.grid)
@@ -273,14 +252,13 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
 
     integral = 0.0  # running trapezoid of enstrophy over audit times
 
-    def audit(t: float, u: Field, enstrophy: float, umax: float, pressure) -> None:
+    def audit(t: float, u: Field, enstrophy: float, umax: float) -> None:
         nonlocal integral
         energy = 0.5 * l2_sq(u)
         energy0 = diagnostics[0].entries["energy"] if diagnostics else energy
         if diagnostics:
             last = diagnostics[-1]
             integral += 0.5 * (t - last.time) * (last.entries["enstrophy"] + enstrophy)
-        ratio, degenerate = pressure
         diagnostics.append(
             DiagnosticsRecord(
                 time=t,
@@ -290,15 +268,13 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
                     "laplacian_norm": math.sqrt(lap_l2_sq(u)),
                     "max_u": umax,
                     "energy_residual": energy + integral - energy0,
-                    "pressure_ratio": ratio,
                 },
-                flags={"pressure_degenerate": degenerate},
             )
         )
 
     # each audit's right-hand side is the next step's first stage
-    a, umax, pressure = kernel.first_stage(uhat, audit=True)
-    audit(0.0, u0, grad_l2_sq(u0), umax, pressure)
+    a, umax = kernel.first_stage(uhat)
+    audit(0.0, u0, grad_l2_sq(u0), umax)
     t_prev = 0.0
     for step, (dt_k, t_k) in enumerate(zip(lengths, step_times), start=1):
         kernel.check_cfl(umax, dt_k)
@@ -308,16 +284,16 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
                 f"non-finite values after t={t_prev}", last_valid_time=t_prev
             )
         audited = step % cfg.audit_every == 0 or step == len(lengths)
-        a, umax, pressure = kernel.first_stage(uhat, audit=audited)
+        a, umax = kernel.first_stage(uhat)
         u = Field.from_spectral(u0.grid, uhat)
         enstrophy = grad_l2_sq(u)
-        if umax > cfg.blowup_max_u or enstrophy > cfg.blowup_max_enstrophy:
+        if umax > BLOWUP_MAX_U or enstrophy > BLOWUP_MAX_ENSTROPHY:
             raise BlowUpError(
                 f"blow-up thresholds exceeded at t={t_k}: max|u|={umax:.3e}",
                 last_valid_time=t_prev,
             )
         if audited:
-            audit(t_k, u, enstrophy, umax, pressure)
+            audit(t_k, u, enstrophy, umax)
         if step in snap_at:
             times.append(t_k)
             states.append(u)
@@ -436,11 +412,5 @@ def existence_time(u0: Field, c_agmon: float) -> ExistenceEstimate:
         raise UsageError(f"constant must be positive, got {c_agmon!r}")
     m = sobolev_norm(u0, 1.0) ** 2
     if m == 0.0:
-        return ExistenceEstimate(
-            h1_bound=0.0, t_guaranteed=float("inf"), c_agmon=c_agmon
-        )
-    return ExistenceEstimate(
-        h1_bound=m,
-        t_guaranteed=2.0 / (9.0 * c_agmon**4 * m**2),
-        c_agmon=c_agmon,
-    )
+        return ExistenceEstimate(h1_bound=0.0, t_guaranteed=float("inf"))
+    return ExistenceEstimate(h1_bound=m, t_guaranteed=2.0 / (9.0 * c_agmon**4 * m**2))

@@ -31,6 +31,9 @@ from .errors import DataError, DomainTooSmallError, SupportError, UsageError
 from .norms import DiagnosticsRecord, grad_l2_sq, l2_norm, relative_divergence
 from .spectral_core import BoxGrid, Field, curl
 
+# Largest accepted |mean of omega| / max |omega|.
+_MEAN_RTOL = 1e-10
+
 
 class VorticityField:
     """A vector field declared to be a vorticity: div-free, zero-mean, and
@@ -38,9 +41,9 @@ class VorticityField:
 
     Construction measures and stores the actual residuals (`div_rel`,
     `mean_rel`, `support_leak_rel`) and rejects the field when they exceed
-    the tolerances.  `support_tol` may be loosened — even to inf — for
-    analytically periodic test data that is not compactly supported; the
-    radius is then purely declarative.
+    `div_tol`, `_MEAN_RTOL` and `support_tol`.  `support_tol` may be
+    loosened — even to inf — for analytically periodic test data that is not
+    compactly supported; the radius is then purely declarative.
     """
 
     def __init__(
@@ -49,7 +52,6 @@ class VorticityField:
         support_radius: float,
         *,
         div_tol: float = 1e-10,
-        mean_tol: float = 1e-10,
         support_tol: float = 1e-6,
     ):
         if omega.rank != "vector":
@@ -60,9 +62,6 @@ class VorticityField:
             )
         self.omega = omega
         self.support_radius = float(support_radius)
-        self.div_tol = float(div_tol)
-        self.mean_tol = float(mean_tol)
-        self.support_tol = float(support_tol)
 
         scale = float(np.abs(omega.physical).max())
         if scale == 0.0:
@@ -76,7 +75,7 @@ class VorticityField:
                 f"{self.div_rel:.3e} > {div_tol:.1e}"
             )
         self.mean_rel = float(np.abs(omega.mean_value()).max()) / scale
-        if self.mean_rel > mean_tol:
+        if self.mean_rel > _MEAN_RTOL:
             raise DataError(
                 f"vorticity carries a mean: relative mean {self.mean_rel:.3e}"
             )

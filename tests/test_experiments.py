@@ -93,6 +93,17 @@ def transfer_data(**overrides):
     return data
 
 
+def bump_data(**initial):
+    data = {"family": "bump", "support_radius": 0.5}
+    return inversion_data(initial_data={**data, **initial})
+
+
+def trefoil_data(**initial):
+    data = {"family": "trefoil", "major_radius": 0.3, "tube_radius": 0.05,
+            "strength": 1.0}
+    return inversion_data(initial_data={**data, **initial})
+
+
 # A config small enough that CLI round-trips finish in well under a second.
 # (base_n below 16 under-resolves the bump profile and trips the support
 # leak guard, so this is as small as a non-degenerate study gets.)
@@ -287,9 +298,7 @@ def test_norm_names_validated():
                                               "amplitude": math.nan}), "amplitude"),
         (lambda: inversion_data(initial_data={"family": "bump", "support_radius": 0.5,
                                               "direction": "z"}), "direction"),
-        (lambda: inversion_data(initial_data={"family": "trefoil", "major_radius": 0.3,
-                                              "tube_radius": 0.05, "strength": 1.0,
-                                              "resolution": 512.0}), "resolution"),
+        (lambda: trefoil_data(resolution=512.0), "resolution"),
         (lambda: inversion_data(initial_data={"family": "zero", "support_radius": math.inf}),
          "support_radius"),
         (lambda: solution_data(solver={"dt": True, "t_end": 0.02}), "dt"),
@@ -304,6 +313,24 @@ def test_norm_names_validated():
         (lambda: transfer_data(transfer={"t_star_factor": math.nan}), "t_star_factor"),
         (lambda: inversion_data(checks={"ratio_bound": True}), "ratio_bound"),
         (lambda: inversion_data(checks={"support_margin": -math.inf}), "support_margin"),
+        # initial data out of range: rejected here, not when the study runs
+        *(
+            pytest.param(make, key, id=f"{key}={value}")
+            for make, key, value in [
+                (lambda: bump_data(support_radius=0), "support_radius", 0),
+                (lambda: bump_data(support_radius=-0.5), "support_radius", -0.5),
+                (lambda: bump_data(support_tol=-1), "support_tol", -1),
+                (lambda: inversion_data(initial_data={"family": "zero",
+                                                      "support_radius": -0.3}),
+                 "support_radius", -0.3),
+                (lambda: trefoil_data(resolution=0), "resolution", 0),
+                (lambda: trefoil_data(resolution=-5), "resolution", -5),
+                (lambda: trefoil_data(major_radius=-0.6), "major_radius", -0.6),
+                (lambda: trefoil_data(tube_radius=0), "tube_radius", 0),
+                (lambda: trefoil_data(div_tol=-1), "div_tol", -1),
+                (lambda: trefoil_data(support_tol=-1e-6), "support_tol", -1e-6),
+            ]
+        ),
     ],
 )
 def test_wrong_types_and_non_finite_values_rejected(make, key):
@@ -371,7 +398,7 @@ def valid_configs(draw):
         maybe(initial, "div_tol", draw(unit))
         maybe(initial, "support_tol", draw(unit))
     else:
-        maybe(initial, "support_radius", draw(st.floats(0.0, 0.5)))
+        maybe(initial, "support_radius", draw(st.floats(0.0, 0.5, exclude_min=True)))
     data["initial_data"] = initial
     checks = {}
     maybe(checks, "ratio_bound", draw(unit))
@@ -524,11 +551,21 @@ def test_solution_tail_columns_small_and_ordered(solution_result):
         assert row["tail_sup_R1"] < 1e-2
 
 
-def test_solution_t0_row_matches_restriction_error(solution_result):
-    _, res = solution_result
-    check = {c.name: c for c in res.checks}["t0_matches_inversion_error"]
-    assert check.passed
-    assert check.measured <= 1e-12
+def test_solution_t0_rows_match_the_inversion_study(solution_result):
+    # at t = 0 the solution study compares the same extended data against
+    # the same reference as the inversion study does
+    cfg, res = solution_result
+    data = solution_data(kind="inversion")
+    del data["solver"]
+    inversion = run_inversion_study(parse_config(data))
+    t0_rows = [r for r in res.time_rows if r["t"] == 0.0]
+    assert [r["alpha"] for r in t0_rows] == [r["alpha"] for r in inversion.rows]
+    assert len(t0_rows) == len(cfg.alphas)
+    for got, want in zip(t0_rows, inversion.rows):
+        for name in cfg.norms:
+            column = f"err_{name}"
+            assert want[column] > 0.0
+            assert got[column] == pytest.approx(want[column], rel=1e-12, abs=0.0)
 
 
 def test_solution_beyond_horizon_needs_flag():
@@ -836,6 +873,14 @@ def test_cli_unknown_key_is_config_error(tmp_path):
 
 def test_cli_infinite_sobolev_order_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, tiny_inversion_data(norms=["L2", "Hinf"]))
+    out = tmp_path / "o"
+    assert cli_main(["inversion", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def test_cli_zero_trefoil_resolution_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, trefoil_data(resolution=0))
     out = tmp_path / "o"
     assert cli_main(["inversion", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")

@@ -59,7 +59,6 @@ class TestCutoff:
         dx, dy, dz3 = np.ix_(dz, dz, dz)
         grad_sq = (dx * zy * zz_) ** 2 + (zx * dy * zz_) ** 2 + (zx * zy * dz3) ** 2
         assert np.sqrt(grad_sq.max()) <= CUTOFF_GRAD_BOUND * (1 + 1e-3)
-        assert c.grad_bound == CUTOFF_GRAD_BOUND
 
     def test_small_alpha_rejected(self):
         with pytest.raises(ConfigurationError):

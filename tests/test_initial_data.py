@@ -135,5 +135,6 @@ def test_trefoil_argument_errors():
     with pytest.raises(DomainTooSmallError):
         # max |gamma| = 1.5 plus the 0.9 tube margin needs more than 0.9 * 2
         trefoil_vorticity(TrefoilSpec(1.0, 0.3, 1.0), BoxGrid(2.0, 16))
-    with pytest.raises(UsageError):
-        trefoil_vorticity(TrefoilSpec(0.5, -0.1, 1.0), BoxGrid(2.0, 16))
+    for spec in (TrefoilSpec(0.5, -0.1, 1.0), TrefoilSpec(0.5, 0.1, 1.0, resolution=0)):
+        with pytest.raises(UsageError):
+            trefoil_vorticity(spec, BoxGrid(2.0, 16))

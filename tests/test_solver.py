@@ -23,6 +23,7 @@ from boxflow.errors import (
     StepSizeError,
     UsageError,
 )
+from boxflow import solver
 from boxflow.initial_data import BumpSpec, bump_vorticity
 from boxflow.norms import (
     inequality_report,
@@ -78,7 +79,6 @@ def test_zero_field_stays_zero():
         assert np.all(state.physical == 0.0)
     for rec in traj.diagnostics:
         assert rec.entries["energy"] == 0.0
-        assert rec.flags["pressure_degenerate"]
 
 
 def test_single_step_matches_viscous_decay():
@@ -266,10 +266,11 @@ def test_cfl_violation_suggests_step_size():
         nse_solve(u0, SolverConfig(dt=0.2, t_end=0.4))
 
 
-def test_blowup_threshold_halts_with_last_valid_time():
+def test_blowup_threshold_halts_with_last_valid_time(monkeypatch):
     grid = BoxGrid(2.0, 16)
+    monkeypatch.setattr(solver, "BLOWUP_MAX_U", 0.5)
     with pytest.raises(BlowUpError) as exc:
-        nse_solve(shear_flow(grid), SolverConfig(dt=1e-3, t_end=0.01, blowup_max_u=0.5))
+        nse_solve(shear_flow(grid), SolverConfig(dt=1e-3, t_end=0.01))
     assert exc.value.last_valid_time == 0.0
 
 
@@ -298,10 +299,6 @@ def test_config_validation():
         dict(dt=-1e-3, t_end=1.0),
         dict(dt=1e-3, t_end=-1.0),
         dict(dt=1e-3, t_end=1.0, audit_every=0),
-        dict(dt=1e-3, t_end=1.0, blowup_max_u=math.nan),
-        dict(dt=1e-3, t_end=1.0, blowup_max_u=0.0),
-        dict(dt=1e-3, t_end=1.0, blowup_max_enstrophy=math.inf),
-        dict(dt=1e-3, t_end=1.0, blowup_max_enstrophy=-1.0),
         dict(dt=1e-3, t_end=1.0, snapshot_times=(0.5, math.nan)),
         dict(dt=1e-3, t_end=1.0, snapshot_times=(-0.1,)),
     ):
@@ -350,20 +347,6 @@ def test_pressure_quadratic_bound(rng):
         u = div_free_field(BoxGrid(alpha, 24), rng)
         p = pressure_solve(u)
         assert l2_norm(p) <= 0.35 * lebesgue_norm(u, 4) ** 2
-
-
-def test_shear_nonlinearity_counts_as_zero():
-    # omega x u and grad(|u|^2 / 2) cancel exactly for a shear, up to roundoff
-    traj = nse_solve(shear_flow(BoxGrid(2.0, 16)), SolverConfig(dt=1e-3, t_end=2e-3))
-    assert all(rec.flags["pressure_degenerate"] for rec in traj.diagnostics)
-
-
-def test_pressure_gradient_never_exceeds_nonlinearity():
-    grid = BoxGrid(np.pi, 16)
-    traj = nse_solve(taylor_green(grid), SolverConfig(dt=1e-3, t_end=0.02))
-    for rec in traj.diagnostics:
-        assert rec.entries["pressure_ratio"] <= 1.0 + 1e-10
-        assert not rec.flags["pressure_degenerate"]
 
 
 # -------------------------------------------------------------------- audits
