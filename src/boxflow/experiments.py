@@ -38,9 +38,8 @@ error)::
       },
       "solver": {                     # solution/tail/transfer only
         "dt": 1e-3, "t_end": 0.05,    # transfer derives t_end; omit it there
-        "snapshot_every": 10,         # steps between stored snapshots
-        "audit_every": 1              # steps between diagnostic audits
-      },
+        "snapshot_every": 10          # solution/tail: steps between snapshots
+      },                              # (every step is audited)
       "norms": ["L2", "H1"],          # inversion/solution error columns
       "tail": {"inner_radius": 1.0, "radii": [2, 2.5, 3]},   # tail only
       "transfer": {"t_star_factor": 3.0},                    # transfer only
@@ -258,8 +257,7 @@ _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _SOLVER_KEYS = {
     "dt": _Key("number", rule=_POSITIVE),
     "t_end": _Key("number", rule=_POSITIVE, kinds=("solution", "tail")),
-    "snapshot_every": _Key("int", 10, _AT_LEAST_ONE),
-    "audit_every": _Key("int", 1, _AT_LEAST_ONE),
+    "snapshot_every": _Key("int", 10, _AT_LEAST_ONE, kinds=("solution", "tail")),
 }
 
 _FAMILY_KEYS = {
@@ -308,8 +306,8 @@ _CONFIG_KEYS = {
         "names",
         ("L2", "H1"),
         (
-            lambda v: all(map(_norm_function, v)),
-            "'L<p>' (p >= 1) or 'H<s>' (finite s >= 0) names",
+            lambda v: all(map(_norm_function, v)) and len(set(v)) == len(v),
+            "distinct 'L<p>' (p >= 1) or 'H<s>' (finite s >= 0) names",
         ),
         kinds=("inversion", "solution"),
     ),
@@ -488,6 +486,16 @@ def parse_config(data: dict) -> StudyConfig:
     return cfg
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object; a key given twice is a configuration error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigurationError(f"key '{key}' is given twice in one object")
+        out[key] = value
+    return out
+
+
 def load_config(path) -> StudyConfig:
     """Read and validate a JSON study config from disk."""
     try:
@@ -495,7 +503,7 @@ def load_config(path) -> StudyConfig:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
@@ -619,21 +627,9 @@ def _initial_velocity(cfg: StudyConfig, grid: BoxGrid) -> Field:
     return curl_inv_periodic(_build_vorticity(cfg, grid))
 
 
-def _solver_config(cfg: StudyConfig, t_end: float, *, snapshots: bool) -> SolverConfig:
+def _solver_config(cfg: StudyConfig, t_end: float) -> SolverConfig:
     sd = cfg.solver
-    dt, every = sd["dt"], sd["snapshot_every"]
-    times = []
-    if snapshots:
-        k = every
-        while k * dt < t_end - 1e-9 * dt:
-            times.append(k * dt)
-            k += every
-    return SolverConfig(
-        dt=dt,
-        t_end=t_end,
-        snapshot_times=tuple(times),
-        audit_every=sd["audit_every"],
-    )
+    return SolverConfig(sd["dt"], t_end, sd.get("snapshot_every", 0))
 
 
 def _solve(
@@ -849,7 +845,7 @@ def run_solution_study(cfg: StudyConfig) -> dict:
         time_columns=("alpha", "t", *(f"err_{n}" for n in cfg.norms)),
     )
 
-    scfg = _solver_config(cfg, t_end, snapshots=True)
+    scfg = _solver_config(cfg, t_end)
     ref_traj = _solve(u0_ref, scfg, checks, "no_blowup_reference")
     if ref_traj is None:
         return parts
@@ -932,7 +928,7 @@ def run_tail_study(cfg: StudyConfig) -> dict:
     gammas: dict[str, float] = {}
     min_margin = float("inf")
     constants = None
-    scfg = _solver_config(cfg, t_end, snapshots=True)
+    scfg = _solver_config(cfg, t_end)
     for alpha, grid in _box_grids(cfg):
         u0 = _initial_velocity(cfg, grid)
         traj = _solve(u0, scfg, checks, f"no_blowup_alpha_{alpha:g}")
@@ -1042,7 +1038,7 @@ def run_transfer_study(cfg: StudyConfig) -> dict:
     )
     checks: list[CheckRecord] = []
     rows: list[dict] = []
-    scfg = _solver_config(cfg, t_star, snapshots=False)
+    scfg = _solver_config(cfg, t_star)
     ref_traj = _solve(u0_ref, scfg, checks, "reference_completes")
     ref_blown = int(ref_traj is None)
     ref_ens, ref_h1_sq = sup_stats(ref_traj)

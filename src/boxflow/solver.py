@@ -14,12 +14,12 @@ A stage costs nine real transforms.  The stored state keeps every mode.
 The curl, Leray projection, pressure and spectral moments are those of
 `spectral_core` and `norms`; the solver keeps no operator of its own.
 
-Each audit point records energy, enstrophy, ||Delta u||, max |u| and the
-running energy-equality residual; max |u| comes from the next step's first
-stage.  `energy_audit` / `enstrophy_audit` check those series against the
-energy equality and the enstrophy differential inequality, and
-`existence_time` evaluates the guaranteed-existence horizon
-T = 2 / (9 C^4 M^2) for an H^1 bound M.
+Every step is audited: t = 0 and each completed step record energy,
+enstrophy, ||Delta u||, max |u| and the running energy-equality residual;
+max |u| comes from the next step's first stage.  `energy_audit` /
+`enstrophy_audit` check those series against the energy equality and the
+enstrophy differential inequality, and `existence_time` evaluates the
+guaranteed-existence horizon T = 2 / (9 C^4 M^2) for an H^1 bound M.
 """
 
 from __future__ import annotations
@@ -70,41 +70,39 @@ BLOWUP_MAX_ENSTROPHY = 1e8
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, horizon, snapshot times and audit spacing of one NSE solve
-    with nu = 1, the value `energy_audit` and `existence_time` assume.
+    """Step size, horizon and snapshot cadence of one NSE solve with nu = 1,
+    the value `energy_audit` and `existence_time` assume.
 
-    `dt` must already respect the advective CFL ceiling for the data being
-    run (checked per step against max |u| dt / h <= 0.5); the viscous limit
-    needs no ceiling because the semigroup is applied exactly.
+    The state is stored at t = 0, after every `snapshot_every`-th step (0:
+    none in between) and after the last step.  `dt` must already respect
+    the advective CFL ceiling for the data being run (checked per step
+    against max |u| dt / h <= 0.5); the viscous limit needs no ceiling
+    because the semigroup is applied exactly.
     """
 
     dt: float
     t_end: float
-    snapshot_times: tuple[float, ...] = ()
-    audit_every: int = 1
+    snapshot_every: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
-        for t in (self.t_end, *self.snapshot_times):
-            if not (np.isfinite(t) and t >= 0.0):
-                raise ConfigurationError(
-                    f"t_end and snapshot times must be nonnegative, got {t!r}"
-                )
-        if int(self.audit_every) != self.audit_every or self.audit_every < 1:
+        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end!r}")
+        every = self.snapshot_every
+        if not isinstance(every, int) or isinstance(every, bool) or every < 0:
             raise ConfigurationError(
-                f"audit_every must be a positive integer, got {self.audit_every!r}"
+                f"snapshot_every must be an integer >= 0, got {every!r}"
             )
 
 
 @dataclass
 class Trajectory:
-    """Stored states of one solve plus the per-audit diagnostic series.
+    """Stored states of one solve plus the per-step diagnostic series.
 
-    `times` are the actual completed-step times of the stored states
-    (snapshot requests snap to the nearest step).  Construction re-checks
-    the invariants: strictly increasing times, and every state
-    divergence-free to 1e-10 relative.
+    `times` are the completed-step times of the stored states.
+    Construction re-checks the invariants: strictly increasing times, and
+    every state divergence-free to 1e-10 relative.
     """
 
     times: tuple[float, ...]
@@ -222,35 +220,22 @@ def _plan_steps(cfg: SolverConfig) -> tuple[list[float], list[float]]:
     return lengths, times
 
 
-def _snapshot_steps(cfg: SolverConfig, step_times: list[float]) -> set[int]:
-    """Map requested snapshot times to nearest completed-step indices."""
-    all_times = [0.0] + step_times
-    wanted = {0, len(step_times)}
-    for ts in cfg.snapshot_times:
-        k = min(range(len(all_times)), key=lambda i: abs(all_times[i] - ts))
-        wanted.add(k)
-    return wanted
-
-
 def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
-    """March u0 to t_end, collecting snapshots and per-audit diagnostics.
+    """March u0 to t_end, collecting snapshots and per-step diagnostics.
 
-    Audits happen every `audit_every` steps plus always at t = 0 and the
-    final step.  Blow-up (max |u| above BLOWUP_MAX_U, enstrophy above
-    BLOWUP_MAX_ENSTROPHY, or non-finite values) raises with the last valid
-    time attached.
+    Blow-up (max |u| above BLOWUP_MAX_U, enstrophy above BLOWUP_MAX_ENSTROPHY,
+    or non-finite values) raises with the last valid time attached.
     """
     _require_solvable(u0)
     kernel = _StepKernel(u0.grid)
     lengths, step_times = _plan_steps(cfg)
-    snap_at = _snapshot_steps(cfg, step_times)
 
     uhat = u0.spectral  # never written to: each step makes a new array
     times = [0.0]
     states = [u0]
     diagnostics: list[DiagnosticsRecord] = []
 
-    integral = 0.0  # running trapezoid of enstrophy over audit times
+    integral = 0.0  # running trapezoid of enstrophy over the step times
 
     def audit(t: float, u: Field, enstrophy: float, umax: float) -> None:
         nonlocal integral
@@ -275,6 +260,7 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
     # each audit's right-hand side is the next step's first stage
     a, umax = kernel.first_stage(uhat)
     audit(0.0, u0, grad_l2_sq(u0), umax)
+    every = cfg.snapshot_every
     t_prev = 0.0
     for step, (dt_k, t_k) in enumerate(zip(lengths, step_times), start=1):
         kernel.check_cfl(umax, dt_k)
@@ -283,7 +269,6 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
             raise BlowUpError(
                 f"non-finite values after t={t_prev}", last_valid_time=t_prev
             )
-        audited = step % cfg.audit_every == 0 or step == len(lengths)
         a, umax = kernel.first_stage(uhat)
         u = Field.from_spectral(u0.grid, uhat)
         enstrophy = grad_l2_sq(u)
@@ -292,9 +277,8 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
                 f"blow-up thresholds exceeded at t={t_k}: max|u|={umax:.3e}",
                 last_valid_time=t_prev,
             )
-        if audited:
-            audit(t_k, u, enstrophy, umax)
-        if step in snap_at:
+        audit(t_k, u, enstrophy, umax)
+        if (every and step % every == 0) or step == len(lengths):
             times.append(t_k)
             states.append(u)
         t_prev = t_k
@@ -337,18 +321,17 @@ def write_diagnostics_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def energy_audit(traj: Trajectory, tol: float | None = None) -> list[DiagnosticsRecord]:
-    """Check the energy equality over the audit series.
+def energy_audit(traj: Trajectory) -> list[DiagnosticsRecord]:
+    """Check the energy equality over the per-step series.
 
-    Each audit record carries the residual rho(t) = E(t) + int_0^t
-    ||grad u||^2 - E(0) (trapezoid in time over the audit times), which
-    should sit at quadrature level; rho(t) > tol is flagged as a violation
-    of the energy inequality.  Default tol is 1e-6 E(0).
+    Each record carries the residual rho(t) = E(t) + int_0^t ||grad u||^2
+    - E(0) (trapezoid in time over the step times), which should sit at
+    quadrature level; rho(t) > 1e-6 E(0) is flagged as a violation of the
+    energy inequality.
     """
     if not traj.diagnostics:
         raise UsageError("trajectory carries no audit records")
-    if tol is None:
-        tol = 1e-6 * traj.diagnostics[0].entries["energy"]
+    tol = 1e-6 * traj.diagnostics[0].entries["energy"]
     out = []
     for rec in traj.diagnostics:
         rho = rec.entries["energy_residual"]
@@ -360,10 +343,9 @@ def energy_audit(traj: Trajectory, tol: float | None = None) -> list[Diagnostics
 def enstrophy_audit(traj: Trajectory, c_agmon: float) -> list[DiagnosticsRecord]:
     """Check the enstrophy differential inequality interval by interval.
 
-    Per audit interval, the discrete d/dt ||grad u||^2 plus the mean
-    ||Delta u||^2 is compared against (27/16) c^4 ||grad u||^6 (endpoint
-    average); `margin` = RHS - LHS should be nonnegative up to quadrature
-    noise.  Where 1 - (27/8) c^4 t ||grad u0||^4 stays positive, the
+    Per step, the discrete d/dt ||grad u||^2 plus the mean ||Delta u||^2
+    is compared against (27/16) c^4 ||grad u||^6 (endpoint average);
+    `margin` = RHS - LHS should be nonnegative up to quadrature noise.  Where 1 - (27/8) c^4 t ||grad u0||^4 stays positive, the
     closed-form enstrophy bound is evaluated too and checked from above.
     """
     if not np.isfinite(c_agmon) or c_agmon <= 0.0:

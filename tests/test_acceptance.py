@@ -53,10 +53,7 @@ def record(num: int, label: str, ok: bool, detail: str) -> None:
 def tg_energy_run():
     grid = BoxGrid(2 * math.pi, 32)
     u0 = taylor_green(grid, amplitude=0.7)
-    snaps = tuple(np.arange(1, 8) * 0.01)
-    traj = nse_solve(
-        u0, SolverConfig(dt=1e-3, t_end=0.08, snapshot_times=snaps, audit_every=1)
-    )
+    traj = nse_solve(u0, SolverConfig(dt=1e-3, t_end=0.08, snapshot_every=10))
     return u0, traj
 
 
@@ -65,10 +62,7 @@ def bump_energy_run():
     grid = BoxGrid(10.0, 48)
     w = bump_vorticity(BumpSpec(support_radius=6.0, amplitude=0.25), grid)
     u0 = curl_inv_periodic(w)
-    snaps = tuple(np.arange(1, 8) * (0.15 / 8))
-    traj = nse_solve(
-        u0, SolverConfig(dt=1e-3, t_end=0.15, snapshot_times=snaps, audit_every=1)
-    )
+    traj = nse_solve(u0, SolverConfig(dt=1e-3, t_end=0.15, snapshot_every=19))
     return u0, traj
 
 
@@ -83,12 +77,7 @@ def test_criterion_01_curl_identity(rng):
     gpi = BoxGrid(math.pi, 32)
     traj = nse_solve(
         taylor_green(gpi),
-        SolverConfig(
-            dt=1e-3,
-            t_end=0.02,
-            snapshot_times=(5e-3, 1e-2, 1.5e-2),
-            audit_every=5,
-        ),
+        SolverConfig(dt=1e-3, t_end=0.02, snapshot_every=5),
     )
     for state in traj.states:
         worst = max(worst, curl_identity_report(state).entries["rel_diff"])
@@ -188,7 +177,7 @@ def test_criterion_05_exact_solution():
     arr = np.zeros((3, 16, 16, 16))
     arr[0] = np.sin(np.pi * y)
     u0 = Field.from_physical(grid, arr)
-    traj = nse_solve(u0, SolverConfig(dt=1e-3, t_end=0.5, audit_every=100))
+    traj = nse_solve(u0, SolverConfig(dt=1e-3, t_end=0.5))
     exact = Field.from_physical(grid, arr * math.exp(-math.pi**2 * 0.5))
     rel = l2_norm(traj.states[-1] - exact) / l2_norm(exact)
     ok = rel <= 1e-10
@@ -206,7 +195,7 @@ def test_criterion_06_integrator_order():
     for dt in (2e-3, 1e-3, 5e-4):
         traj = nse_solve(
             taylor_green(grid, amplitude=20.0),
-            SolverConfig(dt=dt, t_end=0.1, audit_every=1000),
+            SolverConfig(dt=dt, t_end=0.1),
         )
         finals.append(traj.states[-1])
     e1 = l2_norm(finals[0] - finals[1])

@@ -11,8 +11,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +247,14 @@ def test_transfer_solver_takes_no_t_end():
         parse_config(data)
 
 
+def test_transfer_solver_takes_no_snapshot_every():
+    # the transfer study stores no snapshots; it reads the per-step audits
+    data = transfer_data()
+    data["solver"]["snapshot_every"] = 5
+    with pytest.raises(ConfigurationError, match="no 'snapshot_every' key"):
+        parse_config(data)
+
+
 def test_tail_radius_boundary_is_the_closed_limit():
     # R = alpha - 1 exactly is accepted; anything above is rejected.
     parse_config(tail_data())  # largest R = 3.0 on Q_4
@@ -290,6 +300,8 @@ def test_norm_names_validated():
         (lambda: inversion_data(beta=True), "beta"),
         (lambda: inversion_data(beta=math.inf), "beta"),
         (lambda: inversion_data(norms="L2"), "norms"),
+        pytest.param(lambda: inversion_data(norms=["L2", "H1", "L2"]), "norms",
+                     id="norms-repeated"),
         (lambda: inversion_data(out_dir=1.0), "out_dir"),
         (lambda: solution_data(allow_beyond_guaranteed=1), "allow_beyond_guaranteed"),
         (lambda: inversion_data(initial_data={"family": "bump", "support_radius": True}),
@@ -305,8 +317,6 @@ def test_norm_names_validated():
         (lambda: solution_data(solver={"dt": 2e-3, "t_end": math.inf}), "t_end"),
         (lambda: solution_data(solver={"dt": 2e-3, "t_end": 0.02, "snapshot_every": 5.0}),
          "snapshot_every"),
-        (lambda: solution_data(solver={"dt": 2e-3, "t_end": 0.02, "audit_every": False}),
-         "audit_every"),
         (lambda: tail_data(tail={"inner_radius": True, "radii": [2.0]}), "inner_radius"),
         (lambda: tail_data(tail={"inner_radius": 1.5, "radii": "2.0"}), "radii"),
         (lambda: transfer_data(transfer={"t_star_factor": True}), "t_star_factor"),
@@ -408,12 +418,12 @@ def valid_configs(draw):
         solver = {"dt": draw(st.floats(1e-5, 1e-2))}
         if kind != "transfer":
             solver["t_end"] = draw(unit)
-        maybe(solver, "snapshot_every", draw(st.integers(1, 50)))
-        maybe(solver, "audit_every", draw(st.integers(1, 50)))
+            maybe(solver, "snapshot_every", draw(st.integers(1, 50)))
         data["solver"] = solver
     if kind in ("inversion", "solution"):
         maybe(data, "norms", draw(st.lists(
-            st.sampled_from(["L2", "H1", "L4", "H1.5"]), min_size=1, max_size=4)))
+            st.sampled_from(["L2", "H1", "L4", "H1.5"]), min_size=1, max_size=4,
+            unique=True)))
     if kind == "tail":
         data["tail"] = {"inner_radius": 2.25,
                         "radii": sorted(draw(st.sets(st.sampled_from([2.5, 2.75, 3.0]),
@@ -442,6 +452,28 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         load_config(bad)
+
+
+def test_cli_key_given_twice_is_config_error(tmp_path, capsys):
+    path = tmp_path / "study.json"
+    path.write_text(
+        '{"kind": "inversion", "alphas": [1, 2], "alphas": [1], "base_n": 16,'
+        ' "initial_data": {"family": "bump", "support_radius": 0.4,'
+        ' "support_radius": 0.5}}'
+    )
+    out = tmp_path / "o"
+    assert cli_main(["inversion", "--config", str(path), "--out", str(out)]) == 2
+    # the innermost object is read first
+    assert "key 'support_radius' is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_example_parses_and_round_trips():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    cfg = parse_config(json.loads(blocks[0]))
+    assert parse_config(cfg.to_dict()) == cfg
 
 
 def test_load_config_round_trip(tmp_path):
