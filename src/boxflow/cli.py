@@ -72,8 +72,6 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 "no output directory: pass --out or set out_dir in the config"
             )
-        if args.threads < 1:
-            raise ConfigurationError("--threads must be >= 1")
         set_default_workers(args.threads)
         if args.command == "audit":
             result = experiments.run_snapshot_audit(cfg)

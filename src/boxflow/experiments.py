@@ -6,7 +6,8 @@ stands in for the whole space, all driven by one declarative JSON config:
 
 * ``inversion`` -- invert one compactly supported vorticity on every box,
   extend each velocity to the reference box Q_beta, and watch the L^2/H^1
-  gap to the reference inversion close as alpha grows;
+  gap to the reference inversion close as alpha grows (halving in H^1 with
+  each doubling of alpha);
 * ``solution``  -- evolve the same initial data on every box and measure
   discrete L^2(0,T;H^1) and L^4(0,T;H^1.5) errors against the reference
   trajectory, plus sup-in-time tail masses;
@@ -30,26 +31,25 @@ error)::
       "base_n": 32,                   # resolution on the smallest box
       "beta": 8,                      # optional; default 2*max(alphas)
       "initial_data": {
-        "family": "bump" | "trefoil" | "zero",
+        "family": "bump" | "trefoil",   # zero data: a bump, amplitude 0
         # bump:    support_radius (req), amplitude, direction, support_tol
         # trefoil: major_radius, tube_radius, strength (req),
         #          resolution, div_tol, support_tol
-        # zero:    support_radius (optional)
       },
       "solver": {                     # solution/tail/transfer only
         "dt": 1e-3, "t_end": 0.05,    # transfer derives t_end; omit it there
         "snapshot_every": 10          # solution/tail: steps between snapshots
       },                              # (every step is audited)
-      "norms": ["L2", "H1"],          # inversion/solution error columns
       "tail": {"inner_radius": 1.0, "radii": [2, 2.5, 3]},   # tail only
       "transfer": {"t_star_factor": 3.0},                    # transfer only
-      "checks": {"ratio_bound": 0.5, "support_margin": <2h>},
       "allow_beyond_guaranteed": false,   # solution only
       "out_dir": "reports"            # optional; CLI --out overrides
     }
 
 The per-key types, defaults, ranges and study kinds live in one table
-(``_CONFIG_KEYS`` and the section tables it names).
+(``_CONFIG_KEYS`` and the section tables it names).  The data must stay
+within min(alphas) - 2h of the origin.  Inversion and solution studies
+report their errors in L^2 and H^1.
 
 Reports are CSV files with stable schemas plus ``checks.csv`` (one
 machine-readable pass/fail record per assertion) and ``metadata.json``
@@ -124,6 +124,9 @@ _IDENTITY_TOL = 1e-10
 #: of the smallest box half-width (recorded per run in metadata).
 _SOLUTION_TAIL_FRACTIONS = (0.5, 0.75)
 
+#: Bound on err_H1(2 alpha) / err_H1(alpha) in the inversion study.
+_RATIO_BOUND = 0.5
+
 
 # --------------------------------------------------------------------------
 # configuration
@@ -147,12 +150,9 @@ class StudyConfig:
     h: float
     initial_data: dict
     solver: dict | None
-    norms: tuple[str, ...]
     tail_inner: float | None
     tail_radii: tuple[float, ...]
     t_star_factor: float | None
-    ratio_bound: float
-    support_margin: float
     allow_beyond_guaranteed: bool
     out_dir: str | None
 
@@ -167,27 +167,7 @@ class StudyConfig:
     @property
     def support_radius(self) -> float:
         """Outer radius of the configured vorticity support."""
-        data = self.initial_data
-        if data["family"] == "trefoil":
-            return data["major_radius"] + 3.0 * data["tube_radius"]
-        return data["support_radius"]
-
-
-def _norm_function(name: str):
-    """Map a norm name like "L2", "H1", "H1.5" to a Field -> float callable,
-    or None when the name is not of the form 'L<p>' (p >= 1) / 'H<s>' (finite
-    s >= 0)."""
-    try:
-        kind, value = name[0], float(name[1:])
-    except (IndexError, ValueError):
-        return None
-    if kind == "L" and value == 2.0:
-        return l2_norm
-    if kind == "L" and value >= 1.0:
-        return lambda f: lebesgue_norm(f, value)
-    if kind == "H" and 0.0 <= value < math.inf:
-        return lambda f: sobolev_norm(f, value)
-    return None
+        return _data_spec(self.initial_data).support_radius
 
 
 _REQUIRED = object()
@@ -243,11 +223,6 @@ _TYPES = {
         "a non-empty list of finite numbers",
         lambda v: tuple(float(x) for x in v),
     ),
-    "names": (
-        _non_empty_list(lambda x: isinstance(x, str)),
-        "a non-empty list of names",
-        tuple,
-    ),
 }
 
 _POSITIVE = (lambda v: v > 0.0, "positive")
@@ -281,10 +256,6 @@ _FAMILY_KEYS = {
         "div_tol": _Key("number", 1e-10, _NONNEGATIVE),
         "support_tol": _Key("number", 1e-6, _NONNEGATIVE),
     },
-    "zero": {
-        "family": _Key("str"),
-        "support_radius": _Key("number", None, _POSITIVE),
-    },
 }
 
 _CONFIG_KEYS = {
@@ -302,15 +273,6 @@ _CONFIG_KEYS = {
     "beta": _Key("number", None),
     "initial_data": _Key("object"),
     "solver": _Key(_SOLVER_KEYS, kinds=("solution", "tail", "transfer")),
-    "norms": _Key(
-        "names",
-        ("L2", "H1"),
-        (
-            lambda v: all(map(_norm_function, v)) and len(set(v)) == len(v),
-            "distinct 'L<p>' (p >= 1) or 'H<s>' (finite s >= 0) names",
-        ),
-        kinds=("inversion", "solution"),
-    ),
     "tail": _Key(
         {
             "inner_radius": _Key("number"),
@@ -320,13 +282,6 @@ _CONFIG_KEYS = {
     ),
     "transfer": _Key(
         {"t_star_factor": _Key("number", 1.0, _POSITIVE)}, {}, kinds=("transfer",)
-    ),
-    "checks": _Key(
-        {
-            "ratio_bound": _Key("number", 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
-            "support_margin": _Key("number", None, _NONNEGATIVE),
-        },
-        {},
     ),
     "allow_beyond_guaranteed": _Key("bool", False, kinds=("solution",)),
     "out_dir": _Key("str", None),
@@ -398,7 +353,7 @@ def parse_config(data: dict) -> StudyConfig:
     family = top["initial_data"].get("family")
     if family not in _FAMILY_KEYS:
         raise ConfigurationError(
-            "initial_data 'family' must be 'bump', 'trefoil', or 'zero', "
+            f"initial_data 'family' must be one of {list(_FAMILY_KEYS)}, "
             f"got {family!r}"
         )
     initial = _read(
@@ -423,11 +378,6 @@ def parse_config(data: dict) -> StudyConfig:
             )
         return int(round(n))
 
-    if family == "zero" and initial["support_radius"] is None:
-        initial["support_radius"] = 0.5 * alphas[0]
-    checks = top["checks"]
-    if checks["support_margin"] is None:
-        checks["support_margin"] = 2.0 * h
     tail = top.get("tail", {})
     echo = {**top, "beta": beta, "initial_data": initial}
     if top["out_dir"] is None:
@@ -442,12 +392,9 @@ def parse_config(data: dict) -> StudyConfig:
         h=h,
         initial_data=initial,
         solver=top.get("solver"),
-        norms=top.get("norms", ()),
         tail_inner=tail.get("inner_radius"),
         tail_radii=tail.get("radii", ()),
         t_star_factor=top.get("transfer", {}).get("t_star_factor"),
-        ratio_bound=checks["ratio_bound"],
-        support_margin=checks["support_margin"],
         allow_beyond_guaranteed=top.get("allow_beyond_guaranteed", False),
         out_dir=top["out_dir"],
         echo=echo,
@@ -471,11 +418,11 @@ def parse_config(data: dict) -> StudyConfig:
                 f"tail radius R={radii[-1]} exceeds alpha - 1 "
                 f"on the alpha={alphas[0]} box"
             )
-    limit = alphas[0] - cfg.support_margin
+    limit = alphas[0] - 2.0 * h
     if cfg.support_radius > limit:
         raise ConfigurationError(
             f"initial data reaches radius {cfg.support_radius:.6g} but must stay "
-            f"within {limit:.6g} (= min alpha - support margin) on the "
+            f"within {limit:.6g} (= min alpha - support margin 2h) on the "
             f"alpha={alphas[0]} box"
         )
     if kind == "tail" and cfg.support_radius >= cfg.tail_inner:
@@ -499,12 +446,12 @@ def _unique_keys(pairs) -> dict:
 def load_config(path) -> StudyConfig:
     """Read and validate a JSON study config from disk."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
@@ -583,6 +530,22 @@ def _box_grids(cfg: StudyConfig):
     return ((alpha, BoxGrid(alpha, n)) for alpha, n in zip(cfg.alphas, cfg.ns))
 
 
+def _data_spec(data: dict) -> BumpSpec | TrefoilSpec:
+    """The vorticity spec of a parsed ``initial_data`` section."""
+    if data["family"] == "bump":
+        return BumpSpec(
+            support_radius=data["support_radius"],
+            amplitude=data["amplitude"],
+            direction=tuple(data["direction"]),
+        )
+    return TrefoilSpec(
+        major_radius=data["major_radius"],
+        tube_radius=data["tube_radius"],
+        strength=data["strength"],
+        resolution=data["resolution"],
+    )
+
+
 def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
     """Realise the configured vorticity family on one grid.
 
@@ -591,24 +554,13 @@ def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
     a configuration error.
     """
     data = cfg.initial_data
+    spec = _data_spec(data)
     try:
         if data["family"] == "bump":
-            spec = BumpSpec(
-                support_radius=data["support_radius"],
-                amplitude=data["amplitude"],
-                direction=tuple(data["direction"]),
-            )
             return bump_vorticity(spec, grid, support_tol=data["support_tol"])
-        if data["family"] == "trefoil":
-            spec = TrefoilSpec(
-                major_radius=data["major_radius"],
-                tube_radius=data["tube_radius"],
-                strength=data["strength"],
-                resolution=data["resolution"],
-            )
-            return trefoil_vorticity(
-                spec, grid, div_tol=data["div_tol"], support_tol=data["support_tol"]
-            )
+        return trefoil_vorticity(
+            spec, grid, div_tol=data["div_tol"], support_tol=data["support_tol"]
+        )
     except DomainTooSmallError as exc:
         raise ConfigurationError(
             f"initial data does not fit the alpha={grid.alpha} box: {exc}"
@@ -618,8 +570,6 @@ def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
             f"{data['family']} initial data is rejected on the "
             f"alpha={grid.alpha:g} box (N={grid.N}): {exc}"
         ) from exc
-    zeros = Field.from_physical(grid, np.zeros((3, grid.N, grid.N, grid.N)))
-    return VorticityField(zeros, support_radius=data["support_radius"])
 
 
 def _initial_velocity(cfg: StudyConfig, grid: BoxGrid) -> Field:
@@ -726,14 +676,13 @@ def run_inversion_study(cfg: StudyConfig) -> dict:
     """Invert one vorticity on every box and measure the gap on Q_beta.
 
     Per alpha: u_alpha = curl_inv_periodic(omega), extended to the reference
-    box and compared with the reference inversion in each configured norm.
-    Emits per-row gradient and vorticity norms (equal by the curl identity)
-    and asserts strict error decrease plus the halving ratio on H^1.
+    box and compared with the reference inversion in L^2 and H^1.  Emits
+    per-row gradient and vorticity norms (equal by the curl identity) and
+    asserts strict error decrease plus the halving ratio on H^1.
     """
     ref_grid = BoxGrid(cfg.beta, cfg.beta_n)
     u_ref = _initial_velocity(cfg, ref_grid)
 
-    norm_fns = [(name, _norm_function(name)) for name in cfg.norms]
     rows: list[dict] = []
     identity_worst = 0.0
     constants: dict[str, float] | None = None
@@ -749,35 +698,36 @@ def run_inversion_study(cfg: StudyConfig) -> dict:
         del u
         diff = extended - u_ref
         del extended
-        row = {"alpha": alpha}
-        for name, fn in norm_fns:
-            row[f"err_{name}"] = fn(diff)
+        rows.append(
+            {
+                "alpha": alpha,
+                "err_L2": l2_norm(diff),
+                "err_H1": sobolev_norm(diff, 1.0),
+                "grad_norm": grad_norm,
+                "omega_norm": omega_norm,
+            }
+        )
         del diff
-        row["grad_norm"] = grad_norm
-        row["omega_norm"] = omega_norm
-        rows.append(row)
         if omega_norm > 0.0:
             identity_worst = max(
                 identity_worst, abs(grad_norm - omega_norm) / omega_norm
             )
 
-    checks: list[CheckRecord] = []
-    for name in cfg.norms:
-        checks.extend(_check_decreasing(rows, f"err_{name}"))
-    if "H1" in cfg.norms:
-        checks.extend(_check_halving(rows, "err_H1", cfg.ratio_bound))
-    checks.append(
+    checks = [
+        *_check_decreasing(rows, "err_L2"),
+        *_check_decreasing(rows, "err_H1"),
+        *_check_halving(rows, "err_H1", _RATIO_BOUND),
         CheckRecord(
             "curl_identity_per_row",
             identity_worst <= _IDENTITY_TOL,
             identity_worst,
             _IDENTITY_TOL,
             note="max |grad_norm - omega_norm| / omega_norm over rows",
-        )
-    )
+        ),
+    ]
 
     return dict(
-        columns=("alpha", *(f"err_{n}" for n in cfg.norms), "grad_norm", "omega_norm"),
+        columns=tuple(rows[0]),
         rows=rows,
         checks=checks,
         constants=constants,
@@ -842,7 +792,7 @@ def run_solution_study(cfg: StudyConfig) -> dict:
             "tail_sup_radii": list(tail_radii),
             "aborted": True,
         },
-        time_columns=("alpha", "t", *(f"err_{n}" for n in cfg.norms)),
+        time_columns=("alpha", "t", "err_L2", "err_H1"),
     )
 
     scfg = _solver_config(cfg, t_end)
@@ -851,9 +801,6 @@ def run_solution_study(cfg: StudyConfig) -> dict:
         return parts
     parts["constants"] = measure_constants(ref_traj.states)
 
-    norm_fns = [(name, _norm_function(name)) for name in cfg.norms]
-    h1 = _norm_function("H1")
-    h15 = _norm_function("H1.5")
     rows = parts["rows"]
     time_rows: list[dict] = []
     aborted = False
@@ -874,14 +821,12 @@ def run_solution_study(cfg: StudyConfig) -> dict:
         tail_sups = [0.0] * len(tail_radii)
         for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
             diff = extend_field(state, ref_grid, cutoff) - ref_traj.states[idx]
-            trow = {"alpha": alpha, "t": t}
-            for name, fn in norm_fns:
-                trow[f"err_{name}"] = fn(diff)
-            time_rows.append(trow)
-            e1 = h1(diff)
+            e1 = sobolev_norm(diff, 1.0)
+            time_rows.append(
+                {"alpha": alpha, "t": t, "err_L2": l2_norm(diff), "err_H1": e1}
+            )
             h1_sq.append(e1 * e1)
-            e15 = h15(diff)
-            h15_q4.append(e15**4)
+            h15_q4.append(sobolev_norm(diff, 1.5) ** 4)
             del diff
             for j, radius in enumerate(tail_radii):
                 tail_sups[j] = max(tail_sups[j], tail_mass(state, radius))

@@ -116,6 +116,12 @@ class TrefoilSpec:
     strength: float
     resolution: int = 512
 
+    @property
+    def support_radius(self) -> float:
+        """Radius of the ball around the tube: max |gamma| + 3a, where the
+        knot reaches 1.5 * major_radius at t = 0."""
+        return 1.5 * self.major_radius + 3.0 * self.tube_radius
+
 
 def _trefoil_curve(spec: TrefoilSpec) -> tuple[np.ndarray, np.ndarray]:
     """Points and derivatives of the knot, mirrored for negative strength."""
@@ -180,7 +186,7 @@ def trefoil_vorticity(
             "tube and major radius must be positive and the resolution >= 1"
         )
     gamma, dgamma = _trefoil_curve(spec)
-    support_radius = float(np.sqrt((gamma**2).sum(axis=1)).max() + 3.0 * a)
+    support_radius = spec.support_radius
     if support_radius > 0.9 * grid.alpha:
         raise DomainTooSmallError(
             f"trefoil tube needs B(0, {support_radius:.3f}) but only "

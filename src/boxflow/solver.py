@@ -11,7 +11,7 @@ only onto dropped ones (Orszag's condition); it is masked, Leray-projected,
 and its zero mode is zeroed, which makes momentum conservation bit-exact.
 A stage costs nine real transforms.  The stored state keeps every mode.
 
-The curl, Leray projection, pressure and spectral moments are those of
+The curl, divergence, Leray projection and spectral moments are those of
 `spectral_core` and `norms`; the solver keeps no operator of its own.
 
 Every step is audited: t = 0 and each completed step record energy,
@@ -51,7 +51,7 @@ from .spectral_core import (
     _leray_in_place,
     _rfftn,
     curl,
-    product_pressure,
+    divergence,
 )
 
 DIAGNOSTIC_COLUMNS = (
@@ -303,7 +303,12 @@ def pressure_solve(u: Field) -> Field:
         for u_j, k_j in zip(u.physical, u.grid.k_axes())
     )
     fhat = u.grid.two_thirds_mask * _rfftn(f)
-    return product_pressure(Field(u.grid, spectral=fhat))
+    # p_k = i (k.f_k) / |k|^2; the modes `inv_ksq` drops (zero and
+    # all-Nyquist) get no pressure
+    phat = divergence(Field(u.grid, spectral=fhat)).spectral
+    phat *= u.grid.inv_ksq
+    phat[0, 0, 0] = 0.0
+    return Field(u.grid, spectral=phat)
 
 
 def write_diagnostics_csv(records, path) -> None:

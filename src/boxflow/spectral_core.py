@@ -361,18 +361,6 @@ def _leray_in_place(fh: np.ndarray, grid: BoxGrid) -> np.ndarray:
     return fh
 
 
-def product_pressure(f: Field) -> Field:
-    """The zero-mean p with -Delta p = div f, p_k = i (k.f_k) / |k|^2.
-
-    With f the spectrum of (u.grad)u this is the pressure of u; the modes
-    that `inv_ksq` drops (zero and all-Nyquist) get no pressure.
-    """
-    phat = divergence(f).spectral
-    phat *= f.grid.inv_ksq
-    phat[0, 0, 0] = 0.0
-    return Field(f.grid, spectral=phat)
-
-
 def dilate(f: Field, alpha: float) -> Field:
     """The field x -> f(x * alpha_old / alpha) on Q_alpha, same N.
 

@@ -24,6 +24,7 @@ from boxflow.cli import main as cli_main
 from boxflow.errors import ConfigurationError, UsageError
 from boxflow.experiments import (
     _box_grids,
+    _build_vorticity,
     _format_cell,
     _initial_velocity,
     emit_report,
@@ -95,6 +96,10 @@ def transfer_data(**overrides):
     return data
 
 
+# Zero initial data: a bump of amplitude 0.
+ZERO_DATA = {"family": "bump", "support_radius": 0.5, "amplitude": 0.0}
+
+
 def bump_data(**initial):
     data = {"family": "bump", "support_radius": 0.5}
     return inversion_data(initial_data={**data, **initial})
@@ -139,23 +144,36 @@ def test_parsed_config_fills_defaults():
     assert cfg.h == pytest.approx(2.0 / 16)
     assert cfg.ns == (16, 32)
     assert cfg.beta_n == 64
-    assert cfg.norms == ("L2", "H1")
-    assert cfg.ratio_bound == 0.5
+    echo = cfg.to_dict()
+    assert sorted(echo) == ["alphas", "base_n", "beta", "initial_data", "kind"]
+    assert echo["initial_data"] == {
+        "family": "bump",
+        "support_radius": 0.5,
+        "amplitude": 1.0,
+        "direction": [0.0, 0.0, 1.0],
+        "support_tol": 1e-2,
+    }
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, match",
     [
-        lambda d: d.update(bogus=1),
-        lambda d: d["initial_data"].update(bogus=1),
-        lambda d: d.update(checks={"bogus": 1}),
+        (lambda d: d.update(bogus=1), "unknown key"),
+        (lambda d: d["initial_data"].update(bogus=1), "unknown key"),
+        # the error norms, the halving bound and the support margin are fixed
+        (lambda d: d.update(norms=["L2", "H1"]), r"unknown key\(s\) \['norms'\] in config"),
+        (lambda d: d.update(checks={"ratio_bound": 0.5}),
+         r"unknown key\(s\) \['checks'\] in config"),
+        # zero data is a bump with amplitude 0
+        (lambda d: d.update(initial_data={"family": "zero"}),
+         r"'family' must be one of \['bump', 'trefoil'\], got 'zero'"),
     ],
-    ids=["top-level", "initial-data", "checks"],
+    ids=["top-level", "initial-data", "norms", "checks", "zero-family"],
 )
-def test_unknown_keys_rejected(mutate):
+def test_unknown_keys_rejected(mutate, match):
     data = inversion_data()
     mutate(data)
-    with pytest.raises(ConfigurationError, match="unknown key"):
+    with pytest.raises(ConfigurationError, match=match):
         parse_config(data)
 
 
@@ -236,8 +254,6 @@ def test_kind_specific_sections_gated():
         parse_config(inversion_data(tail={"inner_radius": 1, "radii": [2]}))
     with pytest.raises(ConfigurationError, match="'transfer' section"):
         parse_config(tail_data(transfer={"t_star_factor": 1.0}))
-    with pytest.raises(ConfigurationError, match="'norms'"):
-        parse_config(tail_data(norms=["L2"]))
 
 
 def test_transfer_solver_takes_no_t_end():
@@ -280,12 +296,34 @@ def test_tail_radius_ordering():
         parse_config(data)
 
 
-def test_norm_names_validated():
-    for bad in ("H-1", "Hinf", "H1e400"):
-        with pytest.raises(ConfigurationError, match="'norms'"):
-            parse_config(inversion_data(norms=["L2", bad]))
-    cfg = parse_config(inversion_data(norms=["L2", "L4", "H1.5"]))
-    assert cfg.norms == ("L2", "L4", "H1.5")
+def test_trefoil_support_radius_reaches_the_outer_knot():
+    # the knot reaches 1.5 * major_radius, so the data reaches
+    # 1.5 * 0.6 + 3 * 0.12 = 1.26, beyond the inner radius 1.0
+    data = tail_data(
+        initial_data={"family": "trefoil", "major_radius": 0.6,
+                      "tube_radius": 0.12, "strength": 1.0},
+        tail={"inner_radius": 1.0, "radii": [2.0, 2.5, 3.0]},
+    )
+    with pytest.raises(ConfigurationError,
+                       match="must exceed the data support radius 1.26"):
+        parse_config(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        bump_data(),
+        # resolved well enough for the mean check at loosened div/support tols
+        inversion_data(alphas=[2], base_n=48, initial_data={
+            "family": "trefoil", "major_radius": 0.5, "tube_radius": 0.3,
+            "strength": 1.0, "div_tol": 1e-4, "support_tol": 1e-4}),
+    ],
+    ids=["bump", "trefoil"],
+)
+def test_config_support_radius_is_that_of_the_built_data(data):
+    cfg = parse_config(data)
+    for _, grid in _box_grids(cfg):
+        assert _build_vorticity(cfg, grid).support_radius == cfg.support_radius
 
 
 # One wrong value per case: a bool where a number goes, a float where an
@@ -299,9 +337,6 @@ def test_norm_names_validated():
         (lambda: inversion_data(base_n=True), "base_n"),
         (lambda: inversion_data(beta=True), "beta"),
         (lambda: inversion_data(beta=math.inf), "beta"),
-        (lambda: inversion_data(norms="L2"), "norms"),
-        pytest.param(lambda: inversion_data(norms=["L2", "H1", "L2"]), "norms",
-                     id="norms-repeated"),
         (lambda: inversion_data(out_dir=1.0), "out_dir"),
         (lambda: solution_data(allow_beyond_guaranteed=1), "allow_beyond_guaranteed"),
         (lambda: inversion_data(initial_data={"family": "bump", "support_radius": True}),
@@ -311,8 +346,7 @@ def test_norm_names_validated():
         (lambda: inversion_data(initial_data={"family": "bump", "support_radius": 0.5,
                                               "direction": "z"}), "direction"),
         (lambda: trefoil_data(resolution=512.0), "resolution"),
-        (lambda: inversion_data(initial_data={"family": "zero", "support_radius": math.inf}),
-         "support_radius"),
+        (lambda: bump_data(support_radius=math.inf), "support_radius"),
         (lambda: solution_data(solver={"dt": True, "t_end": 0.02}), "dt"),
         (lambda: solution_data(solver={"dt": 2e-3, "t_end": math.inf}), "t_end"),
         (lambda: solution_data(solver={"dt": 2e-3, "t_end": 0.02, "snapshot_every": 5.0}),
@@ -321,8 +355,6 @@ def test_norm_names_validated():
         (lambda: tail_data(tail={"inner_radius": 1.5, "radii": "2.0"}), "radii"),
         (lambda: transfer_data(transfer={"t_star_factor": True}), "t_star_factor"),
         (lambda: transfer_data(transfer={"t_star_factor": math.nan}), "t_star_factor"),
-        (lambda: inversion_data(checks={"ratio_bound": True}), "ratio_bound"),
-        (lambda: inversion_data(checks={"support_margin": -math.inf}), "support_margin"),
         # initial data out of range: rejected here, not when the study runs
         *(
             pytest.param(make, key, id=f"{key}={value}")
@@ -330,9 +362,6 @@ def test_norm_names_validated():
                 (lambda: bump_data(support_radius=0), "support_radius", 0),
                 (lambda: bump_data(support_radius=-0.5), "support_radius", -0.5),
                 (lambda: bump_data(support_tol=-1), "support_tol", -1),
-                (lambda: inversion_data(initial_data={"family": "zero",
-                                                      "support_radius": -0.3}),
-                 "support_radius", -0.3),
                 (lambda: trefoil_data(resolution=0), "resolution", 0),
                 (lambda: trefoil_data(resolution=-5), "resolution", -5),
                 (lambda: trefoil_data(major_radius=-0.6), "major_radius", -0.6),
@@ -391,7 +420,7 @@ def valid_configs(draw):
     }
     maybe(data, "beta", a0 * draw(st.integers(2 * ms[-1], 2 * ms[-1] + 3)))
     unit = st.floats(0.01, 1.0)
-    family = draw(st.sampled_from(["bump", "trefoil", "zero"]))
+    family = draw(st.sampled_from(["bump", "trefoil"]))
     initial = {"family": family}
     if family == "bump":
         initial["support_radius"] = draw(st.floats(0.1, 0.5))
@@ -401,29 +430,19 @@ def valid_configs(draw):
         direction[axis] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
         maybe(initial, "direction", direction)
         maybe(initial, "support_tol", draw(unit))
-    elif family == "trefoil":
+    else:
         initial.update(major_radius=draw(st.floats(0.1, 0.3)),
                        tube_radius=draw(st.floats(0.01, 0.05)), strength=draw(unit))
         maybe(initial, "resolution", draw(st.integers(16, 1024)))
         maybe(initial, "div_tol", draw(unit))
         maybe(initial, "support_tol", draw(unit))
-    else:
-        maybe(initial, "support_radius", draw(st.floats(0.0, 0.5, exclude_min=True)))
     data["initial_data"] = initial
-    checks = {}
-    maybe(checks, "ratio_bound", draw(unit))
-    maybe(checks, "support_margin", draw(st.floats(0.0, 0.2)))
-    maybe(data, "checks", checks)
     if kind != "inversion":
         solver = {"dt": draw(st.floats(1e-5, 1e-2))}
         if kind != "transfer":
             solver["t_end"] = draw(unit)
             maybe(solver, "snapshot_every", draw(st.integers(1, 50)))
         data["solver"] = solver
-    if kind in ("inversion", "solution"):
-        maybe(data, "norms", draw(st.lists(
-            st.sampled_from(["L2", "H1", "L4", "H1.5"]), min_size=1, max_size=4,
-            unique=True)))
     if kind == "tail":
         data["tail"] = {"inner_radius": 2.25,
                         "radii": sorted(draw(st.sets(st.sampled_from([2.5, 2.75, 3.0]),
@@ -535,7 +554,7 @@ def test_inversion_constants_are_order_one(inversion_result):
 
 
 def test_inversion_zero_data_gives_zero_errors():
-    cfg = parse_config(inversion_data(initial_data={"family": "zero"}))
+    cfg = parse_config(inversion_data(initial_data=ZERO_DATA))
     res = run_inversion_study(cfg)
     for row in res.rows:
         assert row["err_L2"] == 0.0
@@ -594,8 +613,7 @@ def test_solution_t0_rows_match_the_inversion_study(solution_result):
     assert [r["alpha"] for r in t0_rows] == [r["alpha"] for r in inversion.rows]
     assert len(t0_rows) == len(cfg.alphas)
     for got, want in zip(t0_rows, inversion.rows):
-        for name in cfg.norms:
-            column = f"err_{name}"
+        for column in ("err_L2", "err_H1"):
             assert want[column] > 0.0
             assert got[column] == pytest.approx(want[column], rel=1e-12, abs=0.0)
 
@@ -683,9 +701,7 @@ def test_tail_margin_grows_with_radius_at_small_amplitude():
 
 
 def test_tail_zero_data_is_vacuously_tight():
-    cfg = parse_config(
-        tail_data(initial_data={"family": "zero", "support_radius": 0.5})
-    )
+    cfg = parse_config(tail_data(initial_data=ZERO_DATA))
     res = run_tail_study(cfg)
     assert res.passed
     assert res.extras["gamma"]["4"] == 0.0
@@ -730,7 +746,7 @@ def test_transfer_rows_within_double_bound(transfer_result):
 
 
 def test_transfer_rejects_zero_data():
-    data = transfer_data(initial_data={"family": "zero"})
+    data = transfer_data(initial_data=ZERO_DATA)
     with pytest.raises(ConfigurationError, match="nonzero"):
         run_transfer_study(parse_config(data))
 
@@ -739,7 +755,7 @@ def test_transfer_rejects_zero_data():
 
 
 def test_snapshot_audit_zero_data_is_vacuous():
-    cfg = parse_config(tiny_inversion_data(initial_data={"family": "zero"}))
+    cfg = parse_config(tiny_inversion_data(initial_data=ZERO_DATA))
     res = run_snapshot_audit(cfg)
     assert res.passed
     assert res.rows[0]["degenerate"] == 1
@@ -756,9 +772,9 @@ def test_snapshot_audit_reports_ratios():
         assert row["curl_rel_diff"] <= 1e-10
 
 
-@pytest.mark.parametrize("family", ["bump", "zero"])
-def test_snapshot_audit_constants_equal_measure_constants(family):
-    cfg = parse_config(inversion_data(initial_data={"family": family, "support_radius": 0.5}))
+@pytest.mark.parametrize("amplitude", [1.0, 0.0], ids=["bump", "zero"])
+def test_snapshot_audit_constants_equal_measure_constants(amplitude):
+    cfg = parse_config(bump_data(amplitude=amplitude))
     fields = [_initial_velocity(cfg, grid) for _, grid in _box_grids(cfg)]
     np.testing.assert_equal(run_snapshot_audit(cfg).constants, measure_constants(fields))
 
@@ -903,11 +919,31 @@ def test_cli_unknown_key_is_config_error(tmp_path):
     assert code == 2
 
 
-def test_cli_infinite_sobolev_order_is_config_error(tmp_path, capsys):
-    path = write_config(tmp_path, tiny_inversion_data(norms=["L2", "Hinf"]))
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (b'{"kind": "inversion\xff"}', "cannot read config file"),
+        (b"[" * 100000, "is not valid JSON"),
+    ],
+    ids=["not-utf8", "nested-too-deeply"],
+)
+def test_cli_undecodable_config_is_config_error(tmp_path, capsys, text, match):
+    path = tmp_path / "study.json"
+    path.write_bytes(text)
     out = tmp_path / "o"
     assert cli_main(["inversion", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert match in err
+    assert not out.exists()
+
+
+def test_cli_threads_below_one_is_config_error(tmp_path, capsys, restore_workers):
+    path = write_config(tmp_path, tiny_inversion_data())
+    out = tmp_path / "o"
+    args = ["inversion", "--config", str(path), "--out", str(out), "--threads", "0"]
+    assert cli_main(args) == 2
+    assert "worker count must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1003,9 +1039,7 @@ def test_cli_invalid_vorticity_is_config_error(tmp_path, capsys, command):
 
 
 def test_cli_audit_accepts_any_kind(tmp_path):
-    path = write_config(
-        tmp_path, tiny_inversion_data(initial_data={"family": "zero"})
-    )
+    path = write_config(tmp_path, tiny_inversion_data(initial_data=ZERO_DATA))
     code = cli_main(["audit", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 0
     assert (tmp_path / "o" / "audit.csv").exists()
