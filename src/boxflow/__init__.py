@@ -54,9 +54,7 @@ from .extension import (
     EXTENSION_GRAD_BOUND,
     EXTENSION_H2_BOUND,
     EXTENSION_L2_BOUND,
-    Cutoff,
     extend_field,
-    make_cutoff,
 )
 from .vorticity import (
     BiotSavartResult,

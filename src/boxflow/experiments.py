@@ -77,11 +77,10 @@ from .errors import (
     BlowUpError,
     ConfigurationError,
     DataError,
-    DomainTooSmallError,
     StepSizeError,
     UsageError,
 )
-from .extension import extend_field, make_cutoff
+from .extension import extend_field
 from .initial_data import BumpSpec, TrefoilSpec, bump_vorticity, trefoil_vorticity
 from .norms import (
     grad_l2_sq,
@@ -549,9 +548,8 @@ def _data_spec(data: dict) -> BumpSpec | TrefoilSpec:
 def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
     """Realise the configured vorticity family on one grid.
 
-    Data that does not fit the box, or that fails the vorticity checks
-    (divergence, mean, support) at this resolution and these tolerances, is
-    a configuration error.
+    Data that fails the vorticity checks (divergence, mean, support) at this
+    resolution and these tolerances is a configuration error.
     """
     data = cfg.initial_data
     spec = _data_spec(data)
@@ -561,10 +559,6 @@ def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
         return trefoil_vorticity(
             spec, grid, div_tol=data["div_tol"], support_tol=data["support_tol"]
         )
-    except DomainTooSmallError as exc:
-        raise ConfigurationError(
-            f"initial data does not fit the alpha={grid.alpha} box: {exc}"
-        ) from exc
     except DataError as exc:
         raise ConfigurationError(
             f"{data['family']} initial data is rejected on the "
@@ -694,7 +688,7 @@ def run_inversion_study(cfg: StudyConfig) -> dict:
         omega_norm = l2_norm(w.omega)
         del w
         grad_norm = math.sqrt(grad_l2_sq(u))
-        extended = extend_field(u, ref_grid, make_cutoff(alpha))
+        extended = extend_field(u, ref_grid)
         del u
         diff = extended - u_ref
         del extended
@@ -788,6 +782,7 @@ def run_solution_study(cfg: StudyConfig) -> dict:
             "beta": cfg.beta,
             "h": cfg.h,
             "t_end": t_end,
+            "c_agmon_horizon": c_probe["c_agmon"],
             "t_guaranteed_min": t_min,
             "tail_sup_radii": list(tail_radii),
             "aborted": True,
@@ -816,11 +811,10 @@ def run_solution_study(cfg: StudyConfig) -> dict:
             raise UsageError(
                 "snapshot schedules diverged between boxes; this is a bug"
             )
-        cutoff = make_cutoff(alpha)
         h1_sq, h15_q4 = [], []
         tail_sups = [0.0] * len(tail_radii)
         for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-            diff = extend_field(state, ref_grid, cutoff) - ref_traj.states[idx]
+            diff = extend_field(state, ref_grid) - ref_traj.states[idx]
             e1 = sobolev_norm(diff, 1.0)
             time_rows.append(
                 {"alpha": alpha, "t": t, "err_L2": l2_norm(diff), "err_H1": e1}

@@ -26,14 +26,16 @@ counting identity, not an estimate (each source lattice point has at most 27
 images, each weighted by psi^2 <= 1, and any image of a point with |y| < R
 either keeps its coordinates or gains one of size > alpha - 1 >= R).
 
+`extend_field(u, target)` takes alpha from the grid of u, so the cutoff is
+always that of the source box; it needs alpha >= 1 and beta >= alpha + 1.
+`cutoff_profile(alpha, s)` is one axis factor of psi.
+
 All grids involved must belong to one shared-spacing family (equal h); the
 lattices of such a family coincide where the boxes overlap, so extension is
 pure index arithmetic with no interpolation anywhere.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,35 +64,10 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 + t * (6.0 * t - 15.0))
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Tensor-product cutoff: 1 on Q_alpha, 0 outside Q_(alpha+1).
-
-    `CUTOFF_GRAD_BOUND` and `CUTOFF_HESS_BOUND` are analytic sup bounds on
-    |grad psi| and the Frobenius norm of its Hessian, the same for every
-    alpha.
-    """
-
-    alpha: float
-
-    def axis_profile(self, s) -> np.ndarray:
-        """One axis factor: 1 for |s| <= alpha, smooth fade to 0 by alpha+1."""
-        t = np.clip(np.abs(np.asarray(s, dtype=np.float64)) - self.alpha, 0.0, 1.0)
-        return 1.0 - _smoothstep(t)
-
-    def sample(self, grid: BoxGrid) -> np.ndarray:
-        """psi on the grid lattice, shape (N, N, N)."""
-        z = self.axis_profile(grid.x1d)
-        return z[:, None, None] * z[None, :, None] * z[None, None, :]
-
-
-def make_cutoff(alpha: float) -> Cutoff:
-    """Cutoff that is 1 on Q_alpha; needs alpha >= 1 so Q_(alpha-1) exists."""
-    if not np.isfinite(alpha) or alpha < 1.0:
-        raise ConfigurationError(
-            f"cutoff needs alpha >= 1, got {alpha!r}"
-        )
-    return Cutoff(alpha=float(alpha))
+def cutoff_profile(alpha: float, s) -> np.ndarray:
+    """One axis factor of psi: 1 for |s| <= alpha, smooth fade to 0 by alpha+1."""
+    t = np.clip(np.abs(np.asarray(s, dtype=np.float64)) - alpha, 0.0, 1.0)
+    return 1.0 - _smoothstep(t)
 
 
 def _shared_spacing_offset(src: BoxGrid, dst: BoxGrid) -> int:
@@ -104,28 +81,32 @@ def _shared_spacing_offset(src: BoxGrid, dst: BoxGrid) -> int:
     return (dst.N - src.N) // 2
 
 
-def extend_field(u: Field, target: BoxGrid, cutoff: Cutoff) -> Field:
+def extend_field(u: Field, target: BoxGrid) -> Field:
     """psi * (periodic extension of u), sampled on the target lattice.
 
-    The result equals u exactly on Q_alpha and vanishes outside
-    Q_(alpha+1).  Requires the target box to contain the whole fade band:
-    beta >= alpha + 1.
+    psi is the cutoff of the source box Q_alpha, so the result equals u
+    exactly on Q_alpha and vanishes outside Q_(alpha+1).  Requires
+    alpha >= 1 (so Q_(alpha-1) exists) and a target box that holds the
+    whole fade band: beta >= alpha + 1.
     """
+    alpha = u.grid.alpha
+    if alpha < 1.0:
+        raise ConfigurationError(f"cutoff needs alpha >= 1, got {alpha!r}")
     if target.N < u.grid.N:
         raise GridCompatibilityError(
             f"extension target Q_{target.alpha} is smaller than the source "
-            f"box Q_{u.grid.alpha}"
+            f"box Q_{alpha}"
         )
     offset = _shared_spacing_offset(u.grid, target)
-    if target.alpha < cutoff.alpha + 1.0 - 1e-12:
+    if target.alpha < alpha + 1.0 - 1e-12:
         raise SupportError(
             f"target box Q_{target.alpha} truncates the cutoff band of "
-            f"Q_{cutoff.alpha} (need beta >= alpha + 1)"
+            f"Q_{alpha} (need beta >= alpha + 1)"
         )
     idx = (np.arange(target.N) - offset) % u.grid.N
     ext = u.physical
     for axis in (-1, -2, -3):  # one gather per axis, the smallest first
         ext = np.take(ext, idx, axis=axis)
-    ext *= cutoff.sample(target)
+    z = cutoff_profile(alpha, target.x1d)
+    ext *= z[:, None, None] * z[None, :, None] * z[None, None, :]
     return Field.from_physical(target, ext)
-

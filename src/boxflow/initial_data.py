@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainTooSmallError, UsageError
+from .errors import UsageError
 from .norms import relative_divergence
 from .spectral_core import BoxGrid, Field, curl, leray_project
 from .vorticity import VorticityField
@@ -85,10 +85,6 @@ def bump_vorticity(
     `support_leak_rel` either way.
     """
     r = float(spec.support_radius)
-    if r >= grid.alpha:
-        raise DomainTooSmallError(
-            f"bump of radius {r} does not fit strictly inside Q_{grid.alpha}"
-        )
     e = np.asarray(spec.direction, dtype=np.float64)
     norm = np.sqrt(np.sum(e * e))
     if norm == 0.0:
@@ -178,7 +174,9 @@ def trefoil_vorticity(
     limits the final field's divergence residual, at roughly the removed
     magnitude; the strict default `div_tol` needs the tube cross-section
     resolved by ~28 grid spacings (3a/h >= 28), and coarser grids should
-    pass the tolerance their resolution actually delivers.
+    pass the tolerance their resolution actually delivers.  Like every
+    `VorticityField`, the tube's ball B(0, `spec.support_radius`) must fit
+    strictly inside the box.
     """
     a = float(spec.tube_radius)
     if a <= 0 or spec.major_radius <= 0 or spec.resolution < 1:
@@ -187,11 +185,6 @@ def trefoil_vorticity(
         )
     gamma, dgamma = _trefoil_curve(spec)
     support_radius = spec.support_radius
-    if support_radius > 0.9 * grid.alpha:
-        raise DomainTooSmallError(
-            f"trefoil tube needs B(0, {support_radius:.3f}) but only "
-            f"0.9 * alpha = {0.9 * grid.alpha:.3f} is available"
-        )
 
     x1d = grid.x1d
     n = grid.N

@@ -130,23 +130,23 @@ class BoxGrid:
         k[self.modes1d == -self.N // 2] = 0.0
         return k
 
-    def k_axes(self, diff: bool = True):
-        """The three wavevector components shaped for broadcasting over the
-        half-spectrum: the last axis holds m_3 = 0..N/2, its last entry the
-        +-N/2 plane (zero with diff=True)."""
-        k = self.k1d_diff if diff else self.k1d
+    def k_axes(self):
+        """The three differentiation wavevector components shaped for
+        broadcasting over the half-spectrum: the last axis holds
+        m_3 = 0..N/2, its last entry the (zeroed) +-N/2 plane."""
+        k = self.k1d_diff
         return k[:, None, None], k[None, :, None], k[None, None, : self.N // 2 + 1]
 
     @cached_property
     def ksq(self) -> np.ndarray:
         """|k|^2 on the half-spectrum (true wavevectors, Nyquist included)."""
-        kx, ky, kz = self.k_axes(diff=False)
-        return kx**2 + ky**2 + kz**2
+        k, m = self.k1d, self.N // 2 + 1
+        return k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :m] ** 2
 
     @cached_property
     def ksq_diff(self) -> np.ndarray:
         """|k|^2 built from the differentiation wavevectors."""
-        kx, ky, kz = self.k_axes(diff=True)
+        kx, ky, kz = self.k_axes()
         return kx**2 + ky**2 + kz**2
 
     @cached_property

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainTooSmallError, SupportError, UsageError
-from .norms import DiagnosticsRecord, grad_l2_sq, l2_norm, relative_divergence
+from .norms import NormReport, grad_l2_sq, l2_norm, relative_divergence
 from .spectral_core import BoxGrid, Field, curl
 
 # Largest accepted |mean of omega| / max |omega|.
@@ -37,13 +37,15 @@ _MEAN_RTOL = 1e-10
 
 class VorticityField:
     """A vector field declared to be a vorticity: div-free, zero-mean, and
-    supported in the ball B(0, support_radius).
+    supported in the ball B(0, support_radius), which must fit strictly
+    inside the box.
 
-    Construction measures and stores the actual residuals (`div_rel`,
-    `mean_rel`, `support_leak_rel`) and rejects the field when they exceed
-    `div_tol`, `_MEAN_RTOL` and `support_tol`.  `support_tol` may be
-    loosened — even to inf — for analytically periodic test data that is not
-    compactly supported; the radius is then purely declarative.
+    Construction first rejects a radius >= alpha (`DomainTooSmallError`),
+    then measures and stores the actual residuals (`div_rel`, `mean_rel`,
+    `support_leak_rel`) and rejects the field when they exceed `div_tol`,
+    `_MEAN_RTOL` and `support_tol`.  `support_tol` may be loosened — even to
+    inf — for analytically periodic test data that is not compactly
+    supported; the radius is then declarative but must still fit the box.
     """
 
     def __init__(
@@ -59,6 +61,11 @@ class VorticityField:
         if not np.isfinite(support_radius) or support_radius <= 0:
             raise UsageError(
                 f"support radius must be positive, got {support_radius!r}"
+            )
+        if support_radius >= omega.grid.alpha:
+            raise DomainTooSmallError(
+                f"support radius {support_radius} does not fit strictly inside "
+                f"Q_{omega.grid.alpha}"
             )
         self.omega = omega
         self.support_radius = float(support_radius)
@@ -99,15 +106,10 @@ class VorticityField:
 def curl_inv_periodic(w: VorticityField) -> Field:
     """Divergence-free, zero-mean u on Q_alpha with curl u = omega.
 
-    Needs the support to fit strictly inside the box; otherwise the periodic
-    field cannot stand in for the whole-space one.
+    A `VorticityField` fits strictly inside its box, so the periodic field
+    can stand in for the whole-space one.
     """
     g = w.grid
-    if w.support_radius >= g.alpha:
-        raise DomainTooSmallError(
-            f"support radius {w.support_radius} does not fit strictly inside "
-            f"Q_{g.alpha}"
-        )
     uhat = curl(w.omega).spectral  # a fresh array: scaled in place
     uhat *= g.inv_ksq
     return Field.from_spectral(g, uhat)
@@ -158,7 +160,7 @@ def biot_savart_r3(w: VorticityField, query_points) -> BiotSavartResult:
     return BiotSavartResult(velocities, under)
 
 
-def curl_identity_report(u: Field) -> DiagnosticsRecord:
+def curl_identity_report(u: Field) -> NormReport:
     """Measure ||grad u|| against ||curl u|| (equal for div-free fields).
 
     A field whose relative divergence exceeds 1e-8 gets the
@@ -174,8 +176,7 @@ def curl_identity_report(u: Field) -> DiagnosticsRecord:
         rel_diff = 0.0
     else:
         rel_diff = abs(grad - curl_norm) / max(curl_norm, 1e-300)
-    return DiagnosticsRecord(
-        time=0.0,
+    return NormReport(
         entries={
             "grad_norm": grad,
             "curl_norm": curl_norm,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from boxflow.experiments import emit_report, parse_config, run_study
-from boxflow.extension import extend_field, make_cutoff
+from boxflow.extension import extend_field
 from boxflow.initial_data import BumpSpec, bump_vorticity
 from boxflow.norms import (
     inequality_report,
@@ -120,10 +120,9 @@ def test_criterion_03_extension_bounds(rng):
     for alpha, radii in tail_radii.items():
         grid = BoxGrid(alpha, 32)
         ref = BoxGrid(2.0 * alpha, 64)
-        cutoff = make_cutoff(alpha)
         for _ in range(20):
             u = div_free_field(grid, rng)
-            ext = extend_field(u, ref, cutoff)
+            ext = extend_field(u, ref)
             checked += 1
             if l2_norm(ext) > 27.0 * l2_norm(u):
                 violations += 1

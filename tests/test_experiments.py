@@ -39,7 +39,8 @@ from boxflow.experiments import (
     run_transfer_study,
 )
 from boxflow import spectral_core
-from boxflow.spectral_core import set_default_workers
+from boxflow.solver import existence_time
+from boxflow.spectral_core import BoxGrid, set_default_workers
 
 
 def inversion_data(**overrides):
@@ -618,6 +619,20 @@ def test_solution_t0_rows_match_the_inversion_study(solution_result):
             assert got[column] == pytest.approx(want[column], rel=1e-12, abs=0.0)
 
 
+def test_solution_horizon_is_reproducible_from_its_report(solution_result):
+    # the reported constants are the maximum over the reference trajectory;
+    # the horizon uses the t = 0 probe, which the report records separately
+    cfg, res = solution_result
+    c = res.extras["c_agmon_horizon"]
+    grids = [grid for _, grid in _box_grids(cfg)] + [BoxGrid(cfg.beta, cfg.beta_n)]
+    horizons = [
+        existence_time(_initial_velocity(cfg, grid), c).t_guaranteed
+        for grid in grids
+    ]
+    assert math.isfinite(res.extras["t_guaranteed_min"])
+    assert min(horizons) == res.extras["t_guaranteed_min"]
+
+
 def test_solution_beyond_horizon_needs_flag():
     data = solution_data(
         alphas=[1],
@@ -1043,6 +1058,22 @@ def test_cli_audit_accepts_any_kind(tmp_path):
     code = cli_main(["audit", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 0
     assert (tmp_path / "o" / "audit.csv").exists()
+
+
+def test_cli_audit_runs_trefoil_that_fits_the_config_margin(tmp_path):
+    # support 1.5*0.3 + 3*0.16 = 0.93 is within min alpha - 2h = 0.9375, so
+    # the config's margin is the only one the data must keep
+    data = inversion_data(
+        alphas=[1],
+        base_n=64,
+        initial_data={"family": "trefoil", "major_radius": 0.3,
+                      "tube_radius": 0.16, "strength": 1.0,
+                      "div_tol": 1e-4, "support_tol": 1e-4},
+    )
+    path = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    assert cli_main(["audit", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "audit.csv").exists()
 
 
 def test_cli_module_entry_point(tmp_path):

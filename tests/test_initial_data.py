@@ -133,7 +133,7 @@ def test_trefoil_determinism():
 
 def test_trefoil_argument_errors():
     with pytest.raises(DomainTooSmallError):
-        # max |gamma| = 1.5 plus the 0.9 tube margin needs more than 0.9 * 2
+        # max |gamma| = 1.5 plus the 3a = 0.9 tube reach is B(0, 2.4), beyond Q_2
         trefoil_vorticity(TrefoilSpec(1.0, 0.3, 1.0), BoxGrid(2.0, 16))
     for spec in (TrefoilSpec(0.5, -0.1, 1.0), TrefoilSpec(0.5, 0.1, 1.0, resolution=0)):
         with pytest.raises(UsageError):

@@ -11,7 +11,7 @@ import pytest
 
 from boxflow.errors import DataError, DomainTooSmallError, SupportError, UsageError
 from boxflow.initial_data import BumpSpec, bump_vorticity
-from boxflow.norms import l2_norm, relative_divergence
+from boxflow.norms import NormReport, l2_norm, relative_divergence
 from boxflow.spectral_core import BoxGrid, Field, curl, gradient
 from boxflow.vorticity import (
     VorticityField,
@@ -27,7 +27,7 @@ def sine_sheet(alpha, n, c=1.3):
     """omega = (0, 0, c sin(pi x / alpha)) — periodic, div-free, mean-free.
 
     Not compactly supported, so the support check is waived and the radius
-    is declarative (just under the box so the inversion accepts it).
+    is declarative (just under the box, which every `VorticityField` needs).
     """
     grid = BoxGrid(alpha, n)
     x, _, _ = grid.meshgrid()
@@ -75,9 +75,8 @@ def test_inversion_is_divergence_free_and_mean_free():
 
 def test_support_touching_box_rejected():
     _, w = sine_sheet(2.0, 16)
-    too_big = VorticityField(w.omega, 2.0, support_tol=np.inf)
-    with pytest.raises(DomainTooSmallError):
-        curl_inv_periodic(too_big)
+    with pytest.raises(DomainTooSmallError, match="does not fit strictly inside"):
+        VorticityField(w.omega, 2.0, support_tol=np.inf)
 
 
 # --------------------------------------------------------------- validation
@@ -197,6 +196,7 @@ def test_biot_savart_rejects_bad_query_shape():
 def test_curl_identity_for_div_free_fields(rng):
     for u in (taylor_green(BoxGrid(2.0, 24)), div_free_field(BoxGrid(1.0, 24), rng)):
         rec = curl_identity_report(u)
+        assert isinstance(rec, NormReport)  # a one-field report, no time
         assert rec.entries["rel_diff"] < 1e-12
         assert not rec.flags["not_applicable"]
 
