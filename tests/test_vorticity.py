@@ -73,10 +73,14 @@ def test_inversion_is_divergence_free_and_mean_free():
     assert np.abs(u.mean_value()).max() < 1e-14
 
 
-def test_support_touching_box_rejected():
-    _, w = sine_sheet(2.0, 16)
+def test_support_touching_box_rejected(rng):
+    grid, w = sine_sheet(2.0, 16)
     with pytest.raises(DomainTooSmallError, match="does not fit strictly inside"):
         VorticityField(w.omega, 2.0, support_tol=np.inf)
+    # the fit is checked before the divergence
+    divergent = smooth_field(grid, rng, rank="vector")
+    with pytest.raises(DomainTooSmallError):
+        VorticityField(divergent, 2.5, support_tol=np.inf)
 
 
 # --------------------------------------------------------------- validation
