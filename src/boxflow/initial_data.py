@@ -55,11 +55,13 @@ def mollifier(s: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=np.float64)
     inside = np.abs(s) < 1.0
-    out = np.zeros(s.shape)
-    s2 = s * s
-    denom = np.where(inside, 1.0 - s2, 1.0)
-    np.exp(-_MOLLIFIER_RATE * s2 / denom, where=inside, out=out)
-    return out
+    # two full-size arrays: the exponent, and the denominator then the result
+    arg = s * s
+    out = np.subtract(1.0, arg, out=np.ones(s.shape), where=inside)
+    arg *= -_MOLLIFIER_RATE
+    arg /= out
+    out.fill(0.0)
+    return np.exp(arg, where=inside, out=out)
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,10 @@ def bump_vorticity(
     g = mollifier(np.sqrt(grid.radius_sq()) / r) * spec.amplitude
     # the potential's spectrum is e times that of the scalar profile
     ghat = Field.from_physical(grid, g).spectral
-    potential = Field.from_spectral(grid, e[:, None, None, None] * ghat)
-    return VorticityField(curl(potential), r, support_tol=support_tol)
+    del g
+    omega = curl(Field.from_spectral(grid, e[:, None, None, None] * ghat))
+    del ghat
+    return VorticityField(omega, r, support_tol=support_tol)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import DataError, UsageError
-from .spectral_core import Field, _lattice_lp, divergence
+from .spectral_core import Field, _lattice_lp, _max_abs, divergence
 
 _MEAN_RTOL = 1e-8
 
@@ -140,7 +140,7 @@ def inequality_report(u: Field) -> NormReport:
     if u.rank != "vector":
         raise UsageError("inequality_report expects a vector field")
     mean = np.abs(u.mean_value()).max()
-    scale = max(float(np.abs(u.physical).max()), 1e-300)
+    scale = max(_max_abs(u.physical), 1e-300)
     if mean > _MEAN_RTOL * scale:
         raise DataError(
             "inequality_report requires a zero-mean field "

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, DomainTooSmallError, SupportError, UsageError
 from .norms import NormReport, grad_l2_sq, l2_norm, relative_divergence
-from .spectral_core import BoxGrid, Field, curl
+from .spectral_core import BoxGrid, Field, _max_abs, curl
 
 # Largest accepted |mean of omega| / max |omega|.
 _MEAN_RTOL = 1e-10
@@ -70,7 +70,10 @@ class VorticityField:
         self.omega = omega
         self.support_radius = float(support_radius)
 
-        scale = float(np.abs(omega.physical).max())
+        # a spectrum's samples give the scale and |omega|, and are not kept
+        samples = Field(omega.grid, physical=omega.samples())
+        scale, magnitude = _max_abs(samples.physical), samples.magnitude()
+        del samples
         if scale == 0.0:
             self.div_rel = self.mean_rel = self.support_leak_rel = 0.0
             return
@@ -87,10 +90,7 @@ class VorticityField:
                 f"vorticity carries a mean: relative mean {self.mean_rel:.3e}"
             )
         outside = omega.grid.radius_sq() > self.support_radius**2
-        if np.any(outside):
-            leak = float(omega.magnitude()[outside].max())
-        else:
-            leak = 0.0
+        leak = float(magnitude[outside].max()) if np.any(outside) else 0.0
         self.support_leak_rel = leak / scale
         if self.support_leak_rel > support_tol:
             raise SupportError(

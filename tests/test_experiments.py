@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,22 @@ def test_inversion_constants_are_order_one(inversion_result):
     _, res = inversion_result
     for key in ("c_agmon", "c_sobolev6", "c_pressure"):
         assert 0.01 < res.constants[key] < 10.0
+
+
+def test_inversion_holds_each_reference_array_only_while_it_is_read():
+    # the traced peak in units of one 3-vector sample array on the N^3
+    # reference lattice; a reference held as both samples and spectrum next
+    # to a whole extended vector reaches 5.5
+    cfg = parse_config(inversion_data(beta=4))
+    unit = 3 * cfg.beta_n**3 * 8
+    tracemalloc.start()
+    try:
+        run_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.beta_n == 64
+    assert peak <= 4.0 * unit
 
 
 def test_inversion_zero_data_gives_zero_errors():

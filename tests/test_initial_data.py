@@ -33,6 +33,15 @@ def test_mollifier_profile():
     assert np.all(np.diff(mollifier(s)) < 0.0)
 
 
+def test_mollifier_matches_its_reference_formula():
+    # the profile is built in place, in the order of this formula
+    s = np.linspace(-1.5, 1.5, 20001)
+    inside = np.abs(s) < 1.0
+    denom = np.where(inside, 1.0 - s * s, 1.0)
+    expected = np.where(inside, np.exp(-9.0 * (s * s) / denom), 0.0)
+    assert np.array_equal(mollifier(s), expected)
+
+
 # ---------------------------------------------------------------------- bump
 
 

@@ -8,12 +8,15 @@ round trip, Parseval and the operator algebra.
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 from boxflow.errors import ConfigurationError, DataError, UsageError
+from boxflow.solver import SolverConfig, nse_solve
 from boxflow.spectral_core import (
     BoxGrid,
     Field,
+    _irfftn,
     curl,
     dilate,
     divergence,
@@ -133,6 +136,35 @@ class TestTransforms:
         for shape in ((16, 16, 16), (3, 16, 16, 16), (16, 16, 8)):
             with pytest.raises(UsageError):
                 Field.from_spectral(g, np.zeros(shape, dtype=complex))
+
+    def test_inverse_transform_never_batches_a_vector(self, monkeypatch):
+        """The c2r copies its whole input into a scratch, so on one worker
+        a vector goes one component at a time."""
+        ranks = []
+        original = scipy.fft.irfftn
+
+        def spy(a, *args, **kwargs):
+            ranks.append(a.ndim)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "irfftn", spy)
+        g = BoxGrid(np.pi, 16)
+        Field.from_spectral(g, taylor_green(g).spectral).physical
+        nse_solve(taylor_green(g), SolverConfig(dt=1e-3, t_end=2e-3))
+        assert ranks and set(ranks) == {3}
+
+    def test_samples_of_a_spectrum_are_not_cached(self, rng):
+        g = BoxGrid(1.0, 16)
+        f = Field.from_spectral(g, white_field(g, rng, rank="vector").spectral)
+        samples = f.samples()
+        assert f._physical is None
+        assert np.array_equal(samples, f.physical)
+        assert f.samples() is f.physical
+
+    def test_magnitude_is_the_root_of_the_summed_squares(self, rng):
+        f = white_field(BoxGrid(1.0, 16), rng, rank="vector")
+        p = f.physical
+        assert np.array_equal(f.magnitude(), np.sqrt(np.sum(p**2, axis=0)))
 
     def test_non_finite_samples_rejected(self):
         g = BoxGrid(1.0, 16)
@@ -367,6 +399,18 @@ class TestHalfSpectrumProperties:
         f = random_samples(grid, seed)
         back = Field.from_spectral(grid, f.spectral).physical
         assert np.abs(back - f.physical).max() <= 1e-14 * np.abs(f.physical).max()
+
+    @properties
+    @given(grid=grids, seed=seeds)
+    @example(grid=BoxGrid(1.0, 18), seed=3)
+    @example(grid=BoxGrid(2.0, 48), seed=4)
+    def test_inverse_per_component_equals_batched(self, grid, seed):
+        spectrum = random_samples(grid, seed).spectral
+        n = grid.N
+        batched = scipy.fft.irfftn(
+            spectrum, s=(n, n, n), axes=(-3, -2, -1), norm="forward"
+        )
+        assert np.array_equal(_irfftn(spectrum, n), batched)
 
     @properties
     @given(grid=grids, seed=seeds)

@@ -73,6 +73,14 @@ def test_inversion_is_divergence_free_and_mean_free():
     assert np.abs(u.mean_value()).max() < 1e-14
 
 
+def test_spectral_vorticity_keeps_no_samples():
+    # the checks read the samples of a vorticity given as a spectrum, and
+    # drop them
+    w = bump_vorticity(BumpSpec(support_radius=0.5), BoxGrid(1.0, 16))
+    assert w.omega.has_spectral and w.omega._physical is None
+    assert 0.0 < w.support_leak_rel < 1e-2
+
+
 def test_support_touching_box_rejected(rng):
     grid, w = sine_sheet(2.0, 16)
     with pytest.raises(DomainTooSmallError, match="does not fit strictly inside"):
