@@ -599,12 +599,18 @@ def _solve(
 def _gap_to_reference(u: Field, ref: Field) -> Field:
     """extend_field(u, ref.grid) - ref as a spectrum, one component at a time."""
     gap = np.empty((3,) + ref.grid.ksq.shape, dtype=np.complex128)
-    for i, ref_i in enumerate(ref.physical):
+    for i in range(3):
         ext = extend_field(u.component(i), ref.grid).physical
-        ext -= ref_i
+        ext -= ref.component(i).samples()
         gap[i] = Field.from_physical(ref.grid, ext).spectral
         del ext
     return Field.from_spectral(ref.grid, gap)
+
+
+def _tail_masses(u: Field, radii) -> list[float]:
+    """`tail_mass(u, R)` for each R, from one set of samples u does not keep."""
+    u = Field(u.grid, physical=u.samples())
+    return [tail_mass(u, radius) for radius in radii]
 
 
 def measure_constants(fields) -> dict[str, float]:
@@ -612,10 +618,11 @@ def measure_constants(fields) -> dict[str, float]:
 
     Returns the measured Agmon constant, the L^6 Sobolev constant, and the
     pressure Calderon-Zygmund ratio ||p|| / ||u||_{L^4}^2; entries are NaN
-    when every field is degenerate (zero).
+    when every field is degenerate (zero).  The fields keep no samples.
     """
     rows = []
     for u in fields:
+        u = Field(u.grid, physical=u.samples(), spectral=u.spectral)
         report = inequality_report(u)
         if not report.flags["degenerate"]:
             rows.append(dict(report.entries, pressure_ratio=_pressure_ratio(u)))
@@ -830,8 +837,7 @@ def run_solution_study(cfg: StudyConfig) -> dict:
             h1_sq.append(e1 * e1)
             h15_q4.append(sobolev_norm(diff, 1.5) ** 4)
             del diff
-            for j, radius in enumerate(tail_radii):
-                tail_sups[j] = max(tail_sups[j], tail_mass(state, radius))
+            tail_sups = list(map(max, tail_sups, _tail_masses(state, tail_radii)))
         l2t_h1 = math.sqrt(np.trapezoid(h1_sq, traj.times))
         l4t_h15 = float(np.trapezoid(h15_q4, traj.times)) ** 0.25
         rows.append(dict(zip(columns, (alpha, l2t_h1, l4t_h15, *tail_sups, 0))))
@@ -889,7 +895,7 @@ def run_tail_study(cfg: StudyConfig) -> dict:
             constants = run_constants
 
         u0_l2 = l2_norm(u0)
-        tail0 = tail_mass(u0, inner)
+        tail0 = _tail_masses(u0, [inner])[0]
         audit_t = [rec.time for rec in traj.diagnostics]
         audit_ens = [rec.entries["enstrophy"] for rec in traj.diagnostics]
         dissipation = float(np.trapezoid(audit_ens, audit_t))
@@ -912,8 +918,7 @@ def run_tail_study(cfg: StudyConfig) -> dict:
         gammas[f"{alpha:g}"] = gamma
 
         for t, state in zip(traj.times, traj.states):
-            for radius in cfg.tail_radii:
-                lhs = tail_mass(state, radius)
+            for radius, lhs in zip(cfg.tail_radii, _tail_masses(state, cfg.tail_radii)):
                 rhs = tail0 + gamma / (radius - inner)
                 margin = rhs - lhs
                 min_margin = min(min_margin, margin)

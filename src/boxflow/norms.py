@@ -47,16 +47,23 @@ def spectral_moment(f: Field, weight, diff: bool = False) -> float:
     differentiation wavevectors are used, making the result consistent with
     the package's differential operators.
     """
+    return spectral_moments(f, [weight(f.grid.ksq_diff if diff else f.grid.ksq)])[0]
+
+
+def spectral_moments(f: Field, weights) -> list[float]:
+    """`spectral_moment` for each weight (a half-spectrum array or a constant)
+    from one |fhat|^2 pass per component, each sum bit for bit a lone one."""
     g = f.grid
-    w = weight(g.ksq_diff if diff else g.ksq) * g.mult
-    fh = f.spectral
-    total = 0.0
-    for c in fh[None] if f.rank == "scalar" else fh:
+    ws = [w * g.mult for w in weights]
+    del weights  # a weight made for this call dies here, as in a lone moment
+    totals = [0.0] * len(ws)
+    for c in f.spectral[None] if f.rank == "scalar" else f.spectral:
         sq = c.real * c.real
         sq += c.imag * c.imag
-        sq *= w
-        total += float(sq.sum())
-    return g.volume * total
+        for j, w in enumerate(ws):  # the last weight writes over sq
+            last = j == len(ws) - 1
+            totals[j] += float(np.multiply(sq, w, out=sq if last else None).sum())
+    return [g.volume * t for t in totals]
 
 
 def l2_sq(f: Field) -> float:

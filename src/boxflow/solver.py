@@ -10,13 +10,18 @@ the state truncated to the 2/3-rule modes, so products of kept modes alias
 only onto dropped ones (Orszag's condition); it is masked, Leray-projected,
 and its zero mode is zeroed, which makes momentum conservation bit-exact.
 A stage costs nine real transforms.  The stored state keeps every mode.
+A step holds each state-sized array only while it is read.  `advance`
+overwrites the first stage's RHS `a` with the new state, folding in b and c
+before the last stage, in the textbook formula's operation order (so with
+its bits); a stage thus runs next to the state, `a` and one earlier RHS.
 
 The curl, divergence, Leray projection and spectral moments are those of
 `spectral_core` and `norms`; the solver keeps no operator of its own.
 
 Every step is audited: t = 0 and each completed step record energy,
 enstrophy, ||Delta u||, max |u| and the running energy-equality residual;
-max |u| comes from the next step's first stage.  `energy_audit` /
+max |u| comes from the next step's first stage, the moments from one
+|uhat|^2 pass per state (`_StepKernel.moments`).  `energy_audit` /
 `enstrophy_audit` check those series against the energy equality and the
 enstrophy differential inequality, and `existence_time` evaluates the
 guaranteed-existence horizon T = 2 / (9 C^4 M^2) for an H^1 bound M.
@@ -38,12 +43,9 @@ from .errors import (
 )
 from .norms import (
     DiagnosticsRecord,
-    grad_l2_sq,
-    l2_sq,
-    lap_l2_sq,
     relative_divergence,
     sobolev_norm,
-    spectral_moment,
+    spectral_moments,
 )
 from .spectral_core import (
     BoxGrid,
@@ -141,11 +143,17 @@ class ExistenceEstimate:
     t_guaranteed: float
 
 
-def _cross(a, b) -> np.ndarray:
-    """a x b over the three leading components (entries broadcast)."""
-    x = a[1] * b[2] - a[2] * b[1]
-    y = a[2] * b[0] - a[0] * b[2]
-    return np.stack([x, y, a[0] * b[1] - a[1] * b[0]])
+def _cross_in_place(a, b) -> np.ndarray:
+    """Overwrite the samples a with a x b, using two one-component temporaries."""
+    x, t = a[1] * b[2], a[2] * b[1]
+    x -= t
+    np.multiply(a[1], b[0], out=t)  # a[1]'s last read
+    np.multiply(a[2], b[0], out=a[1])
+    np.multiply(a[0], b[1], out=a[2])
+    a[2] -= t
+    a[1] -= np.multiply(a[0], b[2], out=t)
+    a[0] = x
+    return a
 
 
 class _StepKernel:
@@ -169,36 +177,53 @@ class _StepKernel:
             self._decay = (dt, (e, e * e, phi))
         return self._decay[1]
 
-    def dissipation(self, u0: Field, u1: Field, dt: float) -> float:
-        """int ||grad u||^2 over one step from u0 to u1, as in `energy_audit`."""
-        phi = self.decay(dt)[2]
-        m0, m1 = (spectral_moment(u, lambda k: phi) for u in (u0, u1))
-        return dt * spectral_moment(u0, lambda ksq: ksq) + m1 - m0
+    def moments(self, u: Field, dt: float) -> list[float]:
+        """The audit's moments of u: ||u||^2, ||grad u||^2, ||lap u||^2,
+        ||grad u||^2 over the true |k| and phi's moment M for step dt."""
+        g = u.grid
+        weights = (1.0, g.ksq_diff, g.ksq_diff**2, g.ksq, self.decay(dt)[2])
+        return spectral_moments(u, weights)
 
-    def stage(self, uhat):
-        """-P(omega x u) of the truncated state with its zero mode zeroed,
-        and u."""
+    def stage(self, v):
+        """-P(omega x u) of v truncated to the 2/3 modes, zero mode zeroed,
+        and u; v is not written to, and each array dies after its last read."""
         n = self.grid.N
-        v = Field.from_spectral(self.grid, uhat * self.keep)
-        u, w = _irfftn(v.spectral, n), _irfftn(curl(v).spectral, n)
-        fhat = _rfftn(_cross(w, u))
-        fhat *= self.keep
-        _leray_in_place(fhat, self.grid)
-        fhat[:, 0, 0, 0] = 0.0
-        return np.negative(fhat, out=fhat), u
+        v = v * self.keep  # a temporary passed in dies here
+        f = curl(Field(self.grid, spectral=v)).spectral
+        u = _irfftn(v, n)
+        del v
+        f = _irfftn(f, n)
+        f = _rfftn(_cross_in_place(f, u))
+        f *= self.keep
+        _leray_in_place(f, self.grid)
+        f[:, 0, 0, 0] = 0.0
+        return np.negative(f, out=f), u
 
     def first_stage(self, uhat):
-        """The RHS at uhat and max |u|."""
+        """The RHS at uhat and max |u|, the root of the largest |u|^2."""
         a, u = self.stage(uhat)
-        return a, float(np.sqrt(np.sum(u * u, axis=0)).max())
+        u *= u
+        u[0] += u[1]  # summed in place, in np.sum's order
+        u[0] += u[2]
+        return a, math.sqrt(u[0].max())
 
     def advance(self, uhat, dt: float, a) -> np.ndarray:
-        """One integrating-factor RK4 step of length dt; a = stage(uhat)[0]."""
+        """One integrating-factor RK4 step of length dt; a = stage(uhat)[0]
+        is overwritten with e2 uhat + dt/6 (e2 a + 2 e (b + c) + d)."""
         e, e2, _ = self.decay(dt)
         b = self.stage(e * (uhat + (0.5 * dt) * a))[0]
         c = self.stage(e * uhat + (0.5 * dt) * b)[0]
+        a *= e2
+        b += c
+        b *= e
+        b *= 2.0
+        a += b
+        del b
         d = self.stage(e2 * uhat + dt * (e * c))[0]
-        return e2 * uhat + (dt / 6.0) * (e2 * a + 2.0 * (e * (b + c)) + d)
+        a += d
+        a *= dt / 6.0
+        a += e2 * uhat
+        return a
 
     def check_cfl(self, umax: float, dt: float) -> None:
         if umax * dt / self.grid.h > 0.5:
@@ -253,18 +278,18 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
     states = [u0]
     diagnostics: list[DiagnosticsRecord] = []
 
-    integral = 0.0  # int ||grad u||^2, by `_StepKernel.dissipation`
+    integral = 0.0  # int ||grad u||^2, summed as `energy_audit` describes
 
-    def audit(t: float, u: Field, enstrophy: float, umax: float) -> None:
-        energy = 0.5 * l2_sq(u)
+    def audit(t: float, m: list[float], umax: float) -> None:
+        energy = 0.5 * m[0]
         energy0 = diagnostics[0].entries["energy"] if diagnostics else energy
         diagnostics.append(
             DiagnosticsRecord(
                 time=t,
                 entries={
                     "energy": energy,
-                    "enstrophy": enstrophy,
-                    "laplacian_norm": math.sqrt(lap_l2_sq(u)),
+                    "enstrophy": m[1],
+                    "laplacian_norm": math.sqrt(m[2]),
                     "max_u": umax,
                     "energy_residual": energy + integral - energy0,
                 },
@@ -273,12 +298,15 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
 
     # each audit's right-hand side is the next step's first stage
     a, umax = kernel.first_stage(uhat)
-    audit(0.0, u0, grad_l2_sq(u0), umax)
+    m = kernel.moments(u0, cfg.dt)  # of u, the start state of each step
+    audit(0.0, m, umax)
     every = cfg.snapshot_every
     t_prev = 0.0
     u = u0
     for step, (dt_k, t_k) in enumerate(zip(lengths, step_times), start=1):
         kernel.check_cfl(umax, dt_k)
+        if dt_k != cfg.dt:  # the last, shorter step: phi's moment of u
+            m = kernel.moments(u, dt_k)
         uhat = kernel.advance(uhat, dt_k, a)
         if not np.all(np.isfinite(uhat)):
             raise BlowUpError(
@@ -286,15 +314,15 @@ def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
             )
         a, umax = kernel.first_stage(uhat)
         u_next = Field.from_spectral(u0.grid, uhat)
-        enstrophy = grad_l2_sq(u_next)
-        if umax > BLOWUP_MAX_U or enstrophy > BLOWUP_MAX_ENSTROPHY:
+        m_next = kernel.moments(u_next, dt_k)
+        if umax > BLOWUP_MAX_U or m_next[1] > BLOWUP_MAX_ENSTROPHY:
             raise BlowUpError(
                 f"blow-up thresholds exceeded at t={t_k}: max|u|={umax:.3e}",
                 last_valid_time=t_prev,
             )
-        integral += kernel.dissipation(u, u_next, dt_k)
-        u = u_next  # the step's start state is dropped here
-        audit(t_k, u, enstrophy, umax)
+        integral += dt_k * m[3] + m_next[4] - m[4]
+        u, m = u_next, m_next  # the step's start state is dropped here
+        audit(t_k, m, umax)
         if (every and step % every == 0) or step == len(lengths):
             times.append(t_k)
             states.append(u)

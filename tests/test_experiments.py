@@ -27,7 +27,9 @@ from boxflow.experiments import (
     _box_grids,
     _build_vorticity,
     _format_cell,
+    _gap_to_reference,
     _initial_velocity,
+    _tail_masses,
     emit_report,
     load_config,
     measure_constants,
@@ -41,7 +43,8 @@ from boxflow.experiments import (
 )
 from boxflow import spectral_core
 from boxflow.solver import existence_time
-from boxflow.spectral_core import BoxGrid, set_default_workers
+from boxflow.norms import tail_mass
+from boxflow.spectral_core import BoxGrid, Field, set_default_workers
 
 
 def inversion_data(**overrides):
@@ -571,6 +574,21 @@ def test_inversion_holds_each_reference_array_only_while_it_is_read():
     assert peak <= 4.0 * unit
 
 
+def test_measurements_keep_no_samples_on_their_input():
+    # a study keeps its reference and box states as spectra; what it
+    # measures on them must not leave their samples cached there
+    cfg = parse_config(solution_data(beta=4))
+    grid = next(g for _, g in _box_grids(cfg))
+    u = _initial_velocity(cfg, grid)
+    ref = _initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n))
+    radii = [0.25, 0.5]
+    want = [tail_mass(Field.from_spectral(grid, u.spectral), r) for r in radii]
+    assert _tail_masses(u, radii) == want
+    measure_constants([u, ref])
+    _gap_to_reference(u, ref)
+    assert u._physical is None and ref._physical is None
+
+
 def test_inversion_zero_data_gives_zero_errors():
     cfg = parse_config(inversion_data(initial_data=ZERO_DATA))
     res = run_inversion_study(cfg)
@@ -888,15 +906,23 @@ def restore_workers():
 
 
 def test_fft_worker_count_leaves_report_bytes_unchanged(tmp_path, restore_workers):
-    cfg = parse_config(solution_data(solver={"dt": 5e-3, "t_end": 0.01}))
-    for workers in (1, 2):
-        set_default_workers(workers)
-        assert spectral_core._workers == workers
-        emit_report(run_study(cfg), tmp_path / f"w{workers}")
-    for name in ("solution.csv", "solution_times.csv", "checks.csv"):
-        assert (tmp_path / "w1" / name).read_bytes() == (
-            tmp_path / "w2" / name
-        ).read_bytes()
+    # the transfer study is the one the benchmark runs at two workers
+    studies = {
+        "solution": solution_data(solver={"dt": 5e-3, "t_end": 0.01}),
+        "transfer": transfer_data(),
+    }
+    for kind, data in studies.items():
+        cfg = parse_config(data)
+        for workers in (1, 2):
+            set_default_workers(workers)
+            assert spectral_core._workers == workers
+            emit_report(run_study(cfg), tmp_path / kind / f"w{workers}")
+        tables = sorted((tmp_path / kind / "w1").glob("*.csv"))
+        assert len(tables) >= 2
+        for path in tables:
+            assert path.read_bytes() == (
+                tmp_path / kind / "w2" / path.name
+            ).read_bytes()
 
 
 def test_worker_count_below_one_is_rejected(restore_workers):

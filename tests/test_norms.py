@@ -18,7 +18,12 @@ from boxflow import (
     sobolev_norm,
     tail_mass,
 )
-from boxflow.norms import grad_l2_sq, lap_l2_sq, spectral_moment
+from boxflow.norms import (
+    grad_l2_sq,
+    lap_l2_sq,
+    spectral_moment,
+    spectral_moments,
+)
 
 from conftest import (
     div_free_field,
@@ -266,3 +271,33 @@ def test_spectral_moment_matches_full_spectrum(alpha, n, seed, weight, diff):
     f = white_field(g, np.random.default_rng(seed), rank="vector")
     want = full_moment(f, WEIGHTS[weight], diff)
     assert spectral_moment(f, WEIGHTS[weight], diff) == pytest.approx(want, rel=1e-14)
+
+
+def moment_by_component(f: Field, w) -> float:
+    """`spectral_moment` as one loop over components for one weight array."""
+    w = w * f.grid.mult
+    total = 0.0
+    for c in f.spectral[None] if f.rank == "scalar" else f.spectral:
+        sq = c.real * c.real
+        sq += c.imag * c.imag
+        sq *= w
+        total += float(sq.sum())
+    return f.grid.volume * total
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.25, 8.0),
+    n=st.integers(4, 24).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.sampled_from(["scalar", "vector"]),
+)
+@example(alpha=1.0, n=18, seed=0, rank="vector")
+def test_fused_moments_equal_one_weight_at_a_time(alpha, n, seed, rank):
+    g = BoxGrid(alpha, n)
+    rng = np.random.default_rng(seed)
+    f = white_field(g, rng, rank=rank)
+    weights = (1.0, g.ksq_diff, g.ksq_diff**2, g.ksq, rng.random(g.ksq.shape))
+    want = [moment_by_component(f, w) for w in weights]
+    assert spectral_moments(f, weights) == want  # bit for bit
+    assert spectral_moment(f, lambda ksq: ksq, diff=True) == want[1]

@@ -10,6 +10,7 @@ convective product.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,9 +48,11 @@ from boxflow.solver import (
 from boxflow.spectral_core import (
     BoxGrid,
     Field,
+    curl,
     divergence,
     gradient,
     laplacian,
+    leray_project,
     set_default_workers,
 )
 from boxflow.vorticity import curl_inv_periodic
@@ -78,6 +81,23 @@ def test_solve_keeps_no_samples_of_spectral_data():
     u0 = Field.from_spectral(grid, taylor_green(grid).spectral)
     traj = nse_solve(u0, SolverConfig(dt=1e-3, t_end=2e-3))
     assert traj.states[0] is u0 and u0._physical is None
+
+
+def test_solve_holds_each_state_array_only_while_it_is_read():
+    # the traced peak above the input, in units of one vector half-spectrum:
+    # uhat, a and b next to a stage's masked input and curl spectrum while
+    # u's samples are made (6.9); holding c, d and a stacked cross product
+    # as well gave 10.5
+    grid = BoxGrid(2.0, 32)
+    u0 = curl_inv_periodic(bump_vorticity(BumpSpec(support_radius=0.5), grid))
+    unit = u0.spectral.nbytes
+    tracemalloc.start()
+    try:
+        nse_solve(u0, SolverConfig(dt=1e-3, t_end=4e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * unit
 
 
 def test_zero_field_stays_zero():
@@ -259,11 +279,63 @@ def test_nonlinear_term_does_no_work(grid, seed):
     u = random_velocity(grid, seed)
     kernel = _StepKernel(grid)
     uhat = u.spectral
+    before = uhat.copy()
     rhs = kernel.stage(uhat)[0]
+    assert same_bits(uhat, before)  # the stage reads its argument only
     work = np.sum(grid.mult * np.real(np.conj(uhat) * rhs))
     scale = np.sqrt(np.sum(grid.mult * np.abs(uhat) ** 2))
     scale *= np.sqrt(np.sum(grid.mult * np.abs(rhs) ** 2))
     assert abs(work) <= 1e-13 * scale
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_cross_product_in_place_is_the_textbook_formula(rng):
+    a, b = rng.standard_normal((2, 3, 6, 6, 6))
+    want = np.stack(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+    assert same_bits(solver._cross_in_place(a.copy(), b), want)
+
+
+def stage_as_written(grid: BoxGrid, uhat: np.ndarray):
+    """The nonlinear stage in fresh arrays throughout: -P(omega x u) of the
+    2/3-truncated uhat with its zero mode zeroed, and u."""
+    v = dealias(Field.from_spectral(grid, uhat))
+    u, w = v.samples(), curl(v).samples()
+    f = np.stack(
+        [w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0]]
+    )
+    fhat = leray_project(dealias(Field.from_physical(grid, f))).spectral
+    fhat[:, 0, 0, 0] = 0.0
+    return -fhat, u
+
+
+@properties
+@given(grid=grids, seed=seeds, dt=st.floats(1e-4, 1e-2))
+@example(grid=BoxGrid(1.0, 24), seed=4, dt=2.5e-3)
+@example(grid=BoxGrid(3.0, 18), seed=5, dt=1e-3)
+def test_step_is_the_textbook_formula_bit_for_bit(grid, seed, dt):
+    # the in-place step against IF-RK4 as written, from four stages
+    uhat = random_velocity(grid, seed).spectral
+    kernel = _StepKernel(grid)
+    e = np.exp(-0.5 * dt * grid.ksq)
+    e2 = e * e
+    a, u = stage_as_written(grid, uhat)
+    b = stage_as_written(grid, e * (uhat + (0.5 * dt) * a))[0]
+    c = stage_as_written(grid, e * uhat + (0.5 * dt) * b)[0]
+    d = stage_as_written(grid, e2 * uhat + dt * (e * c))[0]
+    want = e2 * uhat + (dt / 6.0) * (e2 * a + 2.0 * (e * (b + c)) + d)
+    before = uhat.copy()
+    first, umax = kernel.first_stage(uhat)
+    assert same_bits(first, a)  # the stage as well as the step
+    assert umax == float(np.sqrt(np.sum(u * u, axis=0)).max())
+    got = kernel.advance(uhat, dt, first)
+    assert got is first  # a is overwritten with the new state
+    assert same_bits(got, want)
+    assert same_bits(uhat, before)
 
 
 def test_every_solver_transform_gets_the_worker_count(monkeypatch):
