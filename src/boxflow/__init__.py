@@ -8,7 +8,7 @@ and how fast does the gap close as the box grows?  The building blocks are
 * `vorticity`    -- periodic and free-space velocity-from-vorticity inversion;
 * `extension`    -- smooth cutoff extension of a box field to a larger box;
 * `norms`        -- Lebesgue/Sobolev norms, tail masses, inequality reports;
-* `solver`       -- integrating-factor RK4 time stepper with energy audits;
+* `solver`       -- integrating-factor RK4 march with energy audits;
 * `initial_data` -- compactly supported divergence-free vorticity families;
 * `experiments`  -- convergence/tail/transfer studies and the CLI.
 """
@@ -77,6 +77,7 @@ from .solver import (
     energy_audit,
     enstrophy_audit,
     existence_time,
+    nse_march,
     nse_solve,
     pressure_solve,
     write_diagnostics_csv,

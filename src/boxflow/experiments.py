@@ -90,7 +90,9 @@ from .norms import (
     sobolev_norm,
     tail_mass,
 )
-from .solver import SolverConfig, Trajectory, existence_time, nse_solve, pressure_solve
+from .solver import (
+    SolverConfig, Trajectory, existence_time, nse_march, nse_solve, pressure_solve
+)
 from .spectral_core import BoxGrid, Field
 from .vorticity import (
     VorticityField,
@@ -576,24 +578,29 @@ def _solver_config(cfg: StudyConfig, t_end: float) -> SolverConfig:
     return SolverConfig(sd["dt"], t_end, sd.get("snapshot_every", 0))
 
 
+#: What a run raises when it blows up or violates the CFL bound.
+_RUN_FAILURES = (BlowUpError, StepSizeError)
+
+
+def _failed_check(exc, name: str, t_end: float) -> CheckRecord:
+    """The failed ``name`` record of a run that raised one of _RUN_FAILURES:
+    measured is the last valid time of a blow-up (NaN for a CFL violation),
+    the threshold is t_end, the note is the solver's message."""
+    measured = exc.last_valid_time if isinstance(exc, BlowUpError) else float("nan")
+    return CheckRecord(name, False, measured, t_end, note=str(exc))
+
+
 def _solve(
     u0: Field, scfg: SolverConfig, checks: list | None = None, name: str = ""
 ) -> Trajectory | None:
-    """``nse_solve``, or None when the run blows up or violates the CFL bound.
-
-    With ``checks`` the failure is appended to it as a failed ``name``
-    record: measured is the last valid time of a blow-up (NaN for a CFL
-    violation), the threshold is t_end, the note is the solver's message.
-    """
+    """``nse_solve``, or None when the run blows up or violates the CFL
+    bound; with ``checks`` the failure is appended there (`_failed_check`)."""
     try:
         return nse_solve(u0, scfg)
-    except BlowUpError as exc:
-        measured, note = exc.last_valid_time, str(exc)
-    except StepSizeError as exc:
-        measured, note = float("nan"), str(exc)
-    if checks is not None:
-        checks.append(CheckRecord(name, False, measured, scfg.t_end, note=note))
-    return None
+    except _RUN_FAILURES as exc:
+        if checks is not None:
+            checks.append(_failed_check(exc, name, scfg.t_end))
+        return None
 
 
 def _gap_to_reference(u: Field, ref: Field) -> Field:
@@ -620,13 +627,17 @@ def measure_constants(fields) -> dict[str, float]:
     pressure Calderon-Zygmund ratio ||p|| / ||u||_{L^4}^2; entries are NaN
     when every field is degenerate (zero).  The fields keep no samples.
     """
-    rows = []
-    for u in fields:
-        u = Field(u.grid, physical=u.samples(), spectral=u.spectral)
-        report = inequality_report(u)
-        if not report.flags["degenerate"]:
-            rows.append(dict(report.entries, pressure_ratio=_pressure_ratio(u)))
-    return _largest_ratios(rows)
+    return _largest_ratios(map(_ratio_row, fields))
+
+
+def _ratio_row(u: Field) -> dict | None:
+    """The inequality and pressure ratios of u, None for degenerate (zero)
+    u; measured through a view, so u keeps no samples."""
+    u = Field(u.grid, physical=u.samples(), spectral=u.spectral)
+    report = inequality_report(u)
+    if report.flags["degenerate"]:
+        return None
+    return dict(report.entries, pressure_ratio=_pressure_ratio(u))
 
 
 def _pressure_ratio(u: Field) -> float:
@@ -636,7 +647,9 @@ def _pressure_ratio(u: Field) -> float:
 
 
 def _largest_ratios(rows) -> dict[str, float]:
-    """The `measure_constants` maxima over rows of non-degenerate fields."""
+    """The `measure_constants` maxima over the rows of non-degenerate
+    fields; None rows (`_ratio_row` of a zero field) are skipped."""
+    rows = [r for r in rows if r is not None]
     press = [r["pressure_ratio"] for r in rows if not math.isnan(r["pressure_ratio"])]
     return {
         "c_agmon": max((r["agmon_ratio"] for r in rows), default=float("nan")),
@@ -702,7 +715,8 @@ def run_inversion_study(cfg: StudyConfig) -> dict:
     for alpha, grid in _box_grids(cfg):
         w = _build_vorticity(cfg, grid)
         u = curl_inv_periodic(w)
-        if constants is None:
+        if constants is None:  # one set of samples for the constants and the gap
+            u = Field(grid, physical=u.samples(), spectral=u.spectral)
             constants = measure_constants([u])
         omega_norm = l2_norm(w.omega)
         del w
@@ -752,8 +766,10 @@ def run_solution_study(cfg: StudyConfig) -> dict:
 
     Emits per-snapshot errors (``solution_times.csv``) and per-alpha
     discrete L^2(0,T;H^1) / L^4(0,T;H^1.5) integrals with sup-in-time tail
-    columns.  A blow-up or CFL violation on any box aborts the sweep with a
-    failed record.
+    columns.  The reference and the boxes march in lockstep, compared at
+    each snapshot.  A box that blows up or violates the CFL bound gets a
+    failed record and a ``blown_up`` row, and the other boxes go on; a
+    failed reference aborts the study with only its record.
     """
     t_end = cfg.solver["t_end"]
     initial = [_initial_velocity(cfg, grid) for _, grid in _box_grids(cfg)]
@@ -806,40 +822,56 @@ def run_solution_study(cfg: StudyConfig) -> dict:
     )
 
     scfg = _solver_config(cfg, t_end)
-    ref_traj = _solve(u0_ref, scfg, checks, "no_blowup_reference")
-    if ref_traj is None:
+    ref_march = nse_march(u0_ref, scfg)
+    marches = {a: nse_march(u0, scfg) for a, u0 in zip(cfg.alphas, initial)}
+    del initial, u0_ref  # each march owns its start state
+    snaps = {alpha: [] for alpha in cfg.alphas}  # (t, L2, H1, H1.5^4, tails)
+    failed = {}  # alpha -> its failed check
+    ref_rows = []
+    try:
+        for t, ref_state, _ in ref_march:
+            if ref_state is not None:
+                ref_rows.append(_ratio_row(ref_state))
+            for alpha, march in list(marches.items()):
+                try:
+                    t_box, state, _ = next(march)
+                except _RUN_FAILURES as exc:  # this box's row only
+                    name = f"no_blowup_alpha_{alpha:g}"
+                    failed[alpha] = _failed_check(exc, name, t_end)
+                    del marches[alpha]
+                    continue
+                if t_box != t or (state is None) != (ref_state is None):
+                    raise UsageError(
+                        "snapshot schedules diverged between boxes; this is a bug"
+                    )
+                if state is not None:
+                    diff = _gap_to_reference(state, ref_state)
+                    e1 = sobolev_norm(diff, 1.0)
+                    snap = (l2_norm(diff), e1, sobolev_norm(diff, 1.5) ** 4)
+                    snaps[alpha].append((t, *snap, _tail_masses(state, tail_radii)))
+                    del diff
+                del state
+            del ref_state
+    except _RUN_FAILURES as exc:
+        checks.append(_failed_check(exc, "no_blowup_reference", t_end))
         return parts
-    parts["constants"] = measure_constants(ref_traj.states)
+    parts["constants"] = _largest_ratios(ref_rows)
 
-    rows = parts["rows"]
-    time_rows: list[dict] = []
-    aborted = False
-
-    for i, alpha in enumerate(cfg.alphas):
-        traj = _solve(initial[i], scfg, checks, f"no_blowup_alpha_{alpha:g}")
-        if traj is None:
+    rows, time_rows = parts["rows"], []
+    for alpha in cfg.alphas:
+        if alpha in failed:
+            checks.append(failed[alpha])
             nan_row = dict.fromkeys(columns, float("nan"))
             rows.append({**nan_row, "alpha": alpha, "blown_up": 1})
-            aborted = True
-            break
-        if traj.times != ref_traj.times:
-            raise UsageError(
-                "snapshot schedules diverged between boxes; this is a bug"
-            )
-        h1_sq, h15_q4 = [], []
-        tail_sups = [0.0] * len(tail_radii)
-        for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-            diff = _gap_to_reference(state, ref_traj.states[idx])
-            e1 = sobolev_norm(diff, 1.0)
-            time_rows.append(
-                {"alpha": alpha, "t": t, "err_L2": l2_norm(diff), "err_H1": e1}
-            )
-            h1_sq.append(e1 * e1)
-            h15_q4.append(sobolev_norm(diff, 1.5) ** 4)
-            del diff
-            tail_sups = list(map(max, tail_sups, _tail_masses(state, tail_radii)))
-        l2t_h1 = math.sqrt(np.trapezoid(h1_sq, traj.times))
-        l4t_h15 = float(np.trapezoid(h15_q4, traj.times)) ** 0.25
+            continue
+        times, l2s, h1s, h15_q4, tails = zip(*snaps[alpha])
+        time_rows += [
+            {"alpha": alpha, "t": t, "err_L2": e0, "err_H1": e1}
+            for t, e0, e1 in zip(times, l2s, h1s)
+        ]
+        l2t_h1 = math.sqrt(np.trapezoid([e1 * e1 for e1 in h1s], times))
+        l4t_h15 = float(np.trapezoid(h15_q4, times)) ** 0.25
+        tail_sups = [max(0.0, *col) for col in zip(*tails)]
         rows.append(dict(zip(columns, (alpha, l2t_h1, l4t_h15, *tail_sups, 0))))
 
     clean = [r for r in rows if not r["blown_up"]]
@@ -855,7 +887,7 @@ def run_solution_study(cfg: StudyConfig) -> dict:
         )
     )
 
-    parts["extras"]["aborted"] = aborted
+    parts["extras"]["aborted"] = False
     parts["time_rows"] = time_rows
     return parts
 
@@ -870,8 +902,10 @@ def run_tail_study(cfg: StudyConfig) -> dict:
 
         Gamma = 2 ||u0|| [ sqrt(T) I + 2 C6^(3/2) ||u0||^(1/2) T^(1/4) I^(3/4) ].
 
-    Rows carry both sides and the margin at every snapshot time and radius.
-    A blow-up or CFL violation ends the sweep with a failed record.
+    Rows carry both sides and the margin at every snapshot time and radius;
+    each run is streamed, keeping only these floats.  A box that blows up or
+    violates the CFL bound gets a failed record and no rows, and the larger
+    boxes still run.
     """
     t_end = cfg.solver["t_end"]
     inner = cfg.tail_inner
@@ -884,20 +918,30 @@ def run_tail_study(cfg: StudyConfig) -> dict:
     scfg = _solver_config(cfg, t_end)
     for alpha, grid in _box_grids(cfg):
         u0 = _initial_velocity(cfg, grid)
-        traj = _solve(u0, scfg, checks, f"no_blowup_alpha_{alpha:g}")
-        if traj is None:
-            break
-        run_constants = measure_constants(traj.states)
+        u0_l2 = l2_norm(u0)
+        tail0 = _tail_masses(u0, [inner])[0]
+        march = nse_march(u0, scfg)
+        del u0  # the march owns it
+        times, masses, ratio_rows, audit_t, audit_ens = [], [], [], [], []
+        try:
+            for t, state, record in march:
+                audit_t.append(t)
+                audit_ens.append(record.entries["enstrophy"])
+                if state is not None:
+                    times.append(t)
+                    masses.append(_tail_masses(state, cfg.tail_radii))
+                    ratio_rows.append(_ratio_row(state))
+                del state
+        except _RUN_FAILURES as exc:  # this box's rows only
+            checks.append(_failed_check(exc, f"no_blowup_alpha_{alpha:g}", t_end))
+            continue
+        run_constants = _largest_ratios(ratio_rows)
         if constants is None or (
             not math.isnan(run_constants["c_agmon"])
             and math.isnan(constants["c_agmon"])
         ):
             constants = run_constants
 
-        u0_l2 = l2_norm(u0)
-        tail0 = _tail_masses(u0, [inner])[0]
-        audit_t = [rec.time for rec in traj.diagnostics]
-        audit_ens = [rec.entries["enstrophy"] for rec in traj.diagnostics]
         dissipation = float(np.trapezoid(audit_ens, audit_t))
         if u0_l2 == 0.0:
             gamma = 0.0
@@ -917,8 +961,8 @@ def run_tail_study(cfg: StudyConfig) -> dict:
             )
         gammas[f"{alpha:g}"] = gamma
 
-        for t, state in zip(traj.times, traj.states):
-            for radius, lhs in zip(cfg.tail_radii, _tail_masses(state, cfg.tail_radii)):
+        for t, lhs_row in zip(times, masses):
+            for radius, lhs in zip(cfg.tail_radii, lhs_row):
                 rhs = tail0 + gamma / (radius - inner)
                 margin = rhs - lhs
                 min_margin = min(min_margin, margin)

@@ -1,7 +1,7 @@
 """Strong-solution time integration of incompressible Navier-Stokes on Q_alpha.
 
 The state is the velocity's half-spectrum `u.spectral`, shape
-(3, N, N, N/2+1), and every stored snapshot wraps the state of its step.  The
+(3, N, N, N/2+1), and every snapshot wraps the state of its step.  The
 equations are taken with nu = 1.  The state is marched by an
 integrating-factor RK4: the viscous semigroup e^{-|k|^2 dt} is applied
 exactly (true |k|^2, Nyquist included), so only the nonlinear term is under
@@ -14,6 +14,11 @@ A step holds each state-sized array only while it is read.  `advance`
 overwrites the first stage's RHS `a` with the new state, folding in b and c
 before the last stage, in the textbook formula's operation order (so with
 its bits); a stage thus runs next to the state, `a` and one earlier RHS.
+
+`nse_march` is the one step loop, a generator of (t, snapshot or None, audit
+record) at t = 0 and after each step that keeps no state it has moved past:
+a consumer comparing runs snapshot by snapshot stores no trajectory.
+`nse_solve` collects its snapshots into a `Trajectory`.
 
 The curl, divergence, Leray projection and spectral moments are those of
 `spectral_core` and `norms`; the solver keeps no operator of its own.
@@ -100,6 +105,14 @@ class SolverConfig:
             )
 
 
+def _checked(t: float, state: Field) -> Field:
+    """state, once it is divergence-free to 1e-10 relative."""
+    rel = relative_divergence(state)
+    if rel > 1e-10:
+        raise DataError(f"state at t={t} is not divergence-free: {rel:.3e}")
+    return state
+
+
 @dataclass
 class Trajectory:
     """Stored states of one solve plus the per-step diagnostic series.
@@ -119,11 +132,7 @@ class Trajectory:
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise DataError("trajectory times must be strictly increasing")
         for t, state in zip(self.times, self.states):
-            rel = relative_divergence(state)
-            if rel > 1e-10:
-                raise DataError(
-                    f"state at t={t} is not divergence-free: {rel:.3e}"
-                )
+            _checked(t, state)
 
     @property
     def final(self) -> Field:
@@ -262,75 +271,81 @@ def _plan_steps(cfg: SolverConfig) -> tuple[list[float], list[float]]:
     return lengths, times
 
 
-def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
-    """March u0 to t_end, collecting snapshots and per-step diagnostics.
+def nse_march(u0: Field, cfg: SolverConfig):
+    """March u0 to t_end, yielding (t, state, record) at t = 0 and after each step.
 
-    Blow-up (max |u| above BLOWUP_MAX_U, enstrophy above BLOWUP_MAX_ENSTROPHY,
-    or non-finite values) raises with the last valid time attached.
+    `state` is the snapshot at the steps the schedule stores (t = 0, every
+    `snapshot_every`-th step and the last step, each checked divergence-free
+    to 1e-10 relative) and None at the others; `record` is the step's audit.
+    The march keeps only the spectrum it advances, so a snapshot the
+    consumer drops is freed by the next step.  Blow-up (max |u| above
+    BLOWUP_MAX_U, enstrophy above BLOWUP_MAX_ENSTROPHY, or non-finite
+    values) raises from its step with the last valid time attached.
     """
     _require_solvable(u0)
-    kernel = _StepKernel(u0.grid)
+    grid = u0.grid
+    kernel = _StepKernel(grid)
     lengths, step_times = _plan_steps(cfg)
     kernel.decay(cfg.dt)  # before any stage: below their temporaries in the heap
 
-    uhat = u0.spectral  # never written to: each step makes a new array
-    times = [0.0]
-    states = [u0]
-    diagnostics: list[DiagnosticsRecord] = []
-
     integral = 0.0  # int ||grad u||^2, summed as `energy_audit` describes
 
-    def audit(t: float, m: list[float], umax: float) -> None:
+    def audit(t: float, m: list[float], umax: float) -> DiagnosticsRecord:
         energy = 0.5 * m[0]
-        energy0 = diagnostics[0].entries["energy"] if diagnostics else energy
-        diagnostics.append(
-            DiagnosticsRecord(
-                time=t,
-                entries={
-                    "energy": energy,
-                    "enstrophy": m[1],
-                    "laplacian_norm": math.sqrt(m[2]),
-                    "max_u": umax,
-                    "energy_residual": energy + integral - energy0,
-                },
-            )
+        return DiagnosticsRecord(
+            time=t,
+            entries={
+                "energy": energy,
+                "enstrophy": m[1],
+                "laplacian_norm": math.sqrt(m[2]),
+                "max_u": umax,
+                "energy_residual": energy + integral - energy0,
+            },
         )
 
     # each audit's right-hand side is the next step's first stage
+    uhat = u0.spectral  # never written to: each step makes a new array
     a, umax = kernel.first_stage(uhat)
     m = kernel.moments(u0, cfg.dt)  # of u, the start state of each step
-    audit(0.0, m, umax)
+    energy0 = 0.5 * m[0]
+    yield 0.0, u0, audit(0.0, m, umax)  # checked by `_require_solvable`
+    del u0
     every = cfg.snapshot_every
     t_prev = 0.0
-    u = u0
     for step, (dt_k, t_k) in enumerate(zip(lengths, step_times), start=1):
         kernel.check_cfl(umax, dt_k)
         if dt_k != cfg.dt:  # the last, shorter step: phi's moment of u
-            m = kernel.moments(u, dt_k)
+            m = kernel.moments(Field(grid, spectral=uhat), dt_k)
         uhat = kernel.advance(uhat, dt_k, a)
         if not np.all(np.isfinite(uhat)):
             raise BlowUpError(
                 f"non-finite values after t={t_prev}", last_valid_time=t_prev
             )
         a, umax = kernel.first_stage(uhat)
-        u_next = Field.from_spectral(u0.grid, uhat)
-        m_next = kernel.moments(u_next, dt_k)
+        m_next = kernel.moments(Field(grid, spectral=uhat), dt_k)
         if umax > BLOWUP_MAX_U or m_next[1] > BLOWUP_MAX_ENSTROPHY:
             raise BlowUpError(
                 f"blow-up thresholds exceeded at t={t_k}: max|u|={umax:.3e}",
                 last_valid_time=t_prev,
             )
         integral += dt_k * m[3] + m_next[4] - m[4]
-        u, m = u_next, m_next  # the step's start state is dropped here
-        audit(t_k, m, umax)
-        if (every and step % every == 0) or step == len(lengths):
-            times.append(t_k)
-            states.append(u)
+        m = m_next
+        stored = (every and step % every == 0) or step == len(lengths)
+        state = _checked(t_k, Field(grid, spectral=uhat)) if stored else None
+        yield t_k, state, audit(t_k, m, umax)
+        del state  # the consumer's to keep or drop
         t_prev = t_k
 
-    return Trajectory(
-        times=tuple(times), states=tuple(states), diagnostics=diagnostics
-    )
+
+def nse_solve(u0: Field, cfg: SolverConfig) -> Trajectory:
+    """The snapshots and audit records of `nse_march` as a Trajectory."""
+    times, states, diagnostics = [], [], []
+    for t, state, record in nse_march(u0, cfg):
+        diagnostics.append(record)
+        if state is not None:
+            times.append(t)
+            states.append(state)
+    return Trajectory(tuple(times), tuple(states), diagnostics)
 
 
 def pressure_solve(u: Field) -> Field:

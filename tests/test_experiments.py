@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from boxflow.cli import main as cli_main
-from boxflow.errors import ConfigurationError, UsageError
+from boxflow import experiments
+from boxflow.errors import BlowUpError, ConfigurationError, UsageError
 from boxflow.experiments import (
     _box_grids,
     _build_vorticity,
@@ -589,6 +590,23 @@ def test_measurements_keep_no_samples_on_their_input():
     assert u._physical is None and ref._physical is None
 
 
+def test_inversion_transforms_the_first_box_once(monkeypatch):
+    # the constants and the gap to the reference read one set of samples,
+    # so the gap adds no inverse transform on the first box's lattice
+    cfg = parse_config(inversion_data())
+    grid = next(g for _, g in _box_grids(cfg))
+    calls = []
+    inverse = spectral_core._irfftn
+    monkeypatch.setattr(
+        spectral_core, "_irfftn", lambda a, n: calls.append(n) or inverse(a, n)
+    )
+    measure_constants([_initial_velocity(cfg, grid)])
+    alone = calls.count(grid.N)
+    calls.clear()
+    run_inversion_study(cfg)
+    assert calls.count(grid.N) == alone > 0
+
+
 def test_inversion_zero_data_gives_zero_errors():
     cfg = parse_config(inversion_data(initial_data=ZERO_DATA))
     res = run_inversion_study(cfg)
@@ -666,6 +684,54 @@ def test_solution_horizon_is_reproducible_from_its_report(solution_result):
     ]
     assert math.isfinite(res.extras["t_guaranteed_min"])
     assert min(horizons) == res.extras["t_guaranteed_min"]
+
+
+def test_solution_study_stores_no_trajectory():
+    # the reference and the box march in lockstep, so the traced peak, in
+    # units of one reference state, is that of one solve (7.9); a stored
+    # reference trajectory of 7 snapshots took it to 12.7
+    cfg = parse_config(
+        solution_data(
+            alphas=[1],
+            beta=2,
+            solver={"dt": 2e-3, "t_end": 0.012, "snapshot_every": 1},
+        )
+    )
+    unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        run_solution_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.beta_n == 32
+    assert peak <= 9.0 * unit
+
+
+def test_a_failed_box_ends_only_its_own_row():
+    # 0.5 h / max|u| of the truncated data is 0.01060 on Q_1, 0.01106 on
+    # Q_2 and 0.01083 on the Q_4 reference: dt = 0.0107 fails Q_1 alone,
+    # at its first step, while Q_2 keeps marching next to the reference
+    data = solution_data(
+        beta=4,
+        initial_data={"family": "bump", "support_radius": 0.5,
+                      "amplitude": 10.0, "direction": [0, 0, 1]},
+        solver={"dt": 0.0107, "t_end": 0.0214, "snapshot_every": 1},
+    )
+    res = run_solution_study(parse_config(data))
+    checks = {c.name: c for c in res.checks}
+    failed = checks["no_blowup_alpha_1"]
+    assert not failed.passed and math.isnan(failed.measured)
+    assert "advective CFL violated" in failed.note
+    assert "no_blowup_alpha_2" not in checks
+    assert "no_blowup_reference" not in checks
+    one, two = res.rows
+    assert one["blown_up"] == 1 and math.isnan(one["err_L2T_H1"])
+    assert two["alpha"] == 2.0 and two["blown_up"] == 0
+    assert all(math.isfinite(two[c]) for c in res.columns)
+    assert [r["t"] for r in res.time_rows] == [0.0, 0.0107, 0.0214]
+    assert {r["alpha"] for r in res.time_rows} == {2.0}
+    assert not res.extras["aborted"]
 
 
 def test_solution_beyond_horizon_needs_flag():
@@ -759,6 +825,33 @@ def test_tail_zero_data_is_vacuously_tight():
         assert row["lhs"] == 0.0
         assert row["rhs"] == 0.0
         assert row["margin"] == 0.0
+
+
+def test_a_failed_tail_box_leaves_the_larger_boxes_running(monkeypatch):
+    march = experiments.nse_march
+
+    def blows_up_on_q3(u0, scfg):
+        steps = march(u0, scfg)
+        yield next(steps)
+        if u0.grid.alpha == 3.0:
+            raise BlowUpError("staged blow-up after t=0.0", last_valid_time=0.0)
+        yield from steps
+
+    monkeypatch.setattr(experiments, "nse_march", blows_up_on_q3)
+    data = tail_data(
+        alphas=[3, 4],
+        base_n=24,
+        solver={"dt": 4e-3, "t_end": 0.012, "snapshot_every": 2},
+        tail={"inner_radius": 1.5, "radii": [1.75, 2.0]},
+    )
+    res = run_tail_study(parse_config(data))
+    checks = {c.name: c for c in res.checks}
+    assert not checks["no_blowup_alpha_3"].passed
+    assert checks["no_blowup_alpha_3"].measured == 0.0
+    assert checks["tail_bound_margin_nonnegative"].passed
+    assert list(res.extras["gamma"]) == ["4"]
+    assert {r["alpha"] for r in res.rows} == {4.0}
+    assert sorted({r["t"] for r in res.rows}) == pytest.approx([0.0, 0.008, 0.012])
 
 
 # -------------------------------------------------------------- transfer

@@ -11,6 +11,7 @@ convective product.
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from boxflow.solver import (
     energy_audit,
     enstrophy_audit,
     existence_time,
+    nse_march,
     nse_solve,
     pressure_solve,
     write_diagnostics_csv,
@@ -217,6 +219,62 @@ def test_snapshot_cadence_matches_nearest_time_schedule(dt, n_full, remainder, e
     assert traj.times == tuple(all_times[k] for k in sorted(wanted))
     assert len(traj.diagnostics) == len(lengths) + 1
     assert [r.time for r in traj.diagnostics] == all_times
+
+
+def record_bits(records) -> bytes:
+    return np.array([[r.time, *r.entries.values()] for r in records]).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    alpha=st.floats(0.5, 4.0),
+    n=st.sampled_from([8, 12, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    courant=st.floats(0.05, 0.4),
+    n_full=st.integers(0, 5),
+    remainder=st.sampled_from([0.0, 0.5]),
+    every=st.sampled_from([0, 1, 3]),
+)
+@example(alpha=1.0, n=12, seed=1, courant=0.3, n_full=4, remainder=0.5, every=3)
+@example(alpha=2.0, n=8, seed=2, courant=0.2, n_full=0, remainder=0.5, every=1)
+def test_solve_collects_the_march_bit_for_bit(
+    alpha, n, seed, courant, n_full, remainder, every
+):
+    grid = BoxGrid(alpha, n)
+    u = div_free_field(grid, np.random.default_rng(seed), m0=n / 4)
+    u0 = Field.from_spectral(grid, u.spectral / np.abs(u.physical).max())
+    dt = courant * grid.h / math.sqrt(3.0)  # max|u| <= sqrt(3) at t = 0
+    cfg = SolverConfig(dt=dt, t_end=(n_full + remainder) * dt, snapshot_every=every)
+    marched = list(nse_march(u0, cfg))
+    traj = nse_solve(u0, cfg)
+    last = len(solver._plan_steps(cfg)[0])
+    stored = [k for k, (_, state, _) in enumerate(marched) if state is not None]
+    assert stored == [
+        k for k in range(last + 1) if k in (0, last) or (every and k % every == 0)
+    ]
+    assert traj.times == tuple(marched[k][0] for k in stored)
+    for state, k in zip(traj.states, stored):
+        assert same_bits(state.spectral, marched[k][1].spectral)
+    assert record_bits(traj.diagnostics) == record_bits(r for _, _, r in marched)
+
+
+def test_march_frees_what_its_consumer_drops():
+    # the march keeps only the spectrum it advances: u0 and every snapshot
+    # die, spectrum included, by the step after the consumer lets go
+    grid = BoxGrid(2.0, 16)
+    u0 = Field.from_spectral(grid, taylor_green(grid).spectral)
+    march = nse_march(u0, SolverConfig(dt=1e-3, t_end=4e-3, snapshot_every=1))
+    dropped = []
+    for _ in range(5):
+        t, state, _ = next(march)
+        assert all(ref() is None for ref in dropped)
+        if t == 0.0:
+            assert state is u0
+            del u0
+        dropped += [weakref.ref(state), weakref.ref(state.spectral)]
+        del state
+    assert next(march, None) is None
+    assert all(ref() is None for ref in dropped)
 
 
 # ------------------------------------------------- nonlinear term properties
