@@ -9,11 +9,15 @@ the Runge-Kutta clock.  That term is omega x u (rotational form) of
 the state truncated to the 2/3-rule modes, so products of kept modes alias
 only onto dropped ones (Orszag's condition); it is masked, Leray-projected,
 and its zero mode is zeroed, which makes momentum conservation bit-exact.
-A stage costs nine real transforms.  The stored state keeps every mode.
-A step holds each state-sized array only while it is read.  `advance`
-overwrites the first stage's RHS `a` with the new state, folding in b and c
-before the last stage, in the textbook formula's operation order (so with
-its bits); a stage thus runs next to the state, `a` and one earlier RHS.
+
+The stage inputs and right-hand sides a, b, c, d live on the 2/3 block (per
+axis the kept modes 0..m and N-m..N-1, the last axis 0..m, m = (N-1)//3); a
+step touches the full state once, adding the block's RK4 sum into e2 uhat
+(the textbook formula's bits: the addition commutes).  A stage runs the n-d
+transforms pass by pass in pocketfft's order (`spectral_core._fft`), only on
+lines that meet a kept mode, so with their bits, and forms u, omega and
+omega x u in slabs of `_SLAB` rows.  The stored state keeps every mode; a
+step holds each state-sized array only while it is read.
 
 `nse_march` is the one step loop, a generator of (t, snapshot or None, audit
 record) at t = 0 and after each step that keeps no state it has moved past:
@@ -55,11 +59,14 @@ from .norms import (
 from .spectral_core import (
     BoxGrid,
     Field,
+    _curl,
+    _fft,
+    _irfft,
     _irfftn,
     _leray_in_place,
     _max_abs,
+    _rfft,
     _rfftn,
-    curl,
     divergence,
 )
 
@@ -75,6 +82,8 @@ DIAGNOSTIC_COLUMNS = (
 # Blow-up thresholds: a step past either one halts the solve.
 BLOWUP_MAX_U = 1e6
 BLOWUP_MAX_ENSTROPHY = 1e8
+
+_SLAB = 8  # rows of axis -3 per slab of a stage's samples of u and omega
 
 
 @dataclass(frozen=True)
@@ -166,73 +175,102 @@ def _cross_in_place(a, b) -> np.ndarray:
 
 
 class _StepKernel:
-    """The IF-RK4 step on one grid; every operator comes from spectral_core
-    and norms, only the decay factors and their audit weights are cached."""
+    """The IF-RK4 step on one grid; only the 2/3 block's wavevectors, the
+    decay factors and their audit weights are cached."""
 
     def __init__(self, grid: BoxGrid):
         self.grid = grid
-        self.keep = grid.two_thirds_mask
+        n, m = grid.N, (grid.N - 1) // 3  # 3|m_i| < N, as in `two_thirds_mask`
+        self.m, self.drop = m, slice(m + 1, n - m)  # the rows a full axis drops
+        # the kept ranges 0..m and N-m..N-1 of a full axis, and their block rows
+        self.halves = ((slice(0, m + 1),) * 2, (slice(n - m, n), slice(m + 1, None)))
+        kb = np.delete(grid.k1d_diff, self.drop)
+        self.k = kb[:, None, None], kb[None, :, None], kb[None, None, : m + 1]
+        self.inv_ksq = self.block(grid.inv_ksq)
         self._decay = (None, None)  # (dt, `decay(dt)`): one dt at a time
 
+    def block(self, a):
+        """The 2/3 block of the half-spectrum array a, copied by slices."""
+        a = np.delete(a[..., : self.m + 1], self.drop, axis=-2)
+        return np.delete(a, self.drop, axis=-3)
+
     def decay(self, dt: float):
-        """e^{-|k|^2 dt / 2}, e^{-|k|^2 dt} and `energy_audit`'s phi."""
+        """e^{-|k|^2 dt/2}, e^{-|k|^2 dt} on the block; e^{-|k|^2 dt}, phi in full."""
         if self._decay[0] != dt:
             self._decay = (None, None)
-            e = np.exp(-0.5 * dt * self.grid.ksq)
+            e2 = np.exp(-0.5 * dt * self.grid.ksq)
+            e = self.block(e2)
+            e2 *= e2  # in place, as temporaries lift the peak RSS
             phi = (-2.0 * dt) * self.grid.ksq  # -x
-            m = np.expm1(phi)  # -g; in place, as temporaries lift the peak RSS
+            m = np.expm1(phi)  # -g
             phi -= m
             np.divide(phi, 2.0 * m, out=phi, where=m < 0)  # 0 at k = 0
-            self._decay = (dt, (e, e * e, phi))
+            self._decay = (dt, (e, e * e, e2, phi))
         return self._decay[1]
 
     def moments(self, u: Field, dt: float) -> list[float]:
         """The audit's moments of u: ||u||^2, ||grad u||^2, ||lap u||^2,
         ||grad u||^2 over the true |k| and phi's moment M for step dt."""
         g = u.grid
-        weights = (1.0, g.ksq_diff, g.ksq_diff**2, g.ksq, self.decay(dt)[2])
+        weights = (1.0, g.ksq_diff, g.ksq_diff**2, g.ksq, self.decay(dt)[3])
         return spectral_moments(u, weights)
 
     def stage(self, v):
-        """-P(omega x u) of v truncated to the 2/3 modes, zero mode zeroed,
-        and u; v is not written to, and each array dies after its last read."""
-        n = self.grid.N
-        v = v * self.keep  # a temporary passed in dies here
-        f = curl(Field(self.grid, spectral=v)).spectral
-        u = _irfftn(v, n)
-        del v
-        f = _irfftn(f, n)
-        f = _rfftn(_cross_in_place(f, u))
-        f *= self.keep
-        _leray_in_place(f, self.grid)
+        """-P(omega x u) on the block, zero mode zeroed, and max |u| (the
+        root of the largest |u|^2, summed in np.sum's order), for u the
+        state truncated to its block v, which is not written to."""
+        n, m = self.grid.N, self.m
+        uw = np.zeros((6, n) + v.shape[2:], complex)  # u and omega, N rows
+        w = np.concatenate((v, _curl(v, self.k)))
+        for full, blk in self.halves:
+            uw[:, full] = w[:, blk]
+        del w
+        uw = _fft(uw, -3, inverse=True)
+        f = np.empty((3, n, n, m + 1), complex)
+        usq = 0.0
+        for r in range(0, n, _SLAB):
+            rows = slice(r, r + _SLAB)
+            x = np.zeros(uw[:, rows].shape[:2] + (n, n // 2 + 1), complex)
+            for full, blk in self.halves:
+                x[:, :, full, : m + 1] = uw[:, rows, blk]
+            x[..., : m + 1] = _fft(x[..., : m + 1], -2, inverse=True)
+            x = _irfft(x, n)
+            f[:, rows] = _rfft(_cross_in_place(x[3:], x[:3]))[..., : m + 1]
+            usq = np.maximum(usq, (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]).max())
+        del uw
+        re_im = f.view(np.float64)
+        re_im *= float(1 / np.longdouble(n) ** 3)  # `_rfftn`'s, as pocketfft's
+        f = np.delete(_fft(f, -3), self.drop, axis=-3)
+        f = np.delete(_fft(f, -2), self.drop, axis=-2)
+        _leray_in_place(f, self.k, self.inv_ksq)
         f[:, 0, 0, 0] = 0.0
-        return np.negative(f, out=f), u
+        return np.negative(f, out=f), math.sqrt(usq)
 
     def first_stage(self, uhat):
-        """The RHS at uhat and max |u|, the root of the largest |u|^2."""
-        a, u = self.stage(uhat)
-        u *= u
-        u[0] += u[1]  # summed in place, in np.sum's order
-        u[0] += u[2]
-        return a, math.sqrt(u[0].max())
+        """The block RHS at the state uhat and max |u|."""
+        return self.stage(self.block(uhat))
 
     def advance(self, uhat, dt: float, a) -> np.ndarray:
-        """One integrating-factor RK4 step of length dt; a = stage(uhat)[0]
-        is overwritten with e2 uhat + dt/6 (e2 a + 2 e (b + c) + d)."""
-        e, e2, _ = self.decay(dt)
-        b = self.stage(e * (uhat + (0.5 * dt) * a))[0]
-        c = self.stage(e * uhat + (0.5 * dt) * b)[0]
+        """One integrating-factor RK4 step of length dt from uhat, with a =
+        first_stage(uhat)[0]: e2 uhat plus, on the block, dt/6 (e2 a +
+        2 e (b + c) + d), which is summed in place of a."""
+        e, e2, e2_full, _ = self.decay(dt)
+        ub = self.block(uhat)
+        b = self.stage(e * (ub + (0.5 * dt) * a))[0]
+        c = self.stage(e * ub + (0.5 * dt) * b)[0]
         a *= e2
         b += c
         b *= e
         b *= 2.0
         a += b
         del b
-        d = self.stage(e2 * uhat + dt * (e * c))[0]
-        a += d
+        a += self.stage(e2 * ub + dt * (e * c))[0]
         a *= dt / 6.0
-        a += e2 * uhat
-        return a
+        out = e2_full * uhat
+        for fi, bi in self.halves:
+            for fj, bj in self.halves:
+                out[:, fi, fj, : self.m + 1] += a[:, bi, bj]
+        return out
 
     def check_cfl(self, umax: float, dt: float) -> None:
         if umax * dt / self.grid.h > 0.5:
@@ -357,12 +395,13 @@ def pressure_solve(u: Field) -> Field:
     """
     if u.rank != "vector":
         raise UsageError("pressure solve needs a velocity field")
-    uhat = u.spectral
-    f = sum(
-        u_j * _irfftn(1j * k_j * uhat, u.grid.N)
-        for u_j, k_j in zip(u.physical, u.grid.k_axes())
-    )
-    fhat = u.grid.two_thirds_mask * _rfftn(f)
+    f = np.zeros_like(u.physical)
+    for f_i, uhat_i in zip(f, u.spectral):  # u_0 d_0 u_i, + u_1 d_1 u_i, + u_2 d_2 u_i
+        for u_j, k_j in zip(u.physical, u.grid.k_axes()):
+            f_i += u_j * _irfftn(1j * k_j * uhat_i, u.grid.N)
+    fhat = _rfftn(f)
+    del f
+    fhat *= u.grid.two_thirds_mask
     # p_k = i (k.f_k) / |k|^2; the modes `inv_ksq` drops (zero and
     # all-Nyquist) get no pressure
     phat = divergence(Field(u.grid, spectral=fhat)).spectral

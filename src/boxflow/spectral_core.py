@@ -69,8 +69,8 @@ def _rfftn(a: np.ndarray) -> np.ndarray:
 
 
 def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
-    # One worker: per component (same bits, a third of the c2r's scratch).
-    # Threaded calls stay batched; split, they ran an N=64 solve 18% slower.
+    # One worker: per component (same bits, a third of the c2r's scratch).  Threaded
+    # calls (vector `Field.samples`) stay batched: split, an N=64 solve ran 18% slower.
     if a.ndim > 3 and _workers == 1:
         out = np.empty(a.shape[:-3] + (n, n, n))
         for a_i, out_i in zip(a, out):
@@ -79,6 +79,22 @@ def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
     return scipy.fft.irfftn(
         a, s=(n, n, n), axes=_AXES, norm="forward", workers=_workers
     )
+
+
+# Unnormalized 1-d passes.  pocketfft runs `_irfftn` as c2c along axis -3, -2, then
+# c2r along -1, and `_rfftn` as r2c along -1 scaled by T(1/N^3) (long double), then
+# c2c along -3, -2: passes taken in that order and scaled alike give the same bits.
+def _fft(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:  # c2c
+    fft, norm = (scipy.fft.ifft, "forward") if inverse else (scipy.fft.fft, "backward")
+    return fft(a, axis=axis, norm=norm, overwrite_x=True, workers=_workers)
+
+
+def _irfft(a: np.ndarray, n: int) -> np.ndarray:  # missing columns count as 0
+    return scipy.fft.irfft(a, n, axis=-1, norm="forward", workers=_workers)
+
+
+def _rfft(a: np.ndarray) -> np.ndarray:
+    return scipy.fft.rfft(a, axis=-1, workers=_workers)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -348,13 +364,17 @@ def curl(f: Field) -> Field:
     """Spectral curl of a vector field."""
     if f.rank != "vector":
         raise UsageError("curl expects a vector field")
-    k, fh = f.grid.k_axes(), f.spectral
+    return Field(f.grid, spectral=_curl(f.spectral, f.grid.k_axes()))
+
+
+def _curl(fh: np.ndarray, k) -> np.ndarray:
+    """The array core of `curl`, for wavevector components k on fh's modes."""
     out = np.empty_like(fh)
     for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # (curl f)_i = i(k_j f_l - k_l f_j)
         np.multiply(k[j], fh[l], out=out[i])
         out[i] -= k[l] * fh[j]
     out *= 1j
-    return Field(f.grid, spectral=out)
+    return out
 
 
 def laplacian(f: Field) -> Field:
@@ -371,14 +391,15 @@ def leray_project(f: Field) -> Field:
     """
     if f.rank != "vector":
         raise UsageError("leray_project expects a vector field")
-    return Field(f.grid, spectral=_leray_in_place(f.spectral.copy(), f.grid))
+    g = f.grid
+    return Field(g, spectral=_leray_in_place(f.spectral.copy(), g.k_axes(), g.inv_ksq))
 
 
-def _leray_in_place(fh: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """The array core of `leray_project`: overwrites the vector
-    half-spectrum fh with its projection and returns it."""
-    kx, ky, kz = k = grid.k_axes()
-    coef = (kx * fh[0] + ky * fh[1] + kz * fh[2]) * grid.inv_ksq
+def _leray_in_place(fh: np.ndarray, k, inv_ksq: np.ndarray) -> np.ndarray:
+    """The array core of `leray_project`, for k and `inv_ksq` on fh's
+    modes: overwrites the vector spectrum fh with its projection."""
+    kx, ky, kz = k
+    coef = (kx * fh[0] + ky * fh[1] + kz * fh[2]) * inv_ksq
     for k_i, f_i in zip(k, fh):
         f_i -= k_i * coef
     return fh
