@@ -9,23 +9,21 @@ the Runge-Kutta clock.  That term is omega x u (rotational form) of
 the state truncated to the 2/3-rule modes, so products of kept modes alias
 only onto dropped ones (Orszag's condition); it is masked, Leray-projected,
 and its zero mode is zeroed, which makes momentum conservation bit-exact.
+The curl, divergence, Leray projection and spectral moments are those of
+`spectral_core` and `norms`; the solver keeps no operator of its own.
 
-The stage inputs and right-hand sides a, b, c, d live on the 2/3 block (per
-axis the kept modes 0..m and N-m..N-1, the last axis 0..m, m = (N-1)//3); a
-step touches the full state once, adding the block's RK4 sum into e2 uhat
-(the textbook formula's bits: the addition commutes).  A stage runs the n-d
-transforms pass by pass in pocketfft's order (`spectral_core._fft`), only on
-lines that meet a kept mode, so with their bits, and forms u, omega and
-omega x u in slabs of `_SLAB` rows.  The stored state keeps every mode; a
-step holds each state-sized array only while it is read.
+The stages and right-hand sides a, b, c, d live on the 2/3 block.  A stage
+runs the n-d transforms as pocketfft's 1-d passes, in its order, only on
+lines that meet a kept mode, and forms omega x u in slabs of `_SLAB` rows.
+A step adds the block's RK4 sum into e2 uhat: the kept modes get the
+textbook formula's bits, the dropped ones the exact decay (the formula adds
+a masked aliased zero there, so the sign of a zero differs where e2 uhat is
+-0.0).  A step holds each state-sized array only while it is read.
 
 `nse_march` is the one step loop, a generator of (t, snapshot or None, audit
 record) at t = 0 and after each step that keeps no state it has moved past:
 a consumer comparing runs snapshot by snapshot stores no trajectory.
 `nse_solve` collects its snapshots into a `Trajectory`.
-
-The curl, divergence, Leray projection and spectral moments are those of
-`spectral_core` and `norms`; the solver keeps no operator of its own.
 
 Every step is audited: t = 0 and each completed step record energy,
 enstrophy, ||Delta u||, max |u| and the running energy-equality residual;
@@ -175,8 +173,7 @@ def _cross_in_place(a, b) -> np.ndarray:
 
 
 class _StepKernel:
-    """The IF-RK4 step on one grid; only the 2/3 block's wavevectors, the
-    decay factors and their audit weights are cached."""
+    """The IF-RK4 step on one grid; caches the block's wavevectors and the decays."""
 
     def __init__(self, grid: BoxGrid):
         self.grid = grid
@@ -193,6 +190,13 @@ class _StepKernel:
         """The 2/3 block of the half-spectrum array a, copied by slices."""
         a = np.delete(a[..., : self.m + 1], self.drop, axis=-2)
         return np.delete(a, self.drop, axis=-3)
+
+    def scatter(self, blk, out):
+        """The half-spectrum array out with the block blk added into its kept slots."""
+        for fi, bi in self.halves:
+            for fj, bj in self.halves:
+                out[..., fi, fj, : self.m + 1] += blk[..., bi, bj, :]
+        return out
 
     def decay(self, dt: float):
         """e^{-|k|^2 dt/2}, e^{-|k|^2 dt} on the block; e^{-|k|^2 dt}, phi in full."""
@@ -221,10 +225,9 @@ class _StepKernel:
         state truncated to its block v, which is not written to."""
         n, m = self.grid.N, self.m
         uw = np.zeros((6, n) + v.shape[2:], complex)  # u and omega, N rows
-        w = np.concatenate((v, _curl(v, self.k)))
-        for full, blk in self.halves:
-            uw[:, full] = w[:, blk]
-        del w
+        for full, blk in self.halves:  # the curl is pointwise: row by row
+            uw[:3, full] = v[:, blk]
+            uw[3:, full] = _curl(v[:, blk], (self.k[0][blk],) + self.k[1:])
         uw = _fft(uw, -3, inverse=True)
         f = np.empty((3, n, n, m + 1), complex)
         usq = 0.0
@@ -242,6 +245,7 @@ class _StepKernel:
         re_im *= float(1 / np.longdouble(n) ** 3)  # `_rfftn`'s, as pocketfft's
         f = np.delete(_fft(f, -3), self.drop, axis=-3)
         f = np.delete(_fft(f, -2), self.drop, axis=-2)
+        f *= 1.0  # the mask's complex multiply: it sets the sign of some zeros
         _leray_in_place(f, self.k, self.inv_ksq)
         f[:, 0, 0, 0] = 0.0
         return np.negative(f, out=f), math.sqrt(usq)
@@ -266,11 +270,7 @@ class _StepKernel:
         del b
         a += self.stage(e2 * ub + dt * (e * c))[0]
         a *= dt / 6.0
-        out = e2_full * uhat
-        for fi, bi in self.halves:
-            for fj, bj in self.halves:
-                out[:, fi, fj, : self.m + 1] += a[:, bi, bj]
-        return out
+        return self.scatter(a, e2_full * uhat)
 
     def check_cfl(self, umax: float, dt: float) -> None:
         if umax * dt / self.grid.h > 0.5:
