@@ -21,6 +21,11 @@ stands in for the whole space, all driven by one declarative JSON config:
 "R^3" is operationalised as the largest box Q_beta with beta >= 2*max(alpha);
 all boxes share one lattice spacing h = 2*alpha_1/N_1 so fields nest exactly.
 
+The solution, tail and transfer studies consume `nse_march` through one
+guard, `_until_failure`: a blow-up or CFL violation ends that run alone, and
+its box gets a failed check, a ``blown_up`` row or both.  No study stores a
+trajectory.
+
 Config schema (JSON object; unknown keys anywhere are rejected, numbers
 must be finite, and a key or section the study kind does not take is an
 error)::
@@ -90,9 +95,7 @@ from .norms import (
     sobolev_norm,
     tail_mass,
 )
-from .solver import (
-    SolverConfig, Trajectory, existence_time, nse_march, nse_solve, pressure_solve
-)
+from .solver import SolverConfig, existence_time, nse_march, pressure_solve
 from .spectral_core import BoxGrid, Field
 from .vorticity import (
     VorticityField,
@@ -578,29 +581,22 @@ def _solver_config(cfg: StudyConfig, t_end: float) -> SolverConfig:
     return SolverConfig(sd["dt"], t_end, sd.get("snapshot_every", 0))
 
 
-#: What a run raises when it blows up or violates the CFL bound.
-_RUN_FAILURES = (BlowUpError, StepSizeError)
+def _until_failure(name, march, failed: dict):
+    """The steps of ``march`` until it ends or blows up or violates the CFL
+    bound; such a failure ends the steps and is stored as failed[name],
+    without the traceback, whose frames would keep the run's arrays."""
+    try:
+        yield from march
+    except (BlowUpError, StepSizeError) as exc:
+        failed[name] = exc.with_traceback(None)
 
 
 def _failed_check(exc, name: str, t_end: float) -> CheckRecord:
-    """The failed ``name`` record of a run that raised one of _RUN_FAILURES:
+    """The failed ``name`` record of a run that `_until_failure` ended:
     measured is the last valid time of a blow-up (NaN for a CFL violation),
     the threshold is t_end, the note is the solver's message."""
     measured = exc.last_valid_time if isinstance(exc, BlowUpError) else float("nan")
     return CheckRecord(name, False, measured, t_end, note=str(exc))
-
-
-def _solve(
-    u0: Field, scfg: SolverConfig, checks: list | None = None, name: str = ""
-) -> Trajectory | None:
-    """``nse_solve``, or None when the run blows up or violates the CFL
-    bound; with ``checks`` the failure is appended there (`_failed_check`)."""
-    try:
-        return nse_solve(u0, scfg)
-    except _RUN_FAILURES as exc:
-        if checks is not None:
-            checks.append(_failed_check(exc, name, scfg.t_end))
-        return None
 
 
 def _gap_to_reference(u: Field, ref: Field) -> Field:
@@ -822,45 +818,45 @@ def run_solution_study(cfg: StudyConfig) -> dict:
     )
 
     scfg = _solver_config(cfg, t_end)
-    ref_march = nse_march(u0_ref, scfg)
-    marches = {a: nse_march(u0, scfg) for a, u0 in zip(cfg.alphas, initial)}
+    failed = {}  # alpha or "reference" -> the failure that ended its march
+    ref_march = _until_failure("reference", nse_march(u0_ref, scfg), failed)
+    marches = {
+        a: _until_failure(a, nse_march(u0, scfg), failed)
+        for a, u0 in zip(cfg.alphas, initial)
+    }
     del initial, u0_ref  # each march owns its start state
     snaps = {alpha: [] for alpha in cfg.alphas}  # (t, L2, H1, H1.5^4, tails)
-    failed = {}  # alpha -> its failed check
     ref_rows = []
-    try:
-        for t, ref_state, _ in ref_march:
-            if ref_state is not None:
-                ref_rows.append(_ratio_row(ref_state))
-            for alpha, march in list(marches.items()):
-                try:
-                    t_box, state, _ = next(march)
-                except _RUN_FAILURES as exc:  # this box's row only
-                    name = f"no_blowup_alpha_{alpha:g}"
-                    failed[alpha] = _failed_check(exc, name, t_end)
-                    del marches[alpha]
-                    continue
-                if t_box != t or (state is None) != (ref_state is None):
-                    raise UsageError(
-                        "snapshot schedules diverged between boxes; this is a bug"
-                    )
-                if state is not None:
-                    diff = _gap_to_reference(state, ref_state)
-                    e1 = sobolev_norm(diff, 1.0)
-                    snap = (l2_norm(diff), e1, sobolev_norm(diff, 1.5) ** 4)
-                    snaps[alpha].append((t, *snap, _tail_masses(state, tail_radii)))
-                    del diff
-                del state
-            del ref_state
-    except _RUN_FAILURES as exc:
-        checks.append(_failed_check(exc, "no_blowup_reference", t_end))
+    for t, ref_state, _ in ref_march:
+        if ref_state is not None:
+            ref_rows.append(_ratio_row(ref_state))
+        for alpha, march in list(marches.items()):
+            t_box, state, _ = next(march, (None, None, None))
+            if alpha in failed:  # this box's row only
+                del marches[alpha]
+                continue
+            if t_box != t or (state is None) != (ref_state is None):
+                raise UsageError(
+                    "snapshot schedules diverged between boxes; this is a bug"
+                )
+            if state is not None:
+                diff = _gap_to_reference(state, ref_state)
+                e1 = sobolev_norm(diff, 1.0)
+                snap = (l2_norm(diff), e1, sobolev_norm(diff, 1.5) ** 4)
+                snaps[alpha].append((t, *snap, _tail_masses(state, tail_radii)))
+                del diff
+            del state
+        del ref_state
+    if "reference" in failed:
+        checks.append(_failed_check(failed["reference"], "no_blowup_reference", t_end))
         return parts
     parts["constants"] = _largest_ratios(ref_rows)
 
     rows, time_rows = parts["rows"], []
     for alpha in cfg.alphas:
         if alpha in failed:
-            checks.append(failed[alpha])
+            name = f"no_blowup_alpha_{alpha:g}"
+            checks.append(_failed_check(failed[alpha], name, t_end))
             nan_row = dict.fromkeys(columns, float("nan"))
             rows.append({**nan_row, "alpha": alpha, "blown_up": 1})
             continue
@@ -916,24 +912,25 @@ def run_tail_study(cfg: StudyConfig) -> dict:
     min_margin = float("inf")
     constants = None
     scfg = _solver_config(cfg, t_end)
+    failed = {}  # alpha -> the failure that ended its march
     for alpha, grid in _box_grids(cfg):
         u0 = _initial_velocity(cfg, grid)
         u0_l2 = l2_norm(u0)
         tail0 = _tail_masses(u0, [inner])[0]
-        march = nse_march(u0, scfg)
+        march = _until_failure(alpha, nse_march(u0, scfg), failed)
         del u0  # the march owns it
         times, masses, ratio_rows, audit_t, audit_ens = [], [], [], [], []
-        try:
-            for t, state, record in march:
-                audit_t.append(t)
-                audit_ens.append(record.entries["enstrophy"])
-                if state is not None:
-                    times.append(t)
-                    masses.append(_tail_masses(state, cfg.tail_radii))
-                    ratio_rows.append(_ratio_row(state))
-                del state
-        except _RUN_FAILURES as exc:  # this box's rows only
-            checks.append(_failed_check(exc, f"no_blowup_alpha_{alpha:g}", t_end))
+        for t, state, record in march:
+            audit_t.append(t)
+            audit_ens.append(record.entries["enstrophy"])
+            if state is not None:
+                times.append(t)
+                masses.append(_tail_masses(state, cfg.tail_radii))
+                ratio_rows.append(_ratio_row(state))
+            del state
+        if alpha in failed:  # this box's rows only
+            name = f"no_blowup_alpha_{alpha:g}"
+            checks.append(_failed_check(failed[alpha], name, t_end))
             continue
         run_constants = _largest_ratios(ratio_rows)
         if constants is None or (
@@ -1014,15 +1011,17 @@ def run_transfer_study(cfg: StudyConfig) -> dict:
     big_m = estimate.h1_bound
     t_star = cfg.t_star_factor * estimate.t_guaranteed
 
-    def sup_stats(traj) -> tuple[float, float]:
-        if traj is None:
-            return float("nan"), float("nan")
-        ens = max(rec.entries["enstrophy"] for rec in traj.diagnostics)
-        h1_sq = max(
-            2.0 * rec.entries["energy"] + rec.entries["enstrophy"]
-            for rec in traj.diagnostics
-        )
-        return ens, h1_sq
+    failed = {}  # alpha or "reference" -> the failure that ended its march
+
+    def sup_stats(name, march) -> tuple[float, float]:
+        """sup_t ||grad u||^2 and sup_t ||u||_{H^1}^2 over the march's audit
+        records; NaN for a run that fails."""
+        ens = h1_sq = float("-inf")
+        for _, state, rec in _until_failure(name, march, failed):
+            del state  # the records are all it reads
+            ens = max(ens, rec.entries["enstrophy"])
+            h1_sq = max(h1_sq, 2.0 * rec.entries["energy"] + rec.entries["enstrophy"])
+        return (float("nan"), float("nan")) if name in failed else (ens, h1_sq)
 
     columns = (
         "alpha",
@@ -1035,10 +1034,12 @@ def run_transfer_study(cfg: StudyConfig) -> dict:
     checks: list[CheckRecord] = []
     rows: list[dict] = []
     scfg = _solver_config(cfg, t_star)
-    ref_traj = _solve(u0_ref, scfg, checks, "reference_completes")
-    ref_blown = int(ref_traj is None)
-    ref_ens, ref_h1_sq = sup_stats(ref_traj)
-    del ref_traj, u0_ref
+    march = nse_march(u0_ref, scfg)
+    del u0_ref  # the march owns it
+    ref_ens, ref_h1_sq = sup_stats("reference", march)
+    ref_blown = int("reference" in failed)
+    if ref_blown:
+        checks.append(_failed_check(failed["reference"], "reference_completes", t_star))
 
     reference_ok = not ref_blown and ref_h1_sq <= big_m * (1.0 + 1e-9)
     checks.append(
@@ -1054,10 +1055,8 @@ def run_transfer_study(cfg: StudyConfig) -> dict:
     alpha_star = None
     if reference_ok:
         for alpha, grid in _box_grids(cfg):
-            traj = _solve(_initial_velocity(cfg, grid), scfg)
-            blown = int(traj is None)
-            ens, h1_sq = sup_stats(traj)
-            del traj
+            ens, h1_sq = sup_stats(alpha, nse_march(_initial_velocity(cfg, grid), scfg))
+            blown = int(alpha in failed)
             within = int(not blown and h1_sq <= 2.0 * big_m)
             rows.append(dict(zip(columns, (alpha, ens, h1_sq, within, blown, 0))))
         for row in reversed(rows):

@@ -22,16 +22,19 @@ a masked aliased zero there, so the sign of a zero differs where e2 uhat is
 
 `nse_march` is the one step loop, a generator of (t, snapshot or None, audit
 record) at t = 0 and after each step that keeps no state it has moved past:
-a consumer comparing runs snapshot by snapshot stores no trajectory.
-`nse_solve` collects its snapshots into a `Trajectory`.
+a consumer comparing runs snapshot by snapshot stores no trajectory.  The
+studies consume it through one failure guard (`experiments._until_failure`).
+`nse_solve` collects its snapshots and records into a `Trajectory`; only
+the tests and the benchmark's tracer call it.
 
 Every step is audited: t = 0 and each completed step record energy,
 enstrophy, ||Delta u||, max |u| and the running energy-equality residual;
 max |u| comes from the next step's first stage, the moments from one
 |uhat|^2 pass per state (`_StepKernel.moments`).  `energy_audit` /
-`enstrophy_audit` check those series against the energy equality and the
-enstrophy differential inequality, and `existence_time` evaluates the
-guaranteed-existence horizon T = 2 / (9 C^4 M^2) for an H^1 bound M.
+`enstrophy_audit` check a sequence of those records against the energy
+equality and the enstrophy differential inequality, and `existence_time`
+evaluates the guaranteed-existence horizon T = 2 / (9 C^4 M^2) for an H^1
+bound M.
 """
 
 from __future__ import annotations
@@ -124,22 +127,13 @@ def _checked(t: float, state: Field) -> Field:
 class Trajectory:
     """Stored states of one solve plus the per-step diagnostic series.
 
-    `times` are the completed-step times of the stored states.
-    Construction re-checks the invariants: strictly increasing times, and
-    every state divergence-free to 1e-10 relative.
+    `times` are the completed-step times of the stored states, which
+    `nse_march` has checked divergence-free as it yielded them.
     """
 
     times: tuple[float, ...]
     states: tuple[Field, ...]
     diagnostics: list[DiagnosticsRecord] = dataclass_field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states) or not self.states:
-            raise UsageError("trajectory needs matching, nonempty times/states")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise DataError("trajectory times must be strictly increasing")
-        for t, state in zip(self.times, self.states):
-            _checked(t, state)
 
     @property
     def final(self) -> Field:
@@ -425,8 +419,8 @@ def write_diagnostics_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def energy_audit(traj: Trajectory) -> list[DiagnosticsRecord]:
-    """Check the energy equality over the per-step series.
+def energy_audit(records) -> list[DiagnosticsRecord]:
+    """Check the energy equality over a run's sequence of audit records.
 
     Each record carries the residual rho(t) = E(t) + int_0^t ||grad u||^2
     - E(0), the integral summed per step as the integrating factor treats
@@ -438,35 +432,36 @@ def energy_audit(traj: Trajectory) -> list[DiagnosticsRecord]:
     exact for pure decay however stiff, the trapezoid rule to second order
     for small x.  rho(t) > 1e-6 E(0) flags a violated energy inequality.
     """
-    if not traj.diagnostics:
-        raise UsageError("trajectory carries no audit records")
-    tol = 1e-6 * traj.diagnostics[0].entries["energy"]
+    if not records:
+        raise UsageError("energy audit needs at least one audit record")
+    tol = 1e-6 * records[0].entries["energy"]
     out = []
-    for rec in traj.diagnostics:
+    for rec in records:
         rho = rec.entries["energy_residual"]
         entries = {"energy": rec.entries["energy"], "residual": rho}
         out.append(DiagnosticsRecord(rec.time, entries, {"violation": rho > tol}))
     return out
 
 
-def enstrophy_audit(traj: Trajectory, c_agmon: float) -> list[DiagnosticsRecord]:
-    """Check the enstrophy differential inequality interval by interval.
+def enstrophy_audit(records, c_agmon: float) -> list[DiagnosticsRecord]:
+    """Check the enstrophy differential inequality over a run's sequence of
+    audit records, interval by interval.
 
     Per step, the discrete d/dt ||grad u||^2 plus the mean ||Delta u||^2
     is compared against (27/16) c^4 ||grad u||^6 (endpoint average);
-    `margin` = RHS - LHS should be nonnegative up to quadrature noise.  Where 1 - (27/8) c^4 t ||grad u0||^4 stays positive, the
-    closed-form enstrophy bound is evaluated too and checked from above.
+    `margin` = RHS - LHS should be nonnegative up to quadrature noise.
+    Where 1 - (27/8) c^4 t ||grad u0||^4 stays positive, the closed-form
+    enstrophy bound is evaluated too and checked from above.
     """
     if not np.isfinite(c_agmon) or c_agmon <= 0.0:
         raise UsageError(f"constant must be positive, got {c_agmon!r}")
-    if len(traj.diagnostics) < 2:
-        raise UsageError("enstrophy audit needs at least two audit points")
+    if len(records) < 2:
+        raise UsageError("enstrophy audit needs at least two audit records")
     c4 = c_agmon**4
-    recs = traj.diagnostics
-    t0 = recs[0].time
-    y0 = recs[0].entries["enstrophy"]
+    t0 = records[0].time
+    y0 = records[0].entries["enstrophy"]
     out = []
-    for left, right in zip(recs, recs[1:]):
+    for left, right in zip(records, records[1:]):
         dt = right.time - left.time
         ya, yb = left.entries["enstrophy"], right.entries["enstrophy"]
         za = left.entries["laplacian_norm"] ** 2

@@ -213,7 +213,7 @@ def test_criterion_07_energy_inequality(tg_energy_run, bump_energy_run):
     worst_rel = 0.0
     for _, traj in (tg_energy_run, bump_energy_run):
         e0 = traj.diagnostics[0].entries["energy"]
-        recs = energy_audit(traj)
+        recs = energy_audit(traj.diagnostics)
         assert len(recs) == len(traj.diagnostics)
         worst = max(abs(r.entries["residual"]) for r in recs)
         worst_rel = max(worst_rel, worst / e0)
@@ -237,7 +237,7 @@ def test_criterion_08_enstrophy_bound(tg_energy_run, bump_energy_run):
         est = existence_time(u0, c_a)
         t_end = traj.diagnostics[-1].time
         ok &= t_end <= est.t_guaranteed
-        recs = enstrophy_audit(traj, c_a)
+        recs = enstrophy_audit(traj.diagnostics, c_a)
         ok &= all(not r.flags["violation"] for r in recs)
         ok &= all(r.flags["bound_applicable"] for r in recs)
         ok &= all(not r.flags["bound_violated"] for r in recs)

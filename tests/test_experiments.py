@@ -23,7 +23,7 @@ from hypothesis import given, strategies as st
 
 from boxflow.cli import main as cli_main
 from boxflow import experiments
-from boxflow.errors import BlowUpError, ConfigurationError, UsageError
+from boxflow.errors import BlowUpError, ConfigurationError, StepSizeError, UsageError
 from boxflow.experiments import (
     _box_grids,
     _build_vorticity,
@@ -43,7 +43,7 @@ from boxflow.experiments import (
     run_transfer_study,
 )
 from boxflow import spectral_core
-from boxflow.solver import existence_time
+from boxflow.solver import SolverConfig, existence_time, nse_march
 from boxflow.norms import tail_mass
 from boxflow.spectral_core import BoxGrid, Field, set_default_workers
 
@@ -708,6 +708,24 @@ def test_solution_study_stores_no_trajectory():
     assert peak <= 9.0 * unit
 
 
+def test_transfer_study_reads_only_audit_records():
+    # every run keeps running maxima over its audit records and drops each
+    # state it is handed, so the traced peak, in units of one reference
+    # state, is that of one march (5.75); holding each state until the next
+    # step took it to 6.19, collecting each run's t = 0 and final states to
+    # 6.76
+    cfg = parse_config(transfer_data())
+    unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        run_transfer_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.beta_n == 32
+    assert peak <= 6.0 * unit
+
+
 def test_a_failed_box_ends_only_its_own_row():
     # 0.5 h / max|u| of the truncated data is 0.01060 on Q_1, 0.01106 on
     # Q_2 and 0.01083 on the Q_4 reference: dt = 0.0107 fails Q_1 alone,
@@ -732,6 +750,24 @@ def test_a_failed_box_ends_only_its_own_row():
     assert [r["t"] for r in res.time_rows] == [0.0, 0.0107, 0.0214]
     assert {r["alpha"] for r in res.time_rows} == {2.0}
     assert not res.extras["aborted"]
+
+
+def test_a_failed_march_keeps_no_arrays():
+    # the guard stores the failure without its traceback, whose frames would
+    # keep the run's spectra and step kernel (0.76 units of one state here)
+    cfg = parse_config(transfer_data())
+    u0 = experiments._initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n))
+    unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
+    failed = {}
+    tracemalloc.start()
+    try:
+        march = nse_march(u0, SolverConfig(dt=1.0, t_end=2.0))
+        steps = list(experiments._until_failure("run", march, failed))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 1 and isinstance(failed["run"], StepSizeError)
+    assert held <= 0.1 * unit
 
 
 def test_solution_beyond_horizon_needs_flag():
@@ -886,6 +922,31 @@ def test_transfer_rows_within_double_bound(transfer_result):
     assert ref["is_reference"] == 1
     assert ref["alpha"] == cfg.beta
     assert ref["sup_h1_sq"] <= res.extras["m_bound"] * (1 + 1e-9)
+
+
+def test_a_failed_transfer_box_gets_a_blown_up_row():
+    # dt = 0.0107 breaks the CFL bound on Q_1 alone, at its first step (see
+    # test_a_failed_box_ends_only_its_own_row): its row is blown up with NaN
+    # sups and no check of its own, and alpha* comes from Q_2
+    data = transfer_data(
+        alphas=[1, 2],
+        beta=4,
+        initial_data={"family": "bump", "support_radius": 0.5,
+                      "amplitude": 10.0, "direction": [0, 0, 1]},
+        solver={"dt": 0.0107},
+        transfer={"t_star_factor": 1.0},
+    )
+    res = run_transfer_study(parse_config(data))
+    one, two, ref = res.rows
+    assert (one["alpha"], one["blown_up"], one["within_2m"]) == (1.0, 1, 0)
+    assert math.isnan(one["sup_enstrophy"]) and math.isnan(one["sup_h1_sq"])
+    assert (two["alpha"], two["blown_up"], two["within_2m"]) == (2.0, 0, 1)
+    assert math.isfinite(two["sup_h1_sq"])
+    assert (ref["is_reference"], ref["blown_up"], ref["within_2m"]) == (1, 0, 1)
+    assert res.extras["alpha_star"] == 2.0
+    names = [c.name for c in res.checks]
+    assert names == ["reference_within_bound", "alpha_star_found"]
+    assert res.passed
 
 
 def test_transfer_rejects_zero_data():

@@ -37,7 +37,6 @@ from boxflow.norms import (
 from boxflow.solver import (
     DIAGNOSTIC_COLUMNS,
     SolverConfig,
-    Trajectory,
     _StepKernel,
     energy_audit,
     enstrophy_audit,
@@ -504,18 +503,6 @@ def test_config_validation():
             SolverConfig(**kwargs)
 
 
-def test_trajectory_invariants_enforced(rng):
-    grid = BoxGrid(2.0, 16)
-    good = shear_flow(grid)
-    with pytest.raises(DataError):
-        Trajectory(times=(0.0, 0.0), states=(good, good))
-    from conftest import smooth_field
-
-    divergent = smooth_field(grid, rng, rank="vector")
-    with pytest.raises(DataError):
-        Trajectory(times=(0.0,), states=(divergent,))
-
-
 # ------------------------------------------------------------------ pressure
 
 
@@ -555,7 +542,7 @@ def test_shear_energy_audit_is_quadrature_limited():
     # sum is exact for pure decay, so only roundoff is left
     grid = BoxGrid(2.0 * np.pi, 16)
     traj = nse_solve(shear_flow(grid), SolverConfig(dt=1e-3, t_end=0.5))
-    records = energy_audit(traj)
+    records = energy_audit(traj.diagnostics)
     e0 = records[0].entries["energy"]
     assert max(abs(r.entries["residual"]) for r in records) < 1e-12 * e0
     assert not any(r.flags["violation"] for r in records)
@@ -566,7 +553,8 @@ def test_energy_audit_holds_on_stiff_box():
     # trapezoid in time over-counts the dissipation by 6e-2 E(0)
     grid = BoxGrid(1.0, 16)
     u0 = curl_inv_periodic(bump_vorticity(BumpSpec(support_radius=0.5), grid))
-    records = energy_audit(nse_solve(u0, SolverConfig(dt=2.5e-3, t_end=0.05)))
+    traj = nse_solve(u0, SolverConfig(dt=2.5e-3, t_end=0.05))
+    records = energy_audit(traj.diagnostics)
     e0 = records[0].entries["energy"]
     assert max(abs(r.entries["residual"]) for r in records) < 1e-7 * e0
     assert not any(r.flags["violation"] for r in records)
@@ -578,7 +566,7 @@ def test_taylor_green_energy_audit():
     traj = nse_solve(
         taylor_green(grid), SolverConfig(dt=dt, t_end=0.2, snapshot_every=1)
     )
-    records = energy_audit(traj)
+    records = energy_audit(traj.diagnostics)
     e0 = records[0].entries["energy"]
     assert max(abs(r.entries["residual"]) for r in records) < 1e-6 * e0
     assert not any(r.flags["violation"] for r in records)
@@ -613,7 +601,7 @@ def test_energy_residual_is_second_order_in_dt():
     worst = []
     for dt in (2e-3, 1e-3, 5e-4):
         traj = nse_solve(tg, SolverConfig(dt=dt, t_end=0.05))
-        records = energy_audit(traj)
+        records = energy_audit(traj.diagnostics)
         worst.append(max(abs(r.entries["residual"]) for r in records))
     orders = [math.log2(a / b) for a, b in zip(worst, worst[1:])]
     assert all(1.9 < o < 2.1 for o in orders), (worst, orders)
@@ -624,7 +612,7 @@ def test_enstrophy_audit_shear_has_full_margin():
     # inequality holds with the entire right-hand side to spare
     grid = BoxGrid(2.0, 16)
     traj = nse_solve(shear_flow(grid), SolverConfig(dt=1e-3, t_end=0.1))
-    records = enstrophy_audit(traj, c_agmon=1.0)
+    records = enstrophy_audit(traj.diagnostics, c_agmon=1.0)
     assert all(r.entries["margin"] > 0.0 for r in records)
     assert not any(r.flags["violation"] for r in records)
     assert not any(r.flags["bound_violated"] for r in records)
@@ -635,7 +623,7 @@ def test_enstrophy_audit_taylor_green_with_measured_constant():
     tg = taylor_green(grid)
     c_measured = inequality_report(tg).entries["agmon_ratio"]
     traj = nse_solve(tg, SolverConfig(dt=1e-3, t_end=0.05))
-    records = enstrophy_audit(traj, c_measured)
+    records = enstrophy_audit(traj.diagnostics, c_measured)
     assert not any(r.flags["violation"] for r in records)
     assert all(r.flags["bound_applicable"] for r in records)
     assert not any(r.flags["bound_violated"] for r in records)
@@ -645,12 +633,14 @@ def test_audit_argument_errors():
     grid = BoxGrid(2.0, 16)
     traj = nse_solve(shear_flow(grid), SolverConfig(dt=1e-3, t_end=2e-3))
     with pytest.raises(UsageError):
-        enstrophy_audit(traj, 0.0)
-    lone = Trajectory(times=(0.0,), states=(shear_flow(grid),))
-    with pytest.raises(UsageError):
-        energy_audit(lone)
-    with pytest.raises(UsageError):
-        enstrophy_audit(lone, 1.0)
+        enstrophy_audit(traj.diagnostics, 0.0)
+    with pytest.raises(UsageError, match="at least one"):
+        energy_audit([])
+    lone = traj.diagnostics[:1]
+    assert len(energy_audit(lone)) == 1
+    for records in ([], lone):
+        with pytest.raises(UsageError, match="at least two"):
+            enstrophy_audit(records, 1.0)
 
 
 # ------------------------------------------------------------ existence time

@@ -43,37 +43,56 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _module_level_names(tree: ast.Module):
-    """(name, line) of each function, class and variable the module defines."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        yield name.id, node.lineno
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or
+    the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """The loaded names and the attribute names anywhere under node."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+    return read
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level `_names` of the given modules that none of them reads.
+    """Module-level `_names` of the given modules that no live code reads.
 
     A read is a loaded name or an attribute of that name, in any module.
+    Live code is every module-level statement that binds a public name or
+    none, and the definition of every `_name` that live code reads; so a
+    `_name` read only by itself or by other dead `_names` is dead too.
     """
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    uses, defined, todo = {}, [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names, read = _bound_names(node), _reads(node)
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            for name in private:
+                uses.setdefault(name, set()).update(read - {name})
+                defined.append((module, node.lineno, name))
+            if len(private) < len(names) or not names:
+                todo.extend(read)
+    live = set()
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(uses.get(name, ()))
     return [
         f"{module} line {line}: {name}"
-        for module, tree in trees.items()
-        for name, line in _module_level_names(tree)
-        if name.startswith("_") and not name.startswith("__") and name not in read
+        for module, line, name in defined
+        if name not in live
     ]
 
 
@@ -90,6 +109,15 @@ def test_checker_finds_dead_private_names():
             "class _Shared:\n"
             "    def _method(self):\n"
             "        return _helper()\n"
+            "def _loop(n):\n"
+            "    return _loop(n - 1) + _only_for_dead\n"
+            "_only_for_dead = 4\n"
+            "def _ping():\n"
+            "    return _pong()\n"
+            "def _pong():\n"
+            "    return _ping()\n"
+            "_read_by_public = 6\n"
+            "_UNREAD, PUBLIC = 5, _read_by_public\n"
         ),
         "b.py": "from . import a\nx = a._Shared\n",
     }
@@ -97,6 +125,11 @@ def test_checker_finds_dead_private_names():
         "a.py line 2: _SPARE",
         "a.py line 3: _table",
         "a.py line 6: _orphan",
+        "a.py line 11: _loop",
+        "a.py line 13: _only_for_dead",
+        "a.py line 14: _ping",
+        "a.py line 16: _pong",
+        "a.py line 19: _UNREAD",
     ]
 
 
