@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="<n>",
-            help="FFT worker threads (default 1, the reference path)",
+            help="size of the solver stage's thread pool and FFT worker count "
+            "(default 1, the reference path)",
         )
     return parser
 

@@ -15,6 +15,10 @@ The curl, divergence, Leray projection and spectral moments are those of
 The stages and right-hand sides a, b, c, d live on the 2/3 block.  A stage
 runs the n-d transforms as pocketfft's 1-d passes, in its order, only on
 lines that meet a kept mode, and forms omega x u in slabs of `_SLAB` rows.
+`--threads n` (`set_default_workers`) sizes the stage's thread pool: the
+slabs run on n threads with one-worker passes, each writing only its own
+rows, and the passes outside the slab loop run with n FFT workers; at one
+worker the slabs run in order on the calling thread.
 A step adds the block's RK4 sum into e2 uhat: the kept modes get the
 textbook formula's bits, the dropped ones the exact decay (the formula adds
 a masked aliased zero there, so the sign of a zero differs where e2 uhat is
@@ -39,6 +43,7 @@ bound M.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -65,6 +70,7 @@ from .spectral_core import (
     _irfft,
     _irfftn,
     _leray_in_place,
+    _map,
     _max_abs,
     _rfft,
     _rfftn,
@@ -224,16 +230,19 @@ class _StepKernel:
             uw[3:, full] = _curl(v[:, blk], (self.k[0][blk],) + self.k[1:])
         uw = _fft(uw, -3, inverse=True)
         f = np.empty((3, n, n, m + 1), complex)
-        usq = 0.0
-        for r in range(0, n, _SLAB):
+
+        def slab(r):  # rows r.. of f, passes at one worker; their largest |u|^2
             rows = slice(r, r + _SLAB)
             x = np.zeros(uw[:, rows].shape[:2] + (n, n // 2 + 1), complex)
             for full, blk in self.halves:
                 x[:, :, full, : m + 1] = uw[:, rows, blk]
-            x[..., : m + 1] = _fft(x[..., : m + 1], -2, inverse=True)
+            _fft(x[..., : m + 1], -2, inverse=True, workers=1)  # in place
             x = _irfft(x, n)
             f[:, rows] = _rfft(_cross_in_place(x[3:], x[:3]))[..., : m + 1]
-            usq = np.maximum(usq, (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]).max())
+            return (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]).max()
+
+        # np.maximum: the same in any order, and NaN propagates
+        usq = functools.reduce(np.maximum, _map(slab, range(0, n, _SLAB)), 0.0)
         del uw
         re_im = f.view(np.float64)
         re_im *= float(1 / np.longdouble(n) ** 3)  # `_rfftn`'s, as pocketfft's

@@ -34,6 +34,8 @@ coincide point for point, so extension never resamples.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,24 +45,64 @@ import scipy.fft
 from .errors import ConfigurationError, DataError, UsageError
 
 _workers = 1
+_pool = None  # `_workers` - 1 threads that share `_map` with its caller; None at 1
 
 
 def set_default_workers(n: int) -> None:
-    """Set the scipy.fft worker count (1 is the deterministic reference path).
+    """Set the worker count n: the scipy.fft workers of every whole-array
+    transform, and the threads `_map` runs the solver stage's slabs on, the
+    calling thread and a pool of n - 1 (1 is the deterministic reference
+    path, with no pool).
 
-    Transforms are batches of independent 1-d FFTs, so results are
-    bit-reproducible for any fixed worker count; only 1 is the documented
-    reference configuration.
+    Transforms are batches of independent 1-d FFTs and each slab writes
+    only its own rows, so results are bit-identical for any worker count;
+    only 1 is the documented reference configuration.  Leaving n > 1 shuts
+    the pool down and joins its threads.
     """
-    global _workers
+    global _workers, _pool
     if int(n) < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {n!r}")
-    _workers = int(n)
+    n = int(n)
+    if n != _workers:
+        if _pool is not None:
+            _pool.shutdown()
+        _pool = ThreadPoolExecutor(n - 1, "boxflow-slab") if n > 1 else None
+    _workers = n
+
+
+def _map(fn, items) -> list:
+    """[fn(x) for x in items], run in order at one worker; at n workers the
+    calling thread and the pool's n - 1 threads each take the next item
+    until none is left.  The caller works rather than waits: a pool thread
+    more would keep one more slab's working set in its allocator arena."""
+    items = list(items)
+    if _pool is None:
+        return [fn(x) for x in items]
+    out = [None] * len(items)
+    todo, lock = iter(range(len(items))), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            out[i] = fn(items[i])
+
+    futures = [_pool.submit(drain) for _ in range(_workers - 1)]
+    try:
+        drain()
+    finally:
+        wait(futures)  # no item is still running once the call returns
+    for f in futures:
+        f.result()  # raises a pool thread's exception
+    return out
 
 
 # Every transform in the package goes through these helpers, so the worker
-# count of `set_default_workers` reaches all of them.  They map the samples
-# of a real field to its half-spectrum m_3 = 0..N/2 (last axis) and back.
+# count of `set_default_workers` reaches all of them: as FFT workers, or as
+# `_map`'s threads for the slab passes below.  They map the samples of a
+# real field to its half-spectrum m_3 = 0..N/2 (last axis) and back.
 _AXES = (-3, -2, -1)
 
 
@@ -84,17 +126,20 @@ def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
 # Unnormalized 1-d passes.  pocketfft runs `_irfftn` as c2c along axis -3, -2, then
 # c2r along -1, and `_rfftn` as r2c along -1 scaled by T(1/N^3) (long double), then
 # c2c along -3, -2: passes taken in that order and scaled alike give the same bits.
-def _fft(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:  # c2c
+# A c2c pass writes its result into a (overwrite_x), a view of a wider array too.
+# The c2r and r2c are the solver stage's slab passes: they run on `_map`'s threads,
+# so each takes one worker, as does a c2c pass given workers=1.
+def _fft(a: np.ndarray, axis: int, inverse: bool = False, workers=None) -> np.ndarray:
     fft, norm = (scipy.fft.ifft, "forward") if inverse else (scipy.fft.fft, "backward")
-    return fft(a, axis=axis, norm=norm, overwrite_x=True, workers=_workers)
+    return fft(a, axis=axis, norm=norm, overwrite_x=True, workers=workers or _workers)
 
 
 def _irfft(a: np.ndarray, n: int) -> np.ndarray:  # missing columns count as 0
-    return scipy.fft.irfft(a, n, axis=-1, norm="forward", workers=_workers)
+    return scipy.fft.irfft(a, n, axis=-1, norm="forward", workers=1)
 
 
 def _rfft(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.rfft(a, axis=-1, workers=_workers)
+    return scipy.fft.rfft(a, axis=-1, workers=1)
 
 
 def _max_abs(a: np.ndarray) -> float:

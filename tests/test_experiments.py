@@ -1060,9 +1060,10 @@ def restore_workers():
 
 
 def test_fft_worker_count_leaves_report_bytes_unchanged(tmp_path, restore_workers):
-    # the transfer study is the one the benchmark runs at two workers
+    # every study that marches; the benchmark runs the transfer study at two
     studies = {
         "solution": solution_data(solver={"dt": 5e-3, "t_end": 0.01}),
+        "tail": tail_data(),
         "transfer": transfer_data(),
     }
     for kind, data in studies.items():
@@ -1271,6 +1272,20 @@ def test_cli_audit_runs_trefoil_that_fits_the_config_margin(tmp_path):
     out = tmp_path / "o"
     assert cli_main(["audit", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "audit.csv").exists()
+
+
+def test_cli_transfer_on_two_threads_exits_promptly(tmp_path):
+    # the pool's idle threads must not hold the interpreter at exit
+    path = write_config(tmp_path, transfer_data())
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxflow.cli", "transfer", "--config", str(path),
+         "--out", str(tmp_path / "out"), "--threads", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "report:" in proc.stdout
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -10,6 +10,7 @@ convective product.
 """
 
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -426,25 +427,112 @@ def test_step_is_the_textbook_formula_bit_for_bit(grid, seed, dt, workers, shear
     assert same_bits(uhat, before)
 
 
-def test_every_solver_transform_gets_the_worker_count(monkeypatch):
-    seen, names = [], set()
+def test_slab_passes_run_at_one_worker_on_the_pool(monkeypatch):
+    # at two workers a stage's slabs run on the pool's thread and the main
+    # thread, each pass at one worker; every other transform runs on the
+    # main thread with the worker count
+    calls = []
     for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
 
         def spy(*args, _fft=getattr(scipy.fft, name), _name=name, **kwargs):
-            seen.append(kwargs.get("workers"))
-            names.add(_name)
+            main = threading.current_thread() is threading.main_thread()
+            calls.append((_name, kwargs.get("workers"), main))
             return _fft(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, spy)
     set_default_workers(2)
     try:
-        tg = taylor_green(BoxGrid(np.pi, 16))
+        tg = taylor_green(BoxGrid(np.pi, 32))  # four slabs a stage
         nse_solve(tg, SolverConfig(dt=1e-3, t_end=2e-3, snapshot_every=1))
         pressure_solve(tg)
     finally:
         set_default_workers(1)
-    assert len(seen) > 20 and set(seen) == {2}
-    assert names == {"rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"}
+    assert len(calls) > 20
+    assert {(n, w) for n, w, main in calls if not main} == {
+        ("ifft", 1),
+        ("irfft", 1),
+        ("rfft", 1),
+    }
+    assert {(n, w) for n, w, main in calls if main} == {
+        ("rfftn", 2),
+        ("irfftn", 2),
+        ("fft", 2),
+        ("ifft", 2),
+        ("ifft", 1),
+        ("irfft", 1),
+        ("rfft", 1),
+    }
+
+
+def stage_and_step_bits(kernel, uhat, dt, workers):
+    set_default_workers(workers)
+    try:
+        a, umax = kernel.first_stage(uhat)
+        first = a.tobytes()  # `advance` sums the step into a
+        return first, umax, kernel.advance(uhat, dt, a).tobytes()
+    finally:
+        set_default_workers(1)
+
+
+@properties
+@given(grid=grids, seed=seeds, dt=st.floats(1e-4, 1e-2))
+@example(grid=BoxGrid(3.0, 18), seed=5, dt=1e-3)  # N not a multiple of `_SLAB`
+@example(grid=BoxGrid(0.7, 30), seed=6, dt=4e-3)
+@example(grid=BoxGrid(2.0, 16), seed=7, dt=1e-3)  # two slabs
+def test_step_on_the_pool_is_the_serial_step_bit_for_bit(grid, seed, dt):
+    # each slab writes only its rows and the |u|^2 maxima are reduced
+    # with np.maximum, so the slabs' thread and order leave no trace
+    uhat = random_velocity(grid, seed).spectral
+    kernel = _StepKernel(grid)
+    serial = stage_and_step_bits(kernel, uhat, dt, 1)
+    assert stage_and_step_bits(kernel, uhat, dt, 2) == serial
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # raised on the pool's threads
+def test_a_slab_that_overflows_blows_up_alike_on_the_pool(monkeypatch):
+    # u_2 = A g(x) cos(z), divergence-free, peaked in the first slab's rows
+    # of x: there omega x u overflows and its r2c holds NaN, in the second
+    # slab all stays finite, and the step raises alike at either worker count
+    grid = BoxGrid(1e-6, 16)
+    x, _, z = grid.meshgrid()
+    g = np.exp(3.0 * np.cos(np.pi * x / grid.alpha + 0.55 * np.pi))
+    u = np.zeros((3,) + x.shape)
+    u[1] = 1e150 * g * np.cos(np.pi * z / grid.alpha)
+    u0 = dealias(Field.from_physical(grid, u))
+    dt = 0.1 * grid.h / np.sqrt((u0.physical**2).sum(axis=0)).max()
+    rfft, nan = solver._rfft, []
+
+    def spy(a):
+        out = rfft(a)
+        nan.append(bool(np.isnan(out).any()))
+        return out
+
+    monkeypatch.setattr(solver, "_rfft", spy)
+    raised = []
+    for workers in (1, 2):
+        set_default_workers(workers)
+        nan.clear()
+        try:
+            with pytest.raises(BlowUpError) as exc:
+                list(nse_march(u0, SolverConfig(dt=dt, t_end=dt)))
+        finally:
+            set_default_workers(1)
+        assert sorted(nan[:2]) == [False, True]  # the first stage's slabs
+        raised.append((str(exc.value), exc.value.last_valid_time))
+    assert raised[0] == raised[1] == ("non-finite values after t=0.0", 0.0)
+
+
+def test_switching_back_to_one_worker_leaves_no_pool_thread():
+    def pool_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("boxflow-slab")]
+
+    set_default_workers(2)
+    try:
+        nse_solve(taylor_green(BoxGrid(np.pi, 16)), SolverConfig(dt=1e-3, t_end=1e-3))
+        assert len(pool_threads()) == 1  # the caller is the second thread
+    finally:
+        set_default_workers(1)
+    assert pool_threads() == []
 
 
 # ------------------------------------------------------------ error contract

@@ -6,6 +6,9 @@ samples.  Hypothesis properties over random (alpha, N) pin the half-spectrum
 round trip, Parseval and the operator algebra.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -16,7 +19,9 @@ from boxflow.solver import SolverConfig, nse_solve
 from boxflow.spectral_core import (
     BoxGrid,
     Field,
+    _fft,
     _irfftn,
+    _map,
     curl,
     dilate,
     divergence,
@@ -24,6 +29,7 @@ from boxflow.spectral_core import (
     laplacian,
     leray_project,
     rescale_field,
+    set_default_workers,
 )
 
 from conftest import (
@@ -152,6 +158,39 @@ class TestTransforms:
         Field.from_spectral(g, taylor_green(g).spectral).physical
         nse_solve(taylor_green(g), SolverConfig(dt=1e-3, t_end=2e-3))
         assert ranks and set(ranks) == {3}
+
+    def test_c2c_pass_writes_into_a_view_of_a_wider_array(self, rng):
+        """The stage's axis -2 pass transforms a slab's kept columns in
+        place, so its c2r reads the transformed columns."""
+        a = rng.standard_normal((2, 4, 16, 9)) + 1j * rng.standard_normal((2, 4, 16, 9))
+        want = scipy.fft.ifft(a[..., :6], axis=-2, norm="forward")
+        rest = a[..., 6:].copy()
+        _fft(a[..., :6], -2, inverse=True, workers=1)
+        assert a[..., :6].tobytes() == want.tobytes()
+        assert a[..., 6:].tobytes() == rest.tobytes()
+
+    def test_map_hands_each_item_to_one_thread_once(self):
+        """More threads than cores and a short switch interval: an item
+        handed out twice or lost would show in the results or the calls."""
+        calls, results = [], []
+
+        def square(i):
+            calls.append(i)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        set_default_workers(4)
+        try:
+            caller = threading.Thread(target=lambda: results.append(_map(square, range(2000))))
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        finally:
+            set_default_workers(1)
+            sys.setswitchinterval(interval)
+        assert results == [[i * i for i in range(2000)]]
+        assert sorted(calls) == list(range(2000))
 
     def test_samples_of_a_spectrum_are_not_cached(self, rng):
         g = BoxGrid(1.0, 16)
