@@ -80,7 +80,6 @@ from .solver import (
     nse_march,
     nse_solve,
     pressure_solve,
-    write_diagnostics_csv,
 )
 from .experiments import (
     CheckRecord,

@@ -124,6 +124,9 @@ STUDY_KINDS = ("inversion", "solution", "tail", "transfer")
 #: Relative slack for curl-identity and consistency checks inside studies.
 _IDENTITY_TOL = 1e-10
 
+#: The `_ratio_row` columns of the audit report.
+_AUDIT_RATIOS = ("l2", "h1", "agmon_ratio", "l6_ratio", "interp_ratio", "pressure_ratio")
+
 #: sup-in-time tail columns of a solution study are taken at these fractions
 #: of the smallest box half-width (recorded per run in metadata).
 _SOLUTION_TAIL_FRACTIONS = (0.5, 0.75)
@@ -604,7 +607,7 @@ def _gap_to_reference(u: Field, ref: Field) -> Field:
     gap = np.empty((3,) + ref.grid.ksq.shape, dtype=np.complex128)
     for i in range(3):
         ext = extend_field(u.component(i), ref.grid).physical
-        ext -= ref.component(i).samples()
+        ext -= ref.component(i).physical
         gap[i] = Field.from_physical(ref.grid, ext).spectral
         del ext
     return Field.from_spectral(ref.grid, gap)
@@ -612,7 +615,7 @@ def _gap_to_reference(u: Field, ref: Field) -> Field:
 
 def _tail_masses(u: Field, radii) -> list[float]:
     """`tail_mass(u, R)` for each R, from one set of samples u does not keep."""
-    u = Field(u.grid, physical=u.samples())
+    u = Field(u.grid, physical=u.physical)
     return [tail_mass(u, radius) for radius in radii]
 
 
@@ -626,14 +629,16 @@ def measure_constants(fields) -> dict[str, float]:
     return _largest_ratios(map(_ratio_row, fields))
 
 
-def _ratio_row(u: Field) -> dict | None:
-    """The inequality and pressure ratios of u, None for degenerate (zero)
-    u; measured through a view, so u keeps no samples."""
-    u = Field(u.grid, physical=u.samples(), spectral=u.spectral)
+def _ratio_row(u: Field) -> dict:
+    """The inequality and pressure ratios of u and its `degenerate` flag
+    (set for zero u), measured on one set of samples that u does not keep."""
+    u = Field(u.grid, physical=u.physical, spectral=u.spectral)
     report = inequality_report(u)
-    if report.flags["degenerate"]:
-        return None
-    return dict(report.entries, pressure_ratio=_pressure_ratio(u))
+    return dict(
+        report.entries,
+        pressure_ratio=_pressure_ratio(u),
+        degenerate=report.flags["degenerate"],
+    )
 
 
 def _pressure_ratio(u: Field) -> float:
@@ -643,9 +648,9 @@ def _pressure_ratio(u: Field) -> float:
 
 
 def _largest_ratios(rows) -> dict[str, float]:
-    """The `measure_constants` maxima over the rows of non-degenerate
-    fields; None rows (`_ratio_row` of a zero field) are skipped."""
-    rows = [r for r in rows if r is not None]
+    """The `measure_constants` maxima over the `_ratio_row` rows that are
+    not degenerate."""
+    rows = [r for r in rows if not r["degenerate"]]
     press = [r["pressure_ratio"] for r in rows if not math.isnan(r["pressure_ratio"])]
     return {
         "c_agmon": max((r["agmon_ratio"] for r in rows), default=float("nan")),
@@ -702,7 +707,7 @@ def run_inversion_study(cfg: StudyConfig) -> dict:
     asserts strict error decrease plus the halving ratio on H^1.
     """
     # samples only, on a fresh grid: the |k|^2 tables the build cached die
-    u_ref = _initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n)).samples()
+    u_ref = _initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n)).physical
     u_ref = Field.from_physical(BoxGrid(cfg.beta, cfg.beta_n), u_ref)
 
     rows: list[dict] = []
@@ -712,7 +717,7 @@ def run_inversion_study(cfg: StudyConfig) -> dict:
         w = _build_vorticity(cfg, grid)
         u = curl_inv_periodic(w)
         if constants is None:  # one set of samples for the constants and the gap
-            u = Field(grid, physical=u.samples(), spectral=u.spectral)
+            u = Field(grid, physical=u.physical, spectral=u.spectral)
             constants = measure_constants([u])
         omega_norm = l2_norm(w.omega)
         del w
@@ -1101,18 +1106,13 @@ def run_snapshot_audit(cfg: StudyConfig) -> dict:
     checks: list[CheckRecord] = []
     for alpha, grid in _box_grids(cfg):
         u = _initial_velocity(cfg, grid)
-        report = inequality_report(u)
+        ratios = _ratio_row(u)
         identity = curl_identity_report(u)
-        degenerate = report.flags["degenerate"]
+        degenerate = ratios["degenerate"]
         rows.append(
             {
                 "alpha": alpha,
-                "l2": report.entries["l2"],
-                "h1": report.entries["h1"],
-                "agmon_ratio": report.entries["agmon_ratio"],
-                "l6_ratio": report.entries["l6_ratio"],
-                "interp_ratio": report.entries["interp_ratio"],
-                "pressure_ratio": _pressure_ratio(u),
+                **{c: ratios[c] for c in _AUDIT_RATIOS},
                 "grad_norm": identity.entries["grad_norm"],
                 "curl_norm": identity.entries["curl_norm"],
                 "curl_rel_diff": identity.entries["rel_diff"],
@@ -1134,7 +1134,7 @@ def run_snapshot_audit(cfg: StudyConfig) -> dict:
         columns=tuple(rows[0]),
         rows=rows,
         checks=checks,
-        constants=_largest_ratios([r for r in rows if not r["degenerate"]]),
+        constants=_largest_ratios(rows),
         extras={"h": cfg.h},
     )
 

@@ -226,7 +226,7 @@ def trefoil_vorticity(
     field = Field.from_spectral(grid, cleaned)
     projection_div_rel = relative_divergence(field)
 
-    phys = field.physical.copy()
+    phys = field.physical  # fresh samples of the spectrum: ours to write
     outside = grid.radius_sq() > support_radius**2
     peak = float(np.abs(phys).max())
     leak = float(np.abs(phys[:, outside]).max()) if peak else 0.0

@@ -15,10 +15,9 @@ The curl, divergence, Leray projection and spectral moments are those of
 The stages and right-hand sides a, b, c, d live on the 2/3 block.  A stage
 runs the n-d transforms as pocketfft's 1-d passes, in its order, only on
 lines that meet a kept mode, and forms omega x u in slabs of `_SLAB` rows.
-`--threads n` (`set_default_workers`) sizes the stage's thread pool: the
-slabs run on n threads with one-worker passes, each writing only its own
-rows, and the passes outside the slab loop run with n FFT workers; at one
-worker the slabs run in order on the calling thread.
+`--threads n` (`set_default_workers`) sets a count and picks no code path:
+the slabs run on up to n threads with one-worker passes, each writing only
+its own rows, and the passes outside the slab loop run with n FFT workers.
 A step adds the block's RK4 sum into e2 uhat: the kept modes get the
 textbook formula's bits, the dropped ones the exact decay (the formula adds
 a masked aliased zero there, so the sign of a zero differs where e2 uhat is
@@ -75,15 +74,6 @@ from .spectral_core import (
     _rfft,
     _rfftn,
     divergence,
-)
-
-DIAGNOSTIC_COLUMNS = (
-    "t",
-    "energy",
-    "enstrophy",
-    "laplacian_norm",
-    "max_u",
-    "energy_residual",
 )
 
 # Blow-up thresholds: a step past either one halts the solve.
@@ -177,7 +167,7 @@ class _StepKernel:
 
     def __init__(self, grid: BoxGrid):
         self.grid = grid
-        n, m = grid.N, (grid.N - 1) // 3  # 3|m_i| < N, as in `two_thirds_mask`
+        n, m = grid.N, grid.two_thirds_cut
         self.m, self.drop = m, slice(m + 1, n - m)  # the rows a full axis drops
         # the kept ranges 0..m and N-m..N-1 of a full axis, and their block rows
         self.halves = ((slice(0, m + 1),) * 2, (slice(n - m, n), slice(m + 1, None)))
@@ -253,13 +243,9 @@ class _StepKernel:
         f[:, 0, 0, 0] = 0.0
         return np.negative(f, out=f), math.sqrt(usq)
 
-    def first_stage(self, uhat):
-        """The block RHS at the state uhat and max |u|."""
-        return self.stage(self.block(uhat))
-
     def advance(self, uhat, dt: float, a) -> np.ndarray:
         """One integrating-factor RK4 step of length dt from uhat, with a =
-        first_stage(uhat)[0]: e2 uhat plus, on the block, dt/6 (e2 a +
+        stage(block(uhat))[0]: e2 uhat plus, on the block, dt/6 (e2 a +
         2 e (b + c) + d), which is summed in place of a."""
         e, e2, e2_full, _ = self.decay(dt)
         ub = self.block(uhat)
@@ -289,10 +275,7 @@ def _require_solvable(u: Field) -> None:
         raise UsageError("the solver integrates vector velocity fields")
     if not np.all(np.isfinite(u.spectral)):
         raise DataError("velocity field contains non-finite values")
-    rel = relative_divergence(u)
-    if rel > 1e-10:
-        raise DataError(f"velocity is not divergence-free: {rel:.3e}")
-    scale = _max_abs(u.samples())
+    scale = _max_abs(_checked(0.0, u).physical)
     mean = float(np.abs(u.mean_value()).max())
     if scale > 0.0 and mean > 1e-10 * scale:
         raise DataError(f"velocity carries a mean: {mean:.3e}")
@@ -346,7 +329,7 @@ def nse_march(u0: Field, cfg: SolverConfig):
 
     # each audit's right-hand side is the next step's first stage
     uhat = u0.spectral  # never written to: each step makes a new array
-    a, umax = kernel.first_stage(uhat)
+    a, umax = kernel.stage(kernel.block(uhat))
     m = kernel.moments(u0, cfg.dt)  # of u, the start state of each step
     energy0 = 0.5 * m[0]
     yield 0.0, u0, audit(0.0, m, umax)  # checked by `_require_solvable`
@@ -362,7 +345,7 @@ def nse_march(u0: Field, cfg: SolverConfig):
             raise BlowUpError(
                 f"non-finite values after t={t_prev}", last_valid_time=t_prev
             )
-        a, umax = kernel.first_stage(uhat)
+        a, umax = kernel.stage(kernel.block(uhat))
         m_next = kernel.moments(Field(grid, spectral=uhat), dt_k)
         if umax > BLOWUP_MAX_U or m_next[1] > BLOWUP_MAX_ENSTROPHY:
             raise BlowUpError(
@@ -398,9 +381,10 @@ def pressure_solve(u: Field) -> Field:
     """
     if u.rank != "vector":
         raise UsageError("pressure solve needs a velocity field")
-    f = np.zeros_like(u.physical)
+    samples = u.physical
+    f = np.zeros_like(samples)
     for f_i, uhat_i in zip(f, u.spectral):  # u_0 d_0 u_i, + u_1 d_1 u_i, + u_2 d_2 u_i
-        for u_j, k_j in zip(u.physical, u.grid.k_axes()):
+        for u_j, k_j in zip(samples, u.grid.k_axes()):
             f_i += u_j * _irfftn(1j * k_j * uhat_i, u.grid.N)
     fhat = _rfftn(f)
     del f
@@ -411,21 +395,6 @@ def pressure_solve(u: Field) -> Field:
     phat *= u.grid.inv_ksq
     phat[0, 0, 0] = 0.0
     return Field(u.grid, spectral=phat)
-
-
-def write_diagnostics_csv(records, path) -> None:
-    """Stream DiagnosticsRecords to CSV with the fixed diagnostic columns.
-
-    Floats are written with repr (shortest round-trip form), so identical
-    runs produce byte-identical files.
-    """
-    lines = [",".join(DIAGNOSTIC_COLUMNS)]
-    for rec in records:
-        row = [repr(float(rec.time))]
-        row += [repr(float(rec.entries[c])) for c in DIAGNOSTIC_COLUMNS[1:]]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def energy_audit(records) -> list[DiagnosticsRecord]:

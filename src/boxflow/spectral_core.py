@@ -51,13 +51,13 @@ _pool = None  # `_workers` - 1 threads that share `_map` with its caller; None a
 def set_default_workers(n: int) -> None:
     """Set the worker count n: the scipy.fft workers of every whole-array
     transform, and the threads `_map` runs the solver stage's slabs on, the
-    calling thread and a pool of n - 1 (1 is the deterministic reference
-    path, with no pool).
+    calling thread and a pool of n - 1 (none at 1).
 
-    Transforms are batches of independent 1-d FFTs and each slab writes
-    only its own rows, so results are bit-identical for any worker count;
-    only 1 is the documented reference configuration.  Leaving n > 1 shuts
-    the pool down and joins its threads.
+    The count picks no code path: every transform and slab runs the same
+    code at any n.  Transforms are batches of independent 1-d FFTs and each
+    slab writes only its own rows, so results are bit-identical for any
+    worker count; only 1 is the documented reference configuration.
+    Leaving n > 1 shuts the pool down and joins its threads.
     """
     global _workers, _pool
     if int(n) < 1:
@@ -71,13 +71,12 @@ def set_default_workers(n: int) -> None:
 
 
 def _map(fn, items) -> list:
-    """[fn(x) for x in items], run in order at one worker; at n workers the
-    calling thread and the pool's n - 1 threads each take the next item
-    until none is left.  The caller works rather than waits: a pool thread
-    more would keep one more slab's working set in its allocator arena."""
+    """[fn(x) for x in items]: the calling thread and min(n, len(items)) - 1
+    of the pool's threads each take the next item until none is left (at one
+    worker, the caller alone, in order).  The caller works rather than
+    waits: a pool thread more would keep one more slab's working set in its
+    allocator arena."""
     items = list(items)
-    if _pool is None:
-        return [fn(x) for x in items]
     out = [None] * len(items)
     todo, lock = iter(range(len(items))), threading.Lock()
 
@@ -89,7 +88,7 @@ def _map(fn, items) -> list:
                 return
             out[i] = fn(items[i])
 
-    futures = [_pool.submit(drain) for _ in range(_workers - 1)]
+    futures = [_pool.submit(drain) for _ in range(min(_workers, len(items)) - 1)]
     try:
         drain()
     finally:
@@ -111,9 +110,8 @@ def _rfftn(a: np.ndarray) -> np.ndarray:
 
 
 def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
-    # One worker: per component (same bits, a third of the c2r's scratch).  Threaded
-    # calls (vector `Field.samples`) stay batched: split, an N=64 solve ran 18% slower.
-    if a.ndim > 3 and _workers == 1:
+    # a vector per component: the same bits, a third of the c2r's scratch
+    if a.ndim > 3:
         out = np.empty(a.shape[:-3] + (n, n, n))
         for a_i, out_i in zip(a, out):
             out_i[...] = _irfftn(a_i, n)
@@ -237,12 +235,17 @@ class BoxGrid:
         mult[0] = mult[-1] = 1.0
         return mult
 
+    @property
+    def two_thirds_cut(self) -> int:
+        """The 2/3 rule: the largest |m_i| kept, (N - 1) // 3, so a mode is
+        kept when 3|m_i| < N on every axis.  Strict, so a sum of two kept
+        modes aliases only onto dropped ones."""
+        return (self.N - 1) // 3
+
     @cached_property
     def two_thirds_mask(self) -> np.ndarray:
-        """The 2/3 rule on the half-spectrum as 1.0 (kept) / 0.0 (dropped):
-        a mode is kept when 3|m_i| < N on every axis.  Strict, so a sum of
-        two kept modes aliases only onto dropped ones."""
-        keep = 3 * np.abs(self.modes1d) < self.N
+        """`two_thirds_cut` on the half-spectrum as 1.0 (kept) / 0.0 (dropped)."""
+        keep = np.abs(self.modes1d) <= self.two_thirds_cut
         return (
             keep[:, None, None] & keep[None, :, None] & keep[: self.N // 2 + 1]
         ) * 1.0
@@ -266,11 +269,11 @@ class Field:
 
     Holds physical samples (float64, shape (N,N,N) or (3,N,N,N)) and/or the
     rfftn half-spectrum (complex128, shape (N,N,N/2+1) or (3,N,N,N/2+1), see
-    the module docstring); whichever is missing is computed on demand and
-    cached, so a field is transformed at most once each way; `samples`
-    gives the physical samples of a spectrum without caching them.  On one
-    worker a vector's inverse transform runs per component.  Instances are
-    treated as immutable: arithmetic returns new fields.
+    the module docstring).  The spectrum of samples is computed on demand
+    and cached; the samples of a spectrum are computed on each read of
+    `physical` and never kept, so a caller that reads them twice holds them
+    in a local or a view `Field(grid, physical=..., spectral=...)`.
+    Instances are treated as immutable: arithmetic returns new fields.
     """
 
     def __init__(self, grid: BoxGrid, physical=None, spectral=None):
@@ -304,12 +307,7 @@ class Field:
 
     @property
     def physical(self) -> np.ndarray:
-        if self._physical is None:
-            self._physical = self.samples()
-        return self._physical
-
-    def samples(self) -> np.ndarray:
-        """The physical samples, not cached when transformed from the spectrum."""
+        """The samples: those given, else a fresh transform of the spectrum."""
         if self._physical is not None:
             return self._physical
         if not np.all(np.isfinite(self._spectral.view(np.float64))):
@@ -336,10 +334,11 @@ class Field:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise |f|: abs for scalars, Euclidean norm for vectors."""
+        p = self.physical
         if self.rank == "scalar":
-            return np.abs(self.physical)
-        acc = self.physical[0] ** 2  # summed in place, in np.sum's order
-        for p_i in self.physical[1:]:
+            return np.abs(p)
+        acc = p[0] ** 2  # summed in place, in np.sum's order
+        for p_i in p[1:]:
             acc += p_i**2
         return np.sqrt(acc, out=acc)
 

@@ -71,7 +71,7 @@ class VorticityField:
         self.support_radius = float(support_radius)
 
         # a spectrum's samples give the scale and |omega|, and are not kept
-        samples = Field(omega.grid, physical=omega.samples())
+        samples = Field(omega.grid, physical=omega.physical)
         scale, magnitude = _max_abs(samples.physical), samples.magnitude()
         del samples
         if scale == 0.0:

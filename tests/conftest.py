@@ -56,9 +56,7 @@ def smooth_field(grid: BoxGrid, rng, rank="scalar", zero_mean=True, m0=None) -> 
     coeffs = f.spectral * env
     if zero_mean:
         coeffs[..., 0, 0, 0] = 0.0
-    out = Field.from_spectral(grid, coeffs)
-    out.physical  # realize samples (also enforces reality once)
-    return Field.from_physical(grid, out.physical)
+    return Field.from_physical(grid, Field.from_spectral(grid, coeffs).physical)
 
 
 def div_free_field(grid: BoxGrid, rng, m0=None) -> Field:

@@ -1060,18 +1060,20 @@ def restore_workers():
 
 
 def test_fft_worker_count_leaves_report_bytes_unchanged(tmp_path, restore_workers):
-    # every study that marches; the benchmark runs the transfer study at two
+    # every runner; the benchmark runs the transfer study at two
     studies = {
-        "solution": solution_data(solver={"dt": 5e-3, "t_end": 0.01}),
-        "tail": tail_data(),
-        "transfer": transfer_data(),
+        "inversion": (run_study, tiny_inversion_data()),
+        "audit": (run_snapshot_audit, tiny_inversion_data()),
+        "solution": (run_study, solution_data(solver={"dt": 5e-3, "t_end": 0.01})),
+        "tail": (run_study, tail_data()),
+        "transfer": (run_study, transfer_data()),
     }
-    for kind, data in studies.items():
+    for kind, (run, data) in studies.items():
         cfg = parse_config(data)
         for workers in (1, 2):
             set_default_workers(workers)
             assert spectral_core._workers == workers
-            emit_report(run_study(cfg), tmp_path / kind / f"w{workers}")
+            emit_report(run(cfg), tmp_path / kind / f"w{workers}")
         tables = sorted((tmp_path / kind / "w1").glob("*.csv"))
         assert len(tables) >= 2
         for path in tables:

@@ -36,7 +36,6 @@ from boxflow.norms import (
     sobolev_norm,
 )
 from boxflow.solver import (
-    DIAGNOSTIC_COLUMNS,
     SolverConfig,
     _StepKernel,
     energy_audit,
@@ -45,7 +44,6 @@ from boxflow.solver import (
     nse_march,
     nse_solve,
     pressure_solve,
-    write_diagnostics_csv,
 )
 from boxflow.spectral_core import (
     BoxGrid,
@@ -327,7 +325,8 @@ def convective_rhs(u: Field) -> np.ndarray:
 def test_rotational_rhs_matches_convective_product(grid, seed):
     u = random_velocity(grid, seed)
     kernel = _StepKernel(grid)
-    got = kernel.scatter(kernel.first_stage(u.spectral)[0], np.zeros_like(u.spectral))
+    rhs = kernel.stage(kernel.block(u.spectral))[0]
+    got = kernel.scatter(rhs, np.zeros_like(u.spectral))
     want = convective_rhs(u)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -370,7 +369,7 @@ def stage_as_written(grid: BoxGrid, uhat: np.ndarray):
     """The nonlinear stage in fresh arrays throughout: -P(omega x u) of the
     2/3-truncated uhat with its zero mode zeroed, and u."""
     v = dealias(Field.from_spectral(grid, uhat))
-    u, w = v.samples(), curl(v).samples()
+    u, w = v.physical, curl(v).physical
     f = np.stack(
         [w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0]]
     )
@@ -414,7 +413,7 @@ def test_step_is_the_textbook_formula_bit_for_bit(grid, seed, dt, workers, shear
     before = uhat.copy()
     set_default_workers(workers)
     try:
-        first, umax = kernel.first_stage(uhat)
+        first, umax = kernel.stage(kernel.block(uhat))
         assert same_bits(first, kernel.block(a))  # the stage as well as the step
         assert umax == float(np.sqrt(np.sum(u * u, axis=0)).max())
         got = kernel.advance(uhat, dt, first)
@@ -467,7 +466,7 @@ def test_slab_passes_run_at_one_worker_on_the_pool(monkeypatch):
 def stage_and_step_bits(kernel, uhat, dt, workers):
     set_default_workers(workers)
     try:
-        a, umax = kernel.first_stage(uhat)
+        a, umax = kernel.stage(kernel.block(uhat))
         first = a.tobytes()  # `advance` sums the step into a
         return first, umax, kernel.advance(uhat, dt, a).tobytes()
     finally:
@@ -522,10 +521,11 @@ def test_a_slab_that_overflows_blows_up_alike_on_the_pool(monkeypatch):
     assert raised[0] == raised[1] == ("non-finite values after t=0.0", 0.0)
 
 
-def test_switching_back_to_one_worker_leaves_no_pool_thread():
-    def pool_threads():
-        return [t for t in threading.enumerate() if t.name.startswith("boxflow-slab")]
+def pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("boxflow-slab")]
 
+
+def test_switching_back_to_one_worker_leaves_no_pool_thread():
     set_default_workers(2)
     try:
         nse_solve(taylor_green(BoxGrid(np.pi, 16)), SolverConfig(dt=1e-3, t_end=1e-3))
@@ -533,6 +533,39 @@ def test_switching_back_to_one_worker_leaves_no_pool_thread():
     finally:
         set_default_workers(1)
     assert pool_threads() == []
+
+
+def test_a_stage_starts_no_pool_thread_that_gets_no_slab():
+    # N = 16 makes two slabs: at four workers the caller and one pool
+    # thread take them, and no stage hands a drain to a third or fourth
+    grid = BoxGrid(2.0, 16)
+    kernel = _StepKernel(grid)
+    v = kernel.block(random_velocity(grid, 0).spectral)
+    set_default_workers(4)
+    try:
+        for _ in range(3):
+            kernel.stage(v)
+        assert len(pool_threads()) == 1
+    finally:
+        set_default_workers(1)
+    assert pool_threads() == []
+
+
+@properties
+@given(n=st.integers(4, 48).map(lambda k: 2 * k))
+@example(n=18)
+@example(n=30)
+def test_the_block_is_the_two_thirds_rule(n):
+    # the step's block and the mask both read `two_thirds_cut`; conftest's
+    # `dealias` builds the rule from the mode numbers on its own
+    grid = BoxGrid(1.0, n)
+    kernel = _StepKernel(grid)
+    mask = grid.two_thirds_mask
+    blk = kernel.block(mask)
+    assert np.all(blk == 1.0)
+    assert same_bits(kernel.scatter(blk, np.zeros_like(mask)), mask)
+    kept = dealias(Field(grid, spectral=np.ones(grid.ksq.shape, complex))).spectral
+    assert grid.two_thirds_cut == np.abs(grid.modes1d[kept[:, 0, 0] != 0]).max()
 
 
 # ------------------------------------------------------------ error contract
@@ -752,22 +785,3 @@ def test_existence_time_zero_field_and_bad_constant():
     assert est.h1_bound == 0.0 and math.isinf(est.t_guaranteed)
     with pytest.raises(UsageError):
         existence_time(zero, -1.0)
-
-
-# ----------------------------------------------------------------------- csv
-
-
-def test_diagnostics_csv_is_deterministic(tmp_path):
-    grid = BoxGrid(2.0, 16)
-    traj = nse_solve(shear_flow(grid), SolverConfig(dt=1e-3, t_end=5e-3))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_diagnostics_csv(traj.diagnostics, a)
-    write_diagnostics_csv(traj.diagnostics, b)
-    assert a.read_bytes() == b.read_bytes()
-    lines = a.read_text().splitlines()
-    assert lines[0] == ",".join(DIAGNOSTIC_COLUMNS)
-    assert len(lines) == 1 + len(traj.diagnostics)
-    # floats round-trip exactly
-    first = lines[1].split(",")
-    assert float(first[0]) == traj.diagnostics[0].time
-    assert float(first[1]) == traj.diagnostics[0].entries["energy"]

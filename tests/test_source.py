@@ -136,3 +136,53 @@ def test_checker_finds_dead_private_names():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def worker_branches(source: str) -> list[str]:
+    """Lines outside `set_default_workers` where an `if` or `while` test, a
+    conditional expression or a comparison reads `_workers` or `_pool`: a
+    code path picked by the worker count."""
+    tree = ast.parse(source)
+    exempt = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "set_default_workers"
+        for sub in ast.walk(node)
+    }
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp)):
+            test = node.test
+        elif isinstance(node, ast.Compare):
+            test = node
+        else:
+            continue
+        if id(node) not in exempt and _reads(test) & {"_workers", "_pool"}:
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_checker_finds_worker_branches():
+    source = (
+        "_workers, _pool = 1, None\n"
+        "def set_default_workers(n):\n"
+        "    if n != _workers and _pool is not None:\n"
+        "        pass\n"
+        "def inverse(a):\n"
+        "    if a.ndim > 3 and _workers == 1:\n"
+        "        return a\n"
+        "    return fft(a, workers=_workers)\n"
+        "def run(items):\n"
+        "    pool = None if _pool is None else _pool\n"
+        "    return [pool.submit(f) for _ in range(min(_workers, len(items)) - 1)]\n"
+        "def spin(core):\n"
+        "    while core._workers:\n"
+        "        pass\n"
+        "    return [x for x in range(3) if x < core._pool.size]\n"
+    )
+    assert worker_branches(source) == ["line 6", "line 10", "line 13", "line 15"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_set_default_workers_branches_on_the_worker_count(path):
+    assert worker_branches(path.read_text()) == []

@@ -195,10 +195,13 @@ class TestTransforms:
     def test_samples_of_a_spectrum_are_not_cached(self, rng):
         g = BoxGrid(1.0, 16)
         f = Field.from_spectral(g, white_field(g, rng, rank="vector").spectral)
-        samples = f.samples()
+        samples = f.physical
         assert f._physical is None
-        assert np.array_equal(samples, f.physical)
-        assert f.samples() is f.physical
+        assert f.physical is not samples
+        assert np.array_equal(f.physical, samples)
+        given = Field.from_physical(g, samples)
+        assert given.physical is samples  # given samples are returned as they are
+        assert given.spectral is given.spectral  # a spectrum is cached
 
     def test_magnitude_is_the_root_of_the_summed_squares(self, rng):
         f = white_field(BoxGrid(1.0, 16), rng, rank="vector")
