@@ -89,10 +89,6 @@ from .experiments import (
     load_config,
     measure_constants,
     parse_config,
-    run_inversion_study,
     run_snapshot_audit,
-    run_solution_study,
     run_study,
-    run_tail_study,
-    run_transfer_study,
 )

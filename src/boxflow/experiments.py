@@ -18,6 +18,10 @@ stands in for the whole space, all driven by one declarative JSON config:
   for the first alpha* from which every larger box keeps its H^1 norm
   squared below twice the reference bound M.
 
+``run_study(cfg)`` runs the study that ``cfg.kind`` names, and
+``run_snapshot_audit(cfg)`` audits the initial data of any config; both
+return a `StudyResult`.
+
 "R^3" is operationalised as the largest box Q_beta with beta >= 2*max(alpha);
 all boxes share one lattice spacing h = 2*alpha_1/N_1 so fields nest exactly.
 
@@ -66,7 +70,6 @@ byte-identical CSVs; only the wall time in ``metadata.json`` may differ.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -111,12 +114,8 @@ __all__ = [
     "load_config",
     "measure_constants",
     "parse_config",
-    "run_inversion_study",
     "run_snapshot_audit",
-    "run_solution_study",
     "run_study",
-    "run_tail_study",
-    "run_transfer_study",
 ]
 
 STUDY_KINDS = ("inversion", "solution", "tail", "transfer")
@@ -498,40 +497,6 @@ class StudyResult:
         return all(record.passed for record in self.checks)
 
 
-#: study kind -> its runner; filled by :func:`_study`.
-_RUNNERS: dict = {}
-
-
-def _study(kind: str):
-    """Decorate a study body into its public runner, registered for ``kind``.
-
-    The runner rejects a config of another kind (audits take any kind),
-    times the body, and builds the :class:`StudyResult` from the fields the
-    body returns as a dict (all but ``kind``, ``config`` and ``wall_time_s``).
-    """
-
-    def decorate(body):
-        @functools.wraps(
-            body, assigned=("__module__", "__name__", "__qualname__", "__doc__")
-        )
-        def run(cfg: StudyConfig) -> StudyResult:
-            if kind in STUDY_KINDS and cfg.kind != kind:
-                raise UsageError(f"{body.__name__} got a {cfg.kind!r} config")
-            start = time.perf_counter()
-            parts = body(cfg)
-            return StudyResult(
-                kind=kind,
-                config=cfg.to_dict(),
-                wall_time_s=time.perf_counter() - start,
-                **parts,
-            )
-
-        _RUNNERS[kind] = run
-        return run
-
-    return decorate
-
-
 def _box_grids(cfg: StudyConfig):
     """(alpha, grid) for every box, built as the caller reaches it."""
     return ((alpha, BoxGrid(alpha, n)) for alpha, n in zip(cfg.alphas, cfg.ns))
@@ -697,8 +662,7 @@ def _check_halving(rows: list[dict], column: str, bound: float) -> list[CheckRec
 # studies
 
 
-@_study("inversion")
-def run_inversion_study(cfg: StudyConfig) -> dict:
+def _inversion_study(cfg: StudyConfig) -> dict:
     """Invert one vorticity on every box and measure the gap on Q_beta.
 
     Per alpha: u_alpha = curl_inv_periodic(omega), extended to the reference
@@ -761,8 +725,7 @@ def run_inversion_study(cfg: StudyConfig) -> dict:
     )
 
 
-@_study("solution")
-def run_solution_study(cfg: StudyConfig) -> dict:
+def _solution_study(cfg: StudyConfig) -> dict:
     """Evolve identical data on every box; compare against the Q_beta run.
 
     Emits per-snapshot errors (``solution_times.csv``) and per-alpha
@@ -794,7 +757,7 @@ def run_solution_study(cfg: StudyConfig) -> dict:
         warnings.warn(
             f"integrating to t_end={t_end} beyond the guaranteed horizon "
             f"{t_min:.6g}",
-            stacklevel=3,
+            stacklevel=4,
         )
 
     tail_radii = tuple(f * cfg.alphas[0] for f in _SOLUTION_TAIL_FRACTIONS)
@@ -893,8 +856,7 @@ def run_solution_study(cfg: StudyConfig) -> dict:
     return parts
 
 
-@_study("tail")
-def run_tail_study(cfg: StudyConfig) -> dict:
+def _tail_study(cfg: StudyConfig) -> dict:
     """Audit tail(u(t), R) <= tail(u0, r) + Gamma/(R - r) on every box.
 
     Gamma is assembled from measured quantities of each run: with
@@ -997,8 +959,7 @@ def run_tail_study(cfg: StudyConfig) -> dict:
     )
 
 
-@_study("transfer")
-def run_transfer_study(cfg: StudyConfig) -> dict:
+def _transfer_study(cfg: StudyConfig) -> dict:
     """Sweep ascending boxes for the H^1 transfer threshold alpha*.
 
     The reference box fixes M = ||u0||_{H^1}^2 and the guaranteed horizon
@@ -1096,12 +1057,7 @@ def run_transfer_study(cfg: StudyConfig) -> dict:
     )
 
 
-@_study("audit")
-def run_snapshot_audit(cfg: StudyConfig) -> dict:
-    """Evaluate the inequality ratios and the curl identity per box.
-
-    Accepts any study config; only the boxes and the initial data are used.
-    """
+def _snapshot_audit(cfg: StudyConfig) -> dict:
     rows: list[dict] = []
     checks: list[CheckRecord] = []
     for alpha, grid in _box_grids(cfg):
@@ -1139,9 +1095,36 @@ def run_snapshot_audit(cfg: StudyConfig) -> dict:
     )
 
 
+def _timed(kind: str, cfg: StudyConfig, body) -> StudyResult:
+    """Time ``body(cfg)`` and build the :class:`StudyResult` from the fields
+    it returns as a dict (all but ``kind``, ``config`` and ``wall_time_s``)."""
+    start = time.perf_counter()
+    parts = body(cfg)
+    return StudyResult(
+        kind=kind,
+        config=cfg.to_dict(),
+        wall_time_s=time.perf_counter() - start,
+        **parts,
+    )
+
+
 def run_study(cfg: StudyConfig) -> StudyResult:
-    """Dispatch to the runner matching ``cfg.kind``."""
-    return _RUNNERS[cfg.kind](cfg)
+    """Run the study that ``cfg.kind`` names."""
+    body = {
+        "inversion": _inversion_study,
+        "solution": _solution_study,
+        "tail": _tail_study,
+        "transfer": _transfer_study,
+    }[cfg.kind]
+    return _timed(cfg.kind, cfg, body)
+
+
+def run_snapshot_audit(cfg: StudyConfig) -> StudyResult:
+    """Evaluate the inequality ratios and the curl identity per box.
+
+    Accepts any study config; only the boxes and the initial data are used.
+    """
+    return _timed("audit", cfg, _snapshot_audit)
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,9 @@ by Parseval).  Sobolev norms are spectral sums,
 
     ||f||_{H^s}^2 = vol * sum_k (1 + |k|^2)^s |fhat_k|^2,
 
-with vol = (2 alpha)^3.  The sums run over the stored half-spectrum with the
-Hermitian multiplicities `BoxGrid.mult`; a field given by its samples is
+with vol = (2 alpha)^3.  Every such sum is `spectral_moments`, which takes
+its per-mode weights as arrays and runs over the stored half-spectrum with
+the Hermitian multiplicities `BoxGrid.mult`; a field given by its samples is
 transformed once and keeps its coefficients, so several norms of one field
 share them.
 
@@ -39,20 +40,11 @@ _MEAN_RTOL = 1e-8
 # Spectral moments
 # ---------------------------------------------------------------------------
 
-def spectral_moment(f: Field, weight, diff: bool = False) -> float:
-    """vol * sum_k weight(|k|^2) |fhat_k|^2, summed over components.
-
-    `weight` maps an array of |k|^2 values to the per-mode weight (a
-    constant broadcasts over the modes).  With diff=True the Nyquist-zeroed
-    differentiation wavevectors are used, making the result consistent with
-    the package's differential operators.
-    """
-    return spectral_moments(f, [weight(f.grid.ksq_diff if diff else f.grid.ksq)])[0]
-
-
 def spectral_moments(f: Field, weights) -> list[float]:
-    """`spectral_moment` for each weight (a half-spectrum array or a constant)
-    from one |fhat|^2 pass per component, each sum bit for bit a lone one."""
+    """vol * sum_k w_k |fhat_k|^2 over all components for each weight w (a
+    half-spectrum array or a constant), from one |fhat|^2 pass per component,
+    each sum bit for bit a lone one.  Weights on `BoxGrid.ksq_diff` match the
+    package's differential operators."""
     g = f.grid
     ws = [w * g.mult for w in weights]
     del weights  # a weight made for this call dies here, as in a lone moment
@@ -66,24 +58,14 @@ def spectral_moments(f: Field, weights) -> list[float]:
     return [g.volume * t for t in totals]
 
 
-def l2_sq(f: Field) -> float:
-    """||f||_{L^2}^2 via Parseval (all components)."""
-    return spectral_moment(f, lambda ksq: 1.0)
-
-
 def l2_norm(f: Field) -> float:
     """||f||_{L^2} via Parseval (all components)."""
-    return float(np.sqrt(l2_sq(f)))
+    return float(np.sqrt(spectral_moments(f, [1.0])[0]))
 
 
 def grad_l2_sq(f: Field) -> float:
     """||grad f||_{L^2}^2 summed over all components and directions."""
-    return spectral_moment(f, lambda ksq: ksq, diff=True)
-
-
-def lap_l2_sq(f: Field) -> float:
-    """||lap f||_{L^2}^2 (componentwise Laplacian)."""
-    return spectral_moment(f, lambda ksq: ksq**2, diff=True)
+    return spectral_moments(f, [f.grid.ksq_diff])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +86,7 @@ def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm by spectral sum; fractional s allowed."""
     if not np.isfinite(s) or s < 0:
         raise UsageError(f"Sobolev order must satisfy s >= 0, got {s!r}")
-    return float(np.sqrt(spectral_moment(f, lambda ksq: (1.0 + ksq) ** s)))
+    return float(np.sqrt(spectral_moments(f, [(1.0 + f.grid.ksq) ** s])[0]))
 
 
 def tail_mass(f: Field, R: float) -> float:
@@ -147,19 +129,21 @@ def inequality_report(u: Field) -> NormReport:
     if u.rank != "vector":
         raise UsageError("inequality_report expects a vector field")
     mean = np.abs(u.mean_value()).max()
-    scale = max(_max_abs(u.physical), 1e-300)
+    samples = Field(u.grid, physical=u.physical)  # one transform of a spectrum
+    scale = max(_max_abs(samples.physical), 1e-300)
     if mean > _MEAN_RTOL * scale:
         raise DataError(
             "inequality_report requires a zero-mean field "
             f"(relative mean {mean / scale:.2e})"
         )
-    linf = lebesgue_norm(u, np.inf)
-    l2 = l2_norm(u)
-    l6 = lebesgue_norm(u, 6)
-    grad = np.sqrt(grad_l2_sq(u))
-    lap = np.sqrt(lap_l2_sq(u))
+    linf = lebesgue_norm(samples, np.inf)
+    l6 = lebesgue_norm(samples, 6)
+    del samples
+    g = u.grid
+    l2, grad, lap, h2 = np.sqrt(
+        spectral_moments(u, [1.0, g.ksq_diff, g.ksq_diff**2, (1.0 + g.ksq) ** 2])
+    )
     h1 = np.sqrt(l2**2 + grad**2)
-    h2 = sobolev_norm(u, 2)
     degenerate = linf == 0.0 or grad == 0.0 or lap == 0.0
     if degenerate:
         agmon = l6r = interp = float("nan")
@@ -168,13 +152,13 @@ def inequality_report(u: Field) -> NormReport:
         l6r = l6 / grad
         interp = h1 / np.sqrt(l2 * h2)
     entries = {
-        "l2": l2,
+        "l2": float(l2),
         "linf": linf,
         "l6": l6,
         "grad_l2": float(grad),
         "lap_l2": float(lap),
         "h1": float(h1),
-        "h2": h2,
+        "h2": float(h2),
         "agmon_ratio": float(agmon),
         "l6_ratio": float(l6r),
         "interp_ratio": float(interp),

@@ -23,7 +23,7 @@ from hypothesis import given, strategies as st
 
 from boxflow.cli import main as cli_main
 from boxflow import experiments
-from boxflow.errors import BlowUpError, ConfigurationError, StepSizeError, UsageError
+from boxflow.errors import BlowUpError, ConfigurationError, StepSizeError
 from boxflow.experiments import (
     _box_grids,
     _build_vorticity,
@@ -35,12 +35,8 @@ from boxflow.experiments import (
     load_config,
     measure_constants,
     parse_config,
-    run_inversion_study,
     run_snapshot_audit,
-    run_solution_study,
     run_study,
-    run_tail_study,
-    run_transfer_study,
 )
 from boxflow import spectral_core
 from boxflow.solver import SolverConfig, existence_time, nse_march
@@ -507,21 +503,13 @@ def test_load_config_round_trip(tmp_path):
     assert load_config(path) == parse_config(inversion_data())
 
 
-def test_run_study_dispatch_checks_kind():
-    cfg = parse_config(inversion_data())
-    with pytest.raises(UsageError):
-        run_solution_study(cfg)
-    with pytest.raises(UsageError):
-        run_tail_study(cfg)
-
-
 # -------------------------------------------------------------- inversion
 
 
 @pytest.fixture(scope="module")
 def inversion_result():
     cfg = parse_config(inversion_data())
-    return cfg, run_inversion_study(cfg)
+    return cfg, run_study(cfg)
 
 
 def test_inversion_table_shape(inversion_result):
@@ -603,13 +591,13 @@ def test_inversion_transforms_the_first_box_once(monkeypatch):
     measure_constants([_initial_velocity(cfg, grid)])
     alone = calls.count(grid.N)
     calls.clear()
-    run_inversion_study(cfg)
+    run_study(cfg)
     assert calls.count(grid.N) == alone > 0
 
 
 def test_inversion_zero_data_gives_zero_errors():
     cfg = parse_config(inversion_data(initial_data=ZERO_DATA))
-    res = run_inversion_study(cfg)
+    res = run_study(cfg)
     for row in res.rows:
         assert row["err_L2"] == 0.0
         assert row["err_H1"] == 0.0
@@ -623,7 +611,7 @@ def test_inversion_zero_data_gives_zero_errors():
 @pytest.fixture(scope="module")
 def solution_result():
     cfg = parse_config(solution_data())
-    return cfg, run_solution_study(cfg)
+    return cfg, run_study(cfg)
 
 
 def test_solution_errors_decrease_with_alpha(solution_result):
@@ -662,7 +650,7 @@ def test_solution_t0_rows_match_the_inversion_study(solution_result):
     cfg, res = solution_result
     data = solution_data(kind="inversion")
     del data["solver"]
-    inversion = run_inversion_study(parse_config(data))
+    inversion = run_study(parse_config(data))
     t0_rows = [r for r in res.time_rows if r["t"] == 0.0]
     assert [r["alpha"] for r in t0_rows] == [r["alpha"] for r in inversion.rows]
     assert len(t0_rows) == len(cfg.alphas)
@@ -700,7 +688,7 @@ def test_solution_study_stores_no_trajectory():
     unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
     tracemalloc.start()
     try:
-        run_solution_study(cfg)
+        run_study(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -718,7 +706,7 @@ def test_transfer_study_reads_only_audit_records():
     unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
     tracemalloc.start()
     try:
-        run_transfer_study(cfg)
+        run_study(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -736,7 +724,7 @@ def test_a_failed_box_ends_only_its_own_row():
                       "amplitude": 10.0, "direction": [0, 0, 1]},
         solver={"dt": 0.0107, "t_end": 0.0214, "snapshot_every": 1},
     )
-    res = run_solution_study(parse_config(data))
+    res = run_study(parse_config(data))
     checks = {c.name: c for c in res.checks}
     failed = checks["no_blowup_alpha_1"]
     assert not failed.passed and math.isnan(failed.measured)
@@ -759,6 +747,7 @@ def test_a_failed_march_keeps_no_arrays():
     u0 = experiments._initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n))
     unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
     failed = {}
+    u0.grid.ksq  # the grid's own table, built outside the window
     tracemalloc.start()
     try:
         march = nse_march(u0, SolverConfig(dt=1.0, t_end=2.0))
@@ -778,12 +767,13 @@ def test_solution_beyond_horizon_needs_flag():
     )
     cfg = parse_config(data)
     with pytest.raises(ConfigurationError, match="guaranteed"):
-        run_solution_study(cfg)
+        run_study(cfg)
     data["allow_beyond_guaranteed"] = True
     cfg = parse_config(data)
-    with pytest.warns(UserWarning, match="beyond the guaranteed horizon"):
-        res = run_solution_study(cfg)
+    with pytest.warns(UserWarning, match="beyond the guaranteed horizon") as caught:
+        res = run_study(cfg)
     assert res.extras["t_end"] > res.extras["t_guaranteed_min"]
+    assert [w.filename for w in caught] == [__file__]  # names the caller
 
 
 def test_solution_reference_blowup_is_a_recorded_abort():
@@ -795,7 +785,7 @@ def test_solution_reference_blowup_is_a_recorded_abort():
     )
     cfg = parse_config(data)
     with pytest.warns(UserWarning):
-        res = run_solution_study(cfg)
+        res = run_study(cfg)
     assert res.extras["aborted"]
     assert res.rows == []
     check = {c.name: c for c in res.checks}["no_blowup_reference"]
@@ -809,7 +799,7 @@ def test_solution_reference_blowup_is_a_recorded_abort():
 @pytest.fixture(scope="module")
 def tail_result():
     cfg = parse_config(tail_data())
-    return cfg, run_tail_study(cfg)
+    return cfg, run_study(cfg)
 
 
 def test_tail_margins_nonnegative(tail_result):
@@ -842,7 +832,7 @@ def test_tail_margin_grows_with_radius_at_small_amplitude():
             "amplitude": 0.02,
         }
     )
-    res = run_tail_study(parse_config(data))
+    res = run_study(parse_config(data))
     assert res.passed
     for t in {row["t"] for row in res.rows}:
         margins = [r["margin"] for r in sorted(
@@ -854,7 +844,7 @@ def test_tail_margin_grows_with_radius_at_small_amplitude():
 
 def test_tail_zero_data_is_vacuously_tight():
     cfg = parse_config(tail_data(initial_data=ZERO_DATA))
-    res = run_tail_study(cfg)
+    res = run_study(cfg)
     assert res.passed
     assert res.extras["gamma"]["4"] == 0.0
     for row in res.rows:
@@ -880,7 +870,7 @@ def test_a_failed_tail_box_leaves_the_larger_boxes_running(monkeypatch):
         solver={"dt": 4e-3, "t_end": 0.012, "snapshot_every": 2},
         tail={"inner_radius": 1.5, "radii": [1.75, 2.0]},
     )
-    res = run_tail_study(parse_config(data))
+    res = run_study(parse_config(data))
     checks = {c.name: c for c in res.checks}
     assert not checks["no_blowup_alpha_3"].passed
     assert checks["no_blowup_alpha_3"].measured == 0.0
@@ -896,7 +886,7 @@ def test_a_failed_tail_box_leaves_the_larger_boxes_running(monkeypatch):
 @pytest.fixture(scope="module")
 def transfer_result():
     cfg = parse_config(transfer_data())
-    return cfg, run_transfer_study(cfg)
+    return cfg, run_study(cfg)
 
 
 def test_transfer_finds_alpha_star(transfer_result):
@@ -936,7 +926,7 @@ def test_a_failed_transfer_box_gets_a_blown_up_row():
         solver={"dt": 0.0107},
         transfer={"t_star_factor": 1.0},
     )
-    res = run_transfer_study(parse_config(data))
+    res = run_study(parse_config(data))
     one, two, ref = res.rows
     assert (one["alpha"], one["blown_up"], one["within_2m"]) == (1.0, 1, 0)
     assert math.isnan(one["sup_enstrophy"]) and math.isnan(one["sup_h1_sq"])
@@ -952,7 +942,7 @@ def test_a_failed_transfer_box_gets_a_blown_up_row():
 def test_transfer_rejects_zero_data():
     data = transfer_data(initial_data=ZERO_DATA)
     with pytest.raises(ConfigurationError, match="nonzero"):
-        run_transfer_study(parse_config(data))
+        run_study(parse_config(data))
 
 
 # -------------------------------------------------------------- audit
@@ -1223,7 +1213,7 @@ def test_tail_margin_check_fails_when_no_snapshot_is_measured():
                      initial_data={"family": "bump", "support_radius": 1.0,
                                    "amplitude": 10.0},
                      solver={"dt": 5e-2, "t_end": 0.1})
-    res = run_tail_study(parse_config(data))
+    res = run_study(parse_config(data))
     assert res.rows == []
     record = next(
         c for c in res.checks if c.name == "tail_bound_margin_nonnegative"

@@ -18,12 +18,7 @@ from boxflow import (
     sobolev_norm,
     tail_mass,
 )
-from boxflow.norms import (
-    grad_l2_sq,
-    lap_l2_sq,
-    spectral_moment,
-    spectral_moments,
-)
+from boxflow.norms import grad_l2_sq, spectral_moments
 
 from conftest import (
     div_free_field,
@@ -42,7 +37,7 @@ WEIGHTS = {
 
 
 def full_moment(f: Field, weight, diff: bool = False) -> float:
-    """Oracle for `spectral_moment`: the same sum over all N^3 modes."""
+    """Oracle for `spectral_moments`: the same sum over all N^3 modes."""
     w = weight(full_ksq(f.grid, diff))
     return f.grid.volume * float(np.sum(w * np.abs(full_spectrum(f)) ** 2))
 
@@ -128,7 +123,7 @@ class TestSobolev:
         want = full_moment(f, WEIGHTS["k2"], diff=True)
         assert grad_l2_sq(f) == pytest.approx(want, rel=1e-12)
         want = full_moment(f, WEIGHTS["k4"], diff=True)
-        assert lap_l2_sq(f) == pytest.approx(want, rel=1e-12)
+        assert spectral_moments(f, [g.ksq_diff**2])[0] == pytest.approx(want, rel=1e-12)
 
     def test_samples_are_transformed_once(self, rng, monkeypatch):
         import boxflow.spectral_core as sc
@@ -253,7 +248,7 @@ class TestHelpers:
     def test_moment_constant_weight(self, rng):
         g = BoxGrid(1.0, 8)
         f = smooth_field(g, rng)
-        m = spectral_moment(f, lambda ksq: np.ones_like(ksq))
+        m = spectral_moments(f, [WEIGHTS["1"](g.ksq)])[0]
         assert np.sqrt(m) == pytest.approx(l2_norm(f), rel=1e-12)
 
 
@@ -270,11 +265,12 @@ def test_spectral_moment_matches_full_spectrum(alpha, n, seed, weight, diff):
     g = BoxGrid(alpha, n)
     f = white_field(g, np.random.default_rng(seed), rank="vector")
     want = full_moment(f, WEIGHTS[weight], diff)
-    assert spectral_moment(f, WEIGHTS[weight], diff) == pytest.approx(want, rel=1e-14)
+    w = WEIGHTS[weight](g.ksq_diff if diff else g.ksq)
+    assert spectral_moments(f, [w])[0] == pytest.approx(want, rel=1e-14)
 
 
 def moment_by_component(f: Field, w) -> float:
-    """`spectral_moment` as one loop over components for one weight array."""
+    """One weight's moment as one loop over components."""
     w = w * f.grid.mult
     total = 0.0
     for c in f.spectral[None] if f.rank == "scalar" else f.spectral:
@@ -300,4 +296,31 @@ def test_fused_moments_equal_one_weight_at_a_time(alpha, n, seed, rank):
     weights = (1.0, g.ksq_diff, g.ksq_diff**2, g.ksq, rng.random(g.ksq.shape))
     want = [moment_by_component(f, w) for w in weights]
     assert spectral_moments(f, weights) == want  # bit for bit
-    assert spectral_moment(f, lambda ksq: ksq, diff=True) == want[1]
+    assert grad_l2_sq(f) == want[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.25, 8.0),
+    n=st.integers(4, 12).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(alpha=1.0, n=16, seed=0)
+def test_inequality_report_is_the_lone_norms(alpha, n, seed):
+    # one moment pass and one read of the samples give every entry's bits
+    import boxflow.spectral_core as sc
+
+    g = BoxGrid(alpha, n)
+    u = Field(g, spectral=div_free_field(g, np.random.default_rng(seed)).spectral)
+    calls = []
+    irfftn = sc._irfftn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_irfftn", lambda a, n: calls.append(a.shape) or irfftn(a, n))
+        rep = inequality_report(u).entries
+    assert [c for c in calls if len(c) == 4] == [u.spectral.shape]  # one vector
+    assert rep["l2"] == l2_norm(u)
+    assert rep["grad_l2"] == np.sqrt(grad_l2_sq(u))
+    assert rep["lap_l2"] == np.sqrt(spectral_moments(u, [g.ksq_diff**2])[0])
+    assert rep["h2"] == sobolev_norm(u, 2)
+    assert rep["linf"] == lebesgue_norm(u, np.inf)
+    assert rep["l6"] == lebesgue_norm(u, 6)
