@@ -5,8 +5,9 @@ by Parseval).  Sobolev norms are spectral sums,
 
     ||f||_{H^s}^2 = vol * sum_k (1 + |k|^2)^s |fhat_k|^2,
 
-with vol = (2 alpha)^3.  Every such sum is `spectral_moments`, which takes
-its per-mode weights as arrays and runs over the stored half-spectrum with
+with vol = (2 alpha)^3.  Every such sum is `spectral_moments` (or its loop
+`_moments`, over spectra made one component at a time), which takes its
+per-mode weights as arrays and runs over the stored half-spectrum with
 the Hermitian multiplicities `BoxGrid.mult`; a field given by its samples is
 transformed once and keeps its coefficients, so several norms of one field
 share them.
@@ -45,17 +46,31 @@ def spectral_moments(f: Field, weights) -> list[float]:
     half-spectrum array or a constant), from one |fhat|^2 pass per component,
     each sum bit for bit a lone one.  Weights on `BoxGrid.ksq_diff` match the
     package's differential operators."""
-    g = f.grid
-    ws = [w * g.mult for w in weights]
-    del weights  # a weight made for this call dies here, as in a lone moment
-    totals = [0.0] * len(ws)
-    for c in f.spectral[None] if f.rank == "scalar" else f.spectral:
+    spectra = f.spectral[None] if f.rank == "scalar" else f.spectral
+    return _moments(f.grid, spectra, weights)
+
+
+def _moments(grid, spectra, weights) -> list[float]:
+    """`spectral_moments` of the components `spectra`, scalar half-spectra
+    on grid's modes, summed in the order they come.  Each is dropped once
+    its |c|^2 is formed, and one weight's product w * mult is alive at a
+    time: |c|^2 times it is written over it, or over |c|^2 by a constant
+    last weight."""
+    totals, last = [0.0] * len(weights), len(weights) - 1
+    for c in spectra:
         sq = c.real * c.real
         sq += c.imag * c.imag
-        for j, w in enumerate(ws):  # the last weight writes over sq
-            last = j == len(ws) - 1
-            totals[j] += float(np.multiply(sq, w, out=sq if last else None).sum())
-    return [g.volume * t for t in totals]
+        del c
+        for j, w in enumerate(weights):
+            wm = w * grid.mult
+            if wm.shape == sq.shape:
+                wm *= sq
+            else:  # a constant w: one column of factors
+                wm = np.multiply(sq, wm, out=sq if j == last else None)
+            totals[j] += float(wm.sum())
+            del wm
+        del sq
+    return [grid.volume * t for t in totals]
 
 
 def l2_norm(f: Field) -> float:

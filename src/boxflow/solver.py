@@ -62,6 +62,7 @@ from .norms import (
     spectral_moments,
 )
 from .spectral_core import (
+    _SLAB,
     BoxGrid,
     Field,
     _curl,
@@ -79,9 +80,6 @@ from .spectral_core import (
 # Blow-up thresholds: a step past either one halts the solve.
 BLOWUP_MAX_U = 1e6
 BLOWUP_MAX_ENSTROPHY = 1e8
-
-_SLAB = 8  # rows of axis -3 per slab of a stage's samples of u and omega
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -103,6 +103,7 @@ def _map(fn, items) -> list:
 # `_map`'s threads for the slab passes below.  They map the samples of a
 # real field to its half-spectrum m_3 = 0..N/2 (last axis) and back.
 _AXES = (-3, -2, -1)
+_SLAB = 8  # rows of axis -3 per slab of the passes that run on `_map`'s threads
 
 
 def _rfftn(a: np.ndarray) -> np.ndarray:
@@ -110,23 +111,29 @@ def _rfftn(a: np.ndarray) -> np.ndarray:
 
 
 def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
-    # a vector per component: the same bits, a third of the c2r's scratch
-    if a.ndim > 3:
-        out = np.empty(a.shape[:-3] + (n, n, n))
-        for a_i, out_i in zip(a, out):
-            out_i[...] = _irfftn(a_i, n)
-        return out
-    return scipy.fft.irfftn(
-        a, s=(n, n, n), axes=_AXES, norm="forward", workers=_workers
-    )
+    """scipy.fft.irfftn(a, (n, n, n), norm="forward") bit for bit, one
+    component at a time: c2c along axis -3 on a copy of the component, then
+    per slab of rows c2c along -2 in place and c2r along -1 into the rows of
+    the output, so no N^3 temporary is made beside the output."""
+    out = np.empty(a.shape[:-3] + (n, n, n))
+    for a_i, out_i in zip(a[None] if a.ndim == 3 else a, out.reshape(-1, n, n, n)):
+        x = _fft(a_i.copy(), -3, inverse=True)
+
+        def slab(r):
+            rows = slice(r, r + _SLAB)
+            out_i[rows] = _irfft(_fft(x[rows], -2, inverse=True, workers=1), n)
+
+        _map(slab, range(0, n, _SLAB))
+        del x
+    return out
 
 
-# Unnormalized 1-d passes.  pocketfft runs `_irfftn` as c2c along axis -3, -2, then
-# c2r along -1, and `_rfftn` as r2c along -1 scaled by T(1/N^3) (long double), then
-# c2c along -3, -2: passes taken in that order and scaled alike give the same bits.
-# A c2c pass writes its result into a (overwrite_x), a view of a wider array too.
-# The c2r and r2c are the solver stage's slab passes: they run on `_map`'s threads,
-# so each takes one worker, as does a c2c pass given workers=1.
+# Unnormalized 1-d passes.  pocketfft runs scipy.fft.irfftn as c2c along axis -3, -2,
+# then c2r along -1, and `_rfftn` as r2c along -1 scaled by T(1/N^3) (long double),
+# then c2c along -3, -2: passes taken in that order and scaled alike give the same
+# bits.  A c2c pass writes its result into a (overwrite_x), a view of a wider array
+# too.  The c2r and r2c are slab passes: they run on `_map`'s threads, so each takes
+# one worker, as does a c2c pass given workers=1.
 def _fft(a: np.ndarray, axis: int, inverse: bool = False, workers=None) -> np.ndarray:
     fft, norm = (scipy.fft.ifft, "forward") if inverse else (scipy.fft.fft, "backward")
     return fft(a, axis=axis, norm=norm, overwrite_x=True, workers=workers or _workers)

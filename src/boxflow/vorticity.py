@@ -70,10 +70,18 @@ class VorticityField:
         self.omega = omega
         self.support_radius = float(support_radius)
 
-        # a spectrum's samples give the scale and |omega|, and are not kept
-        samples = Field(omega.grid, physical=omega.physical)
-        scale, magnitude = _max_abs(samples.physical), samples.magnitude()
-        del samples
+        # the scale and |omega| from one component's samples at a time, the
+        # squares summed in `Field.magnitude`'s order; a spectrum's are not kept
+        scale, magnitude = 0.0, None
+        for i in range(3):
+            p = omega.component(i).physical
+            scale = float(np.maximum(scale, _max_abs(p)))  # NaN propagates
+            if magnitude is None:
+                magnitude = p**2
+            else:
+                magnitude += p**2
+            del p
+        np.sqrt(magnitude, out=magnitude)
         if scale == 0.0:
             self.div_rel = self.mean_rel = self.support_leak_rel = 0.0
             return

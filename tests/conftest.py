@@ -1,5 +1,7 @@
 """Shared fixtures and field generators for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -10,6 +12,17 @@ from boxflow.spectral_core import BoxGrid, Field, leray_project
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def traced_peak(fn) -> int:
+    """The traced peak of fn() in bytes, in a window opened for the call;
+    tracemalloc is stopped however fn ends."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def white_field(grid: BoxGrid, rng, rank="scalar") -> Field:

@@ -28,7 +28,7 @@ from boxflow.experiments import (
     _box_grids,
     _build_vorticity,
     _format_cell,
-    _gap_to_reference,
+    _gap_norms,
     _initial_velocity,
     _tail_masses,
     emit_report,
@@ -40,8 +40,11 @@ from boxflow.experiments import (
 )
 from boxflow import spectral_core
 from boxflow.solver import SolverConfig, existence_time, nse_march
-from boxflow.norms import tail_mass
+from boxflow.extension import extend_field
+from boxflow.norms import l2_norm, sobolev_norm, tail_mass
 from boxflow.spectral_core import BoxGrid, Field, set_default_workers
+
+from conftest import traced_peak
 
 
 def inversion_data(**overrides):
@@ -549,18 +552,15 @@ def test_inversion_constants_are_order_one(inversion_result):
 
 def test_inversion_holds_each_reference_array_only_while_it_is_read():
     # the traced peak in units of one 3-vector sample array on the N^3
-    # reference lattice; a reference held as both samples and spectrum next
-    # to a whole extended vector reaches 5.5
+    # reference lattice (2.77): the reference samples (1), and the gap made
+    # and summed one component at a time; the whole gap spectrum next to it
+    # gave 3.08, and a reference held as both samples and spectrum next to
+    # a whole extended vector 5.5
     cfg = parse_config(inversion_data(beta=4))
     unit = 3 * cfg.beta_n**3 * 8
-    tracemalloc.start()
-    try:
-        run_study(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_study(cfg))
     assert cfg.beta_n == 64
-    assert peak <= 4.0 * unit
+    assert peak <= 2.9 * unit
 
 
 def test_measurements_keep_no_samples_on_their_input():
@@ -574,8 +574,34 @@ def test_measurements_keep_no_samples_on_their_input():
     want = [tail_mass(Field.from_spectral(grid, u.spectral), r) for r in radii]
     assert _tail_masses(u, radii) == want
     measure_constants([u, ref])
-    _gap_to_reference(u, ref)
+    _gap_norms(u, ref, [1.0])
     assert u._physical is None and ref._physical is None
+
+
+def test_gap_norms_are_the_norms_of_the_whole_gap():
+    # the gap is made and summed one component at a time; its norms are
+    # those of the gap held whole, bit for bit
+    cfg = parse_config(solution_data(beta=4))
+    grid = next(g for _, g in _box_grids(cfg))
+    u = _initial_velocity(cfg, grid)
+    ref = _initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n))
+    gap = extend_field(u, ref.grid).physical - ref.physical
+    gap = Field.from_physical(ref.grid, gap)
+    ksq = ref.grid.ksq
+    got = _gap_norms(u, ref, [1.0, (1.0 + ksq) ** 1.0, (1.0 + ksq) ** 1.5])
+    want = [l2_norm(gap), sobolev_norm(gap, 1.0), sobolev_norm(gap, 1.5)]
+    assert min(want) > 0.0
+    assert got == want
+
+
+def test_gap_norms_of_zero_data_are_zero():
+    cfg = parse_config(solution_data(beta=4, initial_data=ZERO_DATA))
+    grid = next(g for _, g in _box_grids(cfg))
+    u = _initial_velocity(cfg, grid)
+    ref = _initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n))
+    ksq = ref.grid.ksq
+    got = _gap_norms(u, ref, [1.0, (1.0 + ksq) ** 1.0, (1.0 + ksq) ** 1.5])
+    assert got == [0.0] * 3
 
 
 def test_inversion_transforms_the_first_box_once(monkeypatch):
@@ -686,12 +712,7 @@ def test_solution_study_stores_no_trajectory():
         )
     )
     unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
-    tracemalloc.start()
-    try:
-        run_study(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_study(cfg))
     assert cfg.beta_n == 32
     assert peak <= 9.0 * unit
 
@@ -704,12 +725,7 @@ def test_transfer_study_reads_only_audit_records():
     # 6.76
     cfg = parse_config(transfer_data())
     unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
-    tracemalloc.start()
-    try:
-        run_study(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_study(cfg))
     assert cfg.beta_n == 32
     assert peak <= 6.0 * unit
 
@@ -746,17 +762,17 @@ def test_a_failed_march_keeps_no_arrays():
     cfg = parse_config(transfer_data())
     u0 = experiments._initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n))
     unit = 3 * cfg.beta_n**2 * (cfg.beta_n // 2 + 1) * 16
-    failed = {}
+    failed, steps, held = {}, [], []
     u0.grid.ksq  # the grid's own table, built outside the window
-    tracemalloc.start()
-    try:
-        march = nse_march(u0, SolverConfig(dt=1.0, t_end=2.0))
-        steps = list(experiments._until_failure("run", march, failed))
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+
+    def march():
+        run = nse_march(u0, SolverConfig(dt=1.0, t_end=2.0))
+        steps.extend(experiments._until_failure("run", run, failed))
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    traced_peak(march)
     assert len(steps) == 1 and isinstance(failed["run"], StepSizeError)
-    assert held <= 0.1 * unit
+    assert held[0] <= 0.1 * unit
 
 
 def test_solution_beyond_horizon_needs_flag():

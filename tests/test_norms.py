@@ -26,6 +26,7 @@ from conftest import (
     full_spectrum,
     smooth_field,
     taylor_green,
+    traced_peak,
     white_field,
 )
 
@@ -235,6 +236,17 @@ class TestInequalityReport:
         shifted = Field.from_physical(g, u.physical + 0.5)
         with pytest.raises(DataError):
             inequality_report(shifted)
+
+    def test_moments_hold_one_weight_product_at_a_time(self, rng):
+        # the traced peak of a report on samples and spectrum (the studies'
+        # case) in units of one real half-spectrum array, after the grid's
+        # tables are built: the two weights the report makes, |u^|^2 and one
+        # weight's product (4.06); all four products at once gave 5.06
+        g = BoxGrid(2.0, 64)
+        u = div_free_field(g, rng)
+        u = Field(g, physical=u.physical, spectral=u.spectral)
+        g.ksq, g.ksq_diff, g.mult
+        assert traced_peak(lambda: inequality_report(u)) <= 4.5 * g.ksq.nbytes
 
 
 class TestHelpers:
