@@ -30,12 +30,10 @@ from .spectral_core import (
     BoxGrid,
     Field,
     curl,
-    dilate,
     divergence,
     gradient,
     laplacian,
     leray_project,
-    rescale_field,
     set_default_workers,
 )
 from .norms import (

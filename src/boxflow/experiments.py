@@ -741,7 +741,8 @@ def _solution_study(cfg: StudyConfig) -> dict:
     """
     t_end = cfg.solver["t_end"]
     initial = [_initial_velocity(cfg, grid) for _, grid in _box_grids(cfg)]
-    u0_ref = _initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n))
+    ref_grid = BoxGrid(cfg.beta, cfg.beta_n)
+    u0_ref = _initial_velocity(cfg, ref_grid)
 
     c_probe = measure_constants([initial[0]])
     checks: list[CheckRecord] = []
@@ -800,7 +801,8 @@ def _solution_study(cfg: StudyConfig) -> dict:
     snaps = {alpha: [] for alpha in cfg.alphas}  # (t, L2, H1, H1.5^4, tails)
     ref_rows = []
     for t, ref_state, _ in ref_march:
-        if ref_state is not None:
+        if ref_state is not None:  # one set of samples for the ratios and every gap
+            ref_state = Field(ref_grid, physical=ref_state.physical, spectral=ref_state.spectral)
             ref_rows.append(_ratio_row(ref_state))
         for alpha, march in list(marches.items()):
             t_box, state, _ = next(march, (None, None, None))
@@ -812,7 +814,7 @@ def _solution_study(cfg: StudyConfig) -> dict:
                     "snapshot schedules diverged between boxes; this is a bug"
                 )
             if state is not None:
-                ksq = ref_state.grid.ksq
+                ksq = ref_grid.ksq
                 e0, e1, e15 = _gap_norms(
                     state, ref_state, [1.0, (1.0 + ksq) ** 1.0, (1.0 + ksq) ** 1.5]
                 )

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import DataError, UsageError
-from .spectral_core import Field, _lattice_lp, _max_abs, divergence
+from .spectral_core import Field, _max_abs, divergence
 
 _MEAN_RTOL = 1e-8
 
@@ -89,12 +89,14 @@ def grad_l2_sq(f: Field) -> float:
 
 def lebesgue_norm(f: Field, p: float) -> float:
     """L^p lattice norm of |f|, p in [1, inf]."""
-    if not np.isinf(p) and p < 1:
+    if not p >= 1:
         raise UsageError(f"Lebesgue exponent must satisfy p >= 1, got {p!r}")
     mag = f.magnitude()
     if not np.all(np.isfinite(mag)):
         raise DataError("non-finite field samples")
-    return _lattice_lp(mag, f.grid.h, p)
+    if np.isinf(p):
+        return float(np.max(mag))
+    return float((np.sum(mag**p) * f.grid.h**3) ** (1.0 / p))
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -106,7 +108,7 @@ def sobolev_norm(f: Field, s: float) -> float:
 
 def tail_mass(f: Field, R: float) -> float:
     """int_{|x| >= R} |f|^2 over the box, lattice quadrature."""
-    if R < 0:
+    if not R >= 0:
         raise UsageError(f"tail radius must be nonnegative, got {R!r}")
     mask = f.grid.radius_sq() >= R * R
     mag2 = f.magnitude() ** 2

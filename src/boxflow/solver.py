@@ -129,10 +129,6 @@ class Trajectory:
     states: tuple[Field, ...]
     diagnostics: list[DiagnosticsRecord] = dataclass_field(default_factory=list)
 
-    @property
-    def final(self) -> Field:
-        return self.states[-1]
-
 
 @dataclass(frozen=True)
 class ExistenceEstimate:

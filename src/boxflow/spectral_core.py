@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -163,7 +162,7 @@ class BoxGrid:
     def __init__(self, alpha: float, N: int):
         if not np.isfinite(alpha) or alpha <= 0:
             raise ConfigurationError(f"box half-width must be positive, got {alpha!r}")
-        if N != int(N) or int(N) < 8 or int(N) % 2 != 0:
+        if not np.isfinite(N) or N != int(N) or int(N) < 8 or int(N) % 2 != 0:
             raise ConfigurationError(f"N must be an even integer >= 8, got {N!r}")
         self.alpha = float(alpha)
         self.N = int(N)
@@ -280,7 +279,6 @@ class Field:
     and cached; the samples of a spectrum are computed on each read of
     `physical` and never kept, so a caller that reads them twice holds them
     in a local or a view `Field(grid, physical=..., spectral=...)`.
-    Instances are treated as immutable: arithmetic returns new fields.
     """
 
     def __init__(self, grid: BoxGrid, physical=None, spectral=None):
@@ -356,37 +354,6 @@ class Field:
             return Field(self.grid, physical=self._physical[i], spectral=None if self._spectral is None else self._spectral[i])
         return Field.from_spectral(self.grid, self._spectral[i])
 
-    def _binary(self, other, op):
-        if not isinstance(other, Field):
-            return NotImplemented
-        if other.grid != self.grid or other.rank != self.rank:
-            raise UsageError("field arithmetic needs matching grids and ranks")
-        if self._spectral is not None and other._spectral is not None:
-            return Field(self.grid, spectral=op(self._spectral, other._spectral))
-        return Field(self.grid, physical=op(self.physical, other.physical))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, c):
-        if not np.isscalar(c):
-            return NotImplemented
-        if self._spectral is not None:
-            return Field(
-                self.grid,
-                physical=None if self._physical is None else c * self._physical,
-                spectral=c * self._spectral,
-            )
-        return Field(self.grid, physical=c * self._physical)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
     def __repr__(self) -> str:
         return f"Field({self.rank}, {self.grid!r})"
 
@@ -454,97 +421,3 @@ def _leray_in_place(fh: np.ndarray, k, inv_ksq: np.ndarray) -> np.ndarray:
     for k_i, f_i in zip(k, fh):
         f_i -= k_i * coef
     return fh
-
-
-def dilate(f: Field, alpha: float) -> Field:
-    """The field x -> f(x * alpha_old / alpha) on Q_alpha, same N.
-
-    Pure dilation relabels the lattice, so the samples (and spectral
-    coefficients) are shared with f; only the wavevectors change.
-    """
-    grid = BoxGrid(alpha, f.grid.N)
-    return Field(grid, physical=f._physical, spectral=f._spectral)
-
-
-def _lattice_lp(values: np.ndarray, h: float, p: float) -> float:
-    if np.isinf(p):
-        return float(np.max(values))
-    return float((np.sum(values**p) * h**3) ** (1.0 / p))
-
-
-def _deriv_magnitude(f: Field, order: int) -> np.ndarray:
-    """Pointwise Euclidean magnitude over all derivatives of given order.
-
-    order 0: |f|; order 1: sqrt(sum_i |d_i f|^2) (summed over components
-    too for vectors); order 2: same over all ordered pairs (i, j).
-    """
-    if order == 0:
-        return f.magnitude()
-    kaxes = f.grid.k_axes()
-    fh = f.spectral
-    comps = fh[None] if f.rank == "scalar" else fh
-    acc = np.zeros((f.grid.N,) * 3)
-    for c in comps:
-        if order == 1:
-            for ki in kaxes:
-                acc += _irfftn(1j * ki * c, f.grid.N) ** 2
-        else:
-            for ki in kaxes:
-                for kj in kaxes:
-                    acc += _irfftn(-ki * kj * c, f.grid.N) ** 2
-    return np.sqrt(acc)
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Measured vs predicted norm ratio for a dilated field."""
-
-    alpha: float
-    p: float
-    order: int
-    norm_base: float
-    norm_dilated: float
-    measured_ratio: float
-    predicted_ratio: float
-
-    @property
-    def rel_error(self) -> float:
-        return abs(self.measured_ratio - self.predicted_ratio) / self.predicted_ratio
-
-
-def rescale_field(f: Field, alpha: float, p: float, k: int) -> ScalingReport:
-    """Check the norm scaling law for the dilation f_alpha(x) = f(x/alpha).
-
-    For f on Q_1 the k-th derivatives obey
-        || D^k f_alpha ||_{L^p(Q_alpha)} = alpha^(3/p - k) || D^k f ||_{L^p(Q_1)},
-    measured here with the Euclidean magnitude over all order-k derivatives.
-
-    Args:
-        f: base field (conventionally on Q_1; any base box works, the law is
-           applied with the ratio alpha/alpha_base).
-        alpha: half-width of the dilated box.
-        p: Lebesgue exponent >= 1 (np.inf allowed).
-        k: derivative order, 0 <= k <= 2.
-    """
-    if k not in (0, 1, 2):
-        raise UsageError(f"derivative order must be 0, 1 or 2, got {k!r}")
-    if not np.isinf(p) and p < 1:
-        raise UsageError(f"Lebesgue exponent must satisfy p >= 1, got {p!r}")
-    lam = alpha / f.grid.alpha
-    if lam <= 0:
-        raise ConfigurationError("target alpha must be positive")
-    g = dilate(f, alpha)
-    norm_base = _lattice_lp(_deriv_magnitude(f, k), f.grid.h, p)
-    norm_dilated = _lattice_lp(_deriv_magnitude(g, k), g.grid.h, p)
-    predicted = lam ** ((0.0 if np.isinf(p) else 3.0 / p) - k)
-    measured = norm_dilated / norm_base
-    return ScalingReport(
-        alpha=float(alpha),
-        p=float(p),
-        order=k,
-        norm_base=norm_base,
-        norm_dilated=norm_dilated,
-        measured_ratio=measured,
-        predicted_ratio=predicted,
-    )
-

@@ -1,12 +1,14 @@
 """Shared fixtures and field generators for the test suite."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from boxflow.spectral_core import BoxGrid, Field, leray_project
+from boxflow.norms import lebesgue_norm, spectral_moments
+from boxflow.spectral_core import BoxGrid, Field, gradient, leray_project
 
 
 @pytest.fixture
@@ -52,6 +54,23 @@ def dealias(f: Field) -> Field:
     keep = 3 * np.abs(f.grid.modes1d) < n
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, : n // 2 + 1]
     return Field(f.grid, spectral=f.spectral * mask)
+
+
+def dilate(f: Field, alpha: float) -> Field:
+    """f relabelled onto Q_alpha at the same N: the same samples and spectrum."""
+    return Field(BoxGrid(alpha, f.grid.N), physical=f._physical, spectral=f._spectral)
+
+
+def derivative_norm(f: Field, p: float, k: int) -> float:
+    """||D^k f||_{L^p} of the pointwise Euclidean magnitude over every order-k
+    derivative and component, by the package's norms: a spectral sum for
+    p = 2 (sum_ij ||d_i d_j f||^2 at k = 2), else `lebesgue_norm` of f or,
+    for scalar f, of its gradient.  A dilation by lam scales it by
+    lam^(3/p - k)."""
+    if p == 2:
+        weight = (1.0, f.grid.ksq_diff, f.grid.ksq_diff**2)[k]
+        return math.sqrt(spectral_moments(f, [weight])[0])
+    return lebesgue_norm(gradient(f) if k else f, p)
 
 
 def smooth_field(grid: BoxGrid, rng, rank="scalar", zero_mean=True, m0=None) -> Field:

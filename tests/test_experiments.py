@@ -717,6 +717,24 @@ def test_solution_study_stores_no_trajectory():
     assert peak <= 9.0 * unit
 
 
+def test_solution_study_transforms_each_reference_snapshot_once(monkeypatch):
+    # the ratios and every box's gap read one set of reference samples, so
+    # a box adds no inverse transform on the reference lattice (a box that
+    # transformed the reference itself would add three per snapshot)
+    calls = []
+    inverse = spectral_core._irfftn
+    monkeypatch.setattr(
+        spectral_core, "_irfftn", lambda a, n: calls.append(n) or inverse(a, n)
+    )
+    counts = []
+    for alphas in ([1], [1, 2]):
+        cfg = parse_config(solution_data(alphas=alphas, beta=4))
+        calls.clear()
+        run_study(cfg)
+        counts.append(calls.count(cfg.beta_n))
+    assert counts[0] == counts[1] > 0
+
+
 def test_transfer_study_reads_only_audit_records():
     # every run keeps running maxima over its audit records and drops each
     # state it is handed, so the traced peak, in units of one reference

@@ -6,6 +6,7 @@ import pytest
 from boxflow import (
     BoxGrid,
     ConfigurationError,
+    Field,
     GridCompatibilityError,
     SupportError,
     lebesgue_norm,
@@ -135,11 +136,11 @@ class TestExtendField:
     def test_linearity(self, rng):
         u = smooth_field(self.src, rng, rank="vector")
         v = smooth_field(self.src, rng, rank="vector")
-        combo = extend_field(2.0 * u + (-3.0) * v, self.dst)
-        parts = 2.0 * extend_field(u, self.dst) + (-3.0) * extend_field(v, self.dst)
-        assert np.max(np.abs(combo.physical - parts.physical)) <= 1e-13 * np.max(
-            np.abs(combo.physical)
-        )
+        combo = Field.from_physical(self.src, 2.0 * u.physical - 3.0 * v.physical)
+        combo = extend_field(combo, self.dst).physical
+        parts = 2.0 * extend_field(u, self.dst).physical
+        parts -= 3.0 * extend_field(v, self.dst).physical
+        assert np.max(np.abs(combo - parts)) <= 1e-13 * np.max(np.abs(combo))
 
     def test_band_must_fit(self, rng):
         u = smooth_field(self.src, rng, rank="vector")

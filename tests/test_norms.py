@@ -21,6 +21,7 @@ from boxflow import (
 from boxflow.norms import grad_l2_sq, spectral_moments
 
 from conftest import (
+    dilate,
     div_free_field,
     full_ksq,
     full_spectrum,
@@ -71,8 +72,9 @@ class TestLebesgue:
     def test_bad_exponent(self, rng):
         g = BoxGrid(1.0, 8)
         f = white_field(g, rng)
-        with pytest.raises(UsageError):
-            lebesgue_norm(f, 0.5)
+        for p in (0.5, np.nan):
+            with pytest.raises(UsageError):
+                lebesgue_norm(f, p)
 
 
 class TestSobolev:
@@ -166,8 +168,9 @@ class TestTailMass:
 
     def test_negative_radius_rejected(self, rng):
         g = BoxGrid(1.0, 8)
-        with pytest.raises(UsageError):
-            tail_mass(white_field(g, rng), -0.1)
+        for radius in (-0.1, np.nan):
+            with pytest.raises(UsageError):
+                tail_mass(white_field(g, rng), radius)
 
 
 class TestInequalityReport:
@@ -204,8 +207,6 @@ class TestInequalityReport:
         # the Agmon and L6/gradient ratios are built from homogeneous norms
         # and survive dilation exactly; the interpolation ratio mixes
         # inhomogeneous norms and is instead capped at 1 (Cauchy-Schwarz)
-        from boxflow import dilate
-
         g = BoxGrid(1.0, 16)
         u = div_free_field(g, rng)
         base = inequality_report(u)

@@ -186,3 +186,76 @@ def test_checker_finds_worker_branches():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_set_default_workers_branches_on_the_worker_count(path):
     assert worker_branches(path.read_text()) == []
+
+
+# Public names that no code in `src/` reads, each kept for a reason.
+UNREAD_PUBLIC_KEPT = {
+    "gradient": "a test oracle for the operators the solver writes out",
+    "laplacian": "a test oracle for the operators the solver writes out",
+    "nse_solve": "the benchmark tracer binds it (ROADMAP item 1)",
+    "has_spectral": "the benchmark tracer reads it",
+    "energy_audit": "to be surfaced in the studies' checks (ROADMAP item 3)",
+    "enstrophy_audit": "to be surfaced in the studies' checks (ROADMAP item 3)",
+    "biot_savart_r3": "to measure the inversion's reference against R^3 (ROADMAP item 7)",
+    "EXTENSION_L2_BOUND": "the record of the extension lemma's constants",
+    "EXTENSION_GRAD_BOUND": "the record of the extension lemma's constants",
+    "EXTENSION_H2_BOUND": "the record of the extension lemma's constants",
+}
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Public module-level functions, classes and constants, and public
+    methods of module-level classes, whose name no module reads (a loaded
+    name or an attribute name, anywhere)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            defined = [(node.lineno, n) for n in _bound_names(node)] + [
+                (m.lineno, m.name)
+                for m in methods
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            unread += [
+                f"{module} line {line}: {name}"
+                for line, name in defined
+                if not name.startswith("_") and name not in read
+            ]
+    return unread
+
+
+def test_checker_finds_unread_public_names():
+    sources = {
+        "a.py": (
+            "LIMIT, SPARE = 1, 2\n"
+            "__version__ = '1'\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def unused():\n"
+            "    return used()\n"
+            "class Shape:\n"
+            "    def area(self):\n"
+            "        return 0\n"
+            "    @property\n"
+            "    def final(self):\n"
+            "        return self.area()\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+            "def _private():\n"
+            "    return Shape\n"
+        ),
+        "b.py": "from .a import unused\n",
+    }
+    assert unread_public_names(sources) == [
+        "a.py line 1: SPARE",
+        "a.py line 5: unused",
+        "a.py line 11: final",
+    ]
+
+
+def test_every_public_name_is_read_in_src():
+    sources = {p.name: p.read_text() for p in MODULES}
+    unread = unread_public_names(sources)
+    assert {u.rpartition(" ")[2] for u in unread} == set(UNREAD_PUBLIC_KEPT), unread

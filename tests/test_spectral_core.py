@@ -15,6 +15,7 @@ import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 from boxflow.errors import ConfigurationError, DataError, UsageError
+from boxflow.norms import lebesgue_norm
 from boxflow.spectral_core import (
     BoxGrid,
     Field,
@@ -22,17 +23,17 @@ from boxflow.spectral_core import (
     _irfftn,
     _map,
     curl,
-    dilate,
     divergence,
     gradient,
     laplacian,
     leray_project,
-    rescale_field,
     set_default_workers,
 )
 
 from conftest import (
     dealias,
+    derivative_norm,
+    dilate,
     full_ksq,
     full_spectrum,
     smooth_field,
@@ -84,7 +85,10 @@ class TestBoxGrid:
         offset = round((big.alpha - small.alpha) / big.h)
         np.testing.assert_allclose(big.x1d[offset : offset + small.N], small.x1d)
 
-    @pytest.mark.parametrize("alpha,n", [(0.0, 16), (-1.0, 16), (1.0, 15), (1.0, 4), (1.0, 16.5)])
+    @pytest.mark.parametrize(
+        "alpha,n",
+        [(0.0, 16), (-1.0, 16), (1.0, 15), (1.0, 4), (1.0, 16.5), (1.0, np.nan), (1.0, np.inf)],
+    )
     def test_rejects_bad_parameters(self, alpha, n):
         with pytest.raises(ConfigurationError):
             BoxGrid(alpha, n)
@@ -353,55 +357,6 @@ class TestDealias:
         assert abs(coeff(coarse, (-7, 0, 0))) < 1e-13
 
 
-class TestRescale:
-    @pytest.mark.parametrize(
-        "p,k,alpha",
-        [(2, 0, 2.0), (2, 1, 2.0), (2, 2, 2.0), (4, 0, 2.0), (2, 0, 4.0), (4, 0, 4.0)],
-    )
-    def test_scaling_law(self, p, k, alpha):
-        g = BoxGrid(1.0, 32)
-        x = g.meshgrid()[0]
-        f = Field.from_physical(g, np.sin(np.pi * x))
-        rep = rescale_field(f, alpha, p, k)
-        assert rep.predicted_ratio == pytest.approx(alpha ** (3.0 / p - k))
-        assert rep.rel_error < 1e-10
-
-    def test_scaling_law_smooth_random(self, rng):
-        f = smooth_field(BoxGrid(1.0, 24), rng)
-        for (p, k) in [(2, 0), (2, 1), (2, 2), (4, 0), (3, 1)]:
-            assert rescale_field(f, 2.0, p, k).rel_error < 1e-10
-
-    def test_sup_norm_invariant(self, rng):
-        f = smooth_field(BoxGrid(1.0, 16), rng)
-        rep = rescale_field(f, 4.0, np.inf, 0)
-        assert rep.measured_ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_usage_errors(self, rng):
-        f = smooth_field(BoxGrid(1.0, 16), rng)
-        with pytest.raises(UsageError):
-            rescale_field(f, 2.0, 2, 3)
-        with pytest.raises(UsageError):
-            rescale_field(f, 2.0, 0.5, 0)
-
-
-class TestFieldArithmetic:
-    def test_add_sub_scale(self, rng):
-        g = BoxGrid(1.0, 16)
-        a, b = (white_field(g, rng) for _ in range(2))
-        np.testing.assert_allclose(
-            (a + b).physical, a.physical + b.physical, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            (a - 2.0 * b).physical, a.physical - 2 * b.physical, atol=1e-13
-        )
-
-    def test_mismatched_grids_rejected(self, rng):
-        a = white_field(BoxGrid(1.0, 16), rng)
-        b = white_field(BoxGrid(2.0, 16), rng)
-        with pytest.raises(UsageError):
-            a + b
-
-
 # even N in [8, 48] on random boxes
 grids = st.builds(
     BoxGrid,
@@ -414,6 +369,39 @@ properties = settings(max_examples=25, deadline=None)
 
 def random_samples(grid: BoxGrid, seed: int, rank="vector") -> Field:
     return white_field(grid, np.random.default_rng(seed), rank=rank)
+
+
+class TestRescale:
+    """Dilation from Q_a to Q_(lam a) scales ||D^k f||_{L^p} by lam^(3/p - k)."""
+
+    @pytest.mark.parametrize(
+        "p,k,alpha",
+        [(2, 0, 2.0), (2, 1, 2.0), (2, 2, 2.0), (4, 0, 2.0), (2, 0, 4.0), (4, 0, 4.0)],
+    )
+    def test_scaling_law(self, p, k, alpha):
+        g = BoxGrid(1.0, 32)
+        f = Field.from_physical(g, np.sin(np.pi * g.meshgrid()[0]))
+        ratio = derivative_norm(dilate(f, alpha), p, k) / derivative_norm(f, p, k)
+        assert ratio == pytest.approx(alpha ** (3.0 / p - k), rel=1e-10)
+
+    @properties
+    @given(
+        alpha=st.floats(0.25, 8.0),
+        n=st.integers(4, 16).map(lambda k: 2 * k),
+        lam=st.floats(0.5, 4.0),
+        seed=seeds,
+    )
+    @example(alpha=1.0, n=24, lam=2.0, seed=0)
+    def test_scaling_law_smooth_random(self, alpha, n, lam, seed):
+        f = smooth_field(BoxGrid(alpha, n), np.random.default_rng(seed))
+        g = dilate(f, lam * alpha)
+        for p, k in [(2, 0), (2, 1), (2, 2), (4, 0), (3, 1), (np.inf, 0)]:
+            ratio = derivative_norm(g, p, k) / derivative_norm(f, p, k)
+            assert ratio == pytest.approx(lam ** (3.0 / p - k), rel=1e-10), (p, k)
+
+    def test_sup_norm_invariant(self, rng):
+        f = smooth_field(BoxGrid(1.0, 16), rng)
+        assert lebesgue_norm(dilate(f, 4.0), np.inf) == lebesgue_norm(f, np.inf)
 
 
 class TestHalfSpectrumProperties:
