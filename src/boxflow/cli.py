@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="<n>",
-            help="size of the solver stage's thread pool and FFT worker count "
+            help="threads for the solver stage's slabs and every FFT pass "
             "(default 1, the reference path)",
         )
     return parser

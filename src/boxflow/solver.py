@@ -16,8 +16,8 @@ The stages and right-hand sides a, b, c, d live on the 2/3 block.  A stage
 runs the n-d transforms as pocketfft's 1-d passes, in its order, only on
 lines that meet a kept mode, and forms omega x u in slabs of `_SLAB` rows.
 `--threads n` (`set_default_workers`) sets a count and picks no code path:
-the slabs run on up to n threads with one-worker passes, each writing only
-its own rows, and the passes outside the slab loop run with n FFT workers.
+the slabs, and the chunks of the passes outside the slab loop, run on up to
+n threads, each writing only its own rows.
 A step adds the block's RK4 sum into e2 uhat: the kept modes get the
 textbook formula's bits, the dropped ones the exact decay (the formula adds
 a masked aliased zero there, so the sign of a zero differs where e2 uhat is
@@ -67,6 +67,7 @@ from .spectral_core import (
     Field,
     _curl,
     _fft,
+    _fft_split,
     _irfft,
     _irfftn,
     _leray_in_place,
@@ -212,15 +213,15 @@ class _StepKernel:
         for full, blk in self.halves:  # the curl is pointwise: row by row
             uw[:3, full] = v[:, blk]
             uw[3:, full] = _curl(v[:, blk], (self.k[0][blk],) + self.k[1:])
-        uw = _fft(uw, -3, inverse=True)
+        _fft_split(uw, -3, inverse=True)
         f = np.empty((3, n, n, m + 1), complex)
 
-        def slab(r):  # rows r.. of f, passes at one worker; their largest |u|^2
+        def slab(r):  # rows r.. of f, passes on this thread; their largest |u|^2
             rows = slice(r, r + _SLAB)
             x = np.zeros(uw[:, rows].shape[:2] + (n, n // 2 + 1), complex)
             for full, blk in self.halves:
                 x[:, :, full, : m + 1] = uw[:, rows, blk]
-            _fft(x[..., : m + 1], -2, inverse=True, workers=1)  # in place
+            _fft(x[..., : m + 1], -2, inverse=True)  # in place
             x = _irfft(x, n)
             f[:, rows] = _rfft(_cross_in_place(x[3:], x[:3]))[..., : m + 1]
             return (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]).max()
@@ -230,8 +231,8 @@ class _StepKernel:
         del uw
         re_im = f.view(np.float64)
         re_im *= float(1 / np.longdouble(n) ** 3)  # `_rfftn`'s, as pocketfft's
-        f = np.delete(_fft(f, -3), self.drop, axis=-3)
-        f = np.delete(_fft(f, -2), self.drop, axis=-2)
+        f = np.delete(_fft_split(f, -3), self.drop, axis=-3)
+        f = np.delete(_fft_split(f, -2), self.drop, axis=-2)
         f *= 1.0  # the mask's complex multiply: it sets the sign of some zeros
         _leray_in_place(f, self.k, self.inv_ksq)
         f[:, 0, 0, 0] = 0.0

@@ -39,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, DataError, UsageError
 
@@ -48,20 +47,19 @@ _pool = None  # `_workers` - 1 threads that share `_map` with its caller; None a
 
 
 def set_default_workers(n: int) -> None:
-    """Set the worker count n: the scipy.fft workers of every whole-array
-    transform, and the threads `_map` runs the solver stage's slabs on, the
-    calling thread and a pool of n - 1 (none at 1).
+    """Set the worker count n: the threads `_map` runs every transform's
+    passes and the solver stage's slabs on, the calling thread and a pool
+    of n - 1 (none at 1).  n must be an int >= 1.
 
     The count picks no code path: every transform and slab runs the same
-    code at any n.  Transforms are batches of independent 1-d FFTs and each
-    slab writes only its own rows, so results are bit-identical for any
-    worker count; only 1 is the documented reference configuration.
+    code at any n.  Each pass transforms independent 1-d lines and each
+    chunk or slab writes only its own rows, so results are bit-identical
+    for any worker count; only 1 is the documented reference configuration.
     Leaving n > 1 shuts the pool down and joins its threads.
     """
     global _workers, _pool
-    if int(n) < 1:
-        raise ConfigurationError(f"worker count must be >= 1, got {n!r}")
-    n = int(n)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ConfigurationError(f"worker count must be >= 1 and an int, got {n!r}")
     if n != _workers:
         if _pool is not None:
             _pool.shutdown()
@@ -74,7 +72,8 @@ def _map(fn, items) -> list:
     of the pool's threads each take the next item until none is left (at one
     worker, the caller alone, in order).  The caller works rather than
     waits: a pool thread more would keep one more slab's working set in its
-    allocator arena."""
+    allocator arena.  fn must not call `_map`: the pool thread running it
+    would wait on a drain only it could run."""
     items = list(items)
     out = [None] * len(items)
     todo, lock = iter(range(len(items))), threading.Lock()
@@ -97,16 +96,27 @@ def _map(fn, items) -> list:
     return out
 
 
-# Every transform in the package goes through these helpers, so the worker
-# count of `set_default_workers` reaches all of them: as FFT workers, or as
-# `_map`'s threads for the slab passes below.  They map the samples of a
+# Every transform in the package goes through these helpers, and each runs
+# numpy.fft's unnormalized 1-d pocketfft passes.  They map the samples of a
 # real field to its half-spectrum m_3 = 0..N/2 (last axis) and back.
-_AXES = (-3, -2, -1)
 _SLAB = 8  # rows of axis -3 per slab of the passes that run on `_map`'s threads
+_CHUNK = 1 << 16  # elements: a smaller chunk costs less than handing it to a thread
 
 
 def _rfftn(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.rfftn(a, axes=_AXES, norm="forward", workers=_workers)
+    """scipy.fft.rfftn(a, axes=(-3, -2, -1), norm="forward") bit for bit."""
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-1] + (n // 2 + 1,), complex)
+    scale = float(1 / np.longdouble(n) ** 3)
+
+    def chunk(rows):  # r2c and its scaling a slab at a time, while it is in cache
+        for r in range(rows.start, min(rows.stop, n), _SLAB):
+            at = (Ellipsis, slice(r, min(r + _SLAB, rows.stop)), slice(None), slice(None))
+            re_im = _rfft(a[at], out[at]).view(np.float64)
+            re_im *= scale
+
+    _map(chunk, _chunks(out, -3))
+    return _fft_split(_fft_split(out, -3), -2)
 
 
 def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
@@ -116,34 +126,50 @@ def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
     the output, so no N^3 temporary is made beside the output."""
     out = np.empty(a.shape[:-3] + (n, n, n))
     for a_i, out_i in zip(a[None] if a.ndim == 3 else a, out.reshape(-1, n, n, n)):
-        x = _fft(a_i.copy(), -3, inverse=True)
+        x = _fft_split(a_i.copy(), -3, inverse=True)
 
         def slab(r):
             rows = slice(r, r + _SLAB)
-            out_i[rows] = _irfft(_fft(x[rows], -2, inverse=True, workers=1), n)
+            out_i[rows] = _irfft(_fft(x[rows], -2, inverse=True), n)
 
         _map(slab, range(0, n, _SLAB))
         del x
     return out
 
 
-# Unnormalized 1-d passes.  pocketfft runs scipy.fft.irfftn as c2c along axis -3, -2,
-# then c2r along -1, and `_rfftn` as r2c along -1 scaled by T(1/N^3) (long double),
-# then c2c along -3, -2: passes taken in that order and scaled alike give the same
-# bits.  A c2c pass writes its result into a (overwrite_x), a view of a wider array
-# too.  The c2r and r2c are slab passes: they run on `_map`'s threads, so each takes
-# one worker, as does a c2c pass given workers=1.
-def _fft(a: np.ndarray, axis: int, inverse: bool = False, workers=None) -> np.ndarray:
-    fft, norm = (scipy.fft.ifft, "forward") if inverse else (scipy.fft.fft, "backward")
-    return fft(a, axis=axis, norm=norm, overwrite_x=True, workers=workers or _workers)
+# Unnormalized 1-d passes on the calling thread.  pocketfft runs irfftn as c2c
+# along axis -3, -2, then c2r along -1, and rfftn as r2c along -1 scaled by
+# T(1/N^3) (long double), then c2c along -3, -2: passes taken in that order and
+# scaled alike give the same bits.  A c2c pass writes its result into a, a view
+# of a wider array too.
+def _fft(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    fft, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
+    return fft(a, axis=axis, norm=norm, out=a)
 
 
 def _irfft(a: np.ndarray, n: int) -> np.ndarray:  # missing columns count as 0
-    return scipy.fft.irfft(a, n, axis=-1, norm="forward", workers=1)
+    return np.fft.irfft(a, n, axis=-1, norm="forward")
 
 
-def _rfft(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.rfft(a, axis=-1, workers=1)
+def _rfft(a: np.ndarray, out=None) -> np.ndarray:
+    return np.fft.rfft(a, axis=-1, out=out)
+
+
+def _chunks(a: np.ndarray, axis: int) -> list[slice]:
+    """a's rows along axis in one chunk per worker, but in no more chunks
+    than a holds `_CHUNK`s of elements: a whole-array pass runs on `_map`'s
+    threads split along an axis it does not transform."""
+    n = a.shape[axis]
+    step = -(-n // max(1, min(_workers, a.size // _CHUNK)))
+    return [slice(r, r + step) for r in range(0, n, step)]
+
+
+def _fft_split(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    """`_fft` of a whole array along axis -3 or -2, on `_map`'s threads by
+    `_chunks` of the other axis."""
+    tail = (slice(None),) * (axis + 4)  # the axes after the split one
+    _map(lambda rows: _fft(a[(Ellipsis, rows) + tail], axis, inverse), _chunks(a, -5 - axis))
+    return a
 
 
 def _max_abs(a: np.ndarray) -> float:

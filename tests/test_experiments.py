@@ -1114,6 +1114,15 @@ def test_worker_count_below_one_is_rejected(restore_workers):
     assert spectral_core._workers == 2
 
 
+def test_worker_count_that_is_not_an_int_is_rejected(restore_workers):
+    # no rounding, no bool or string, and nan and inf raise the same error
+    set_default_workers(2)
+    for bad in (2.5, 1.0, True, "2", float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="worker count"):
+            set_default_workers(bad)
+    assert spectral_core._workers == 2
+
+
 # -------------------------------------------------------------- CLI
 
 

@@ -1,6 +1,10 @@
 """Static checks on the package source, in place of a linter."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,3 +263,33 @@ def test_every_public_name_is_read_in_src():
     sources = {p.name: p.read_text() for p in MODULES}
     unread = unread_public_names(sources)
     assert {u.rpartition(" ")[2] for u in unread} == set(UNREAD_PUBLIC_KEPT), unread
+
+
+def test_a_fresh_import_loads_no_scipy(tmp_path):
+    # every transform runs on numpy.fft, so the package, its CLI and the
+    # config loader bring in no scipy module
+    config = tmp_path / "study.json"
+    config.write_text(
+        json.dumps(
+            {
+                "kind": "inversion",
+                "alphas": [1],
+                "base_n": 16,
+                "initial_data": {"family": "bump", "support_radius": 0.5},
+            }
+        )
+    )
+    probe = (
+        "import sys\n"
+        "import boxflow, boxflow.cli\n"
+        "from boxflow import experiments\n"
+        "experiments.load_config(sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(config)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ import pytest
 import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
+from boxflow import spectral_core
 from boxflow.errors import ConfigurationError, DataError, UsageError
 from boxflow.norms import lebesgue_norm
 from boxflow.spectral_core import (
@@ -22,6 +23,7 @@ from boxflow.spectral_core import (
     _fft,
     _irfftn,
     _map,
+    _rfftn,
     curl,
     divergence,
     gradient,
@@ -152,7 +154,7 @@ class TestTransforms:
         a = rng.standard_normal((2, 4, 16, 9)) + 1j * rng.standard_normal((2, 4, 16, 9))
         want = scipy.fft.ifft(a[..., :6], axis=-2, norm="forward")
         rest = a[..., 6:].copy()
-        _fft(a[..., :6], -2, inverse=True, workers=1)
+        _fft(a[..., :6], -2, inverse=True)
         assert a[..., :6].tobytes() == want.tobytes()
         assert a[..., 6:].tobytes() == rest.tobytes()
 
@@ -452,6 +454,38 @@ class TestHalfSpectrumProperties:
         for a_i, got_i in components:
             want = scipy.fft.irfftn(a_i, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
             assert got_i.tobytes() == want.tobytes()
+
+    @properties
+    @given(
+        n=st.integers(4, 48).map(lambda k: 2 * k),
+        rank=st.sampled_from(["scalar", "vector"]),
+        workers=st.sampled_from([1, 2]),
+        seed=seeds,
+    )
+    @example(n=18, rank="vector", workers=2, seed=5)
+    @example(n=20, rank="scalar", workers=1, seed=6)
+    @example(n=30, rank="scalar", workers=2, seed=7)
+    @example(n=30, rank="vector", workers=1, seed=8)
+    @example(n=90, rank="scalar", workers=2, seed=9)  # chunks of 45 rows
+    def test_forward_transform_equals_scipy(self, n, rank, workers, seed):
+        """`_rfftn` runs its own 1-d passes, chunked on `_map`'s threads,
+        and matches scipy's rfftn bit for bit, vectors as one batch.  Its
+        r2c slabs stay inside their chunk: each row is transformed and
+        scaled once, so no two threads write one row."""
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((n, n, n) if rank == "scalar" else (3, n, n, n))
+        rfft, rows = spectral_core._rfft, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral_core, "_rfft", lambda a, out: rows.append(a.shape[-3]) or rfft(a, out))
+            set_default_workers(workers)
+            try:
+                got = _rfftn(samples)
+            finally:
+                set_default_workers(1)
+        assert sum(rows) == n
+        want = scipy.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @properties
     @given(grid=grids, seed=seeds)
