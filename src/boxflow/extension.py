@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, GridCompatibilityError, SupportError
-from .spectral_core import BoxGrid, Field
+from .spectral_core import BoxGrid, Field, _slabs
 
 # Per-axis profile bounds for the quintic smoothstep 6t^5 - 15t^4 + 10t^3:
 # max |zeta'| = 15/8 (at mid-band), max |zeta''| = 10/sqrt(3).
@@ -108,5 +108,6 @@ def extend_field(u: Field, target: BoxGrid) -> Field:
     for axis in (-1, -2, -3):  # one gather per axis, the smallest first
         ext = np.take(ext, idx, axis=axis)
     z = cutoff_profile(alpha, target.x1d)
-    ext *= z[:, None, None] * z[None, :, None] * z[None, None, :]
+    for rows in _slabs(ext):  # psi = (z_x z_y) z_z, one slab of rows at a time
+        ext[..., rows, :, :] *= z[rows, None, None] * z[None, :, None] * z[None, None, :]
     return Field.from_physical(target, ext)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import UsageError
 from .norms import relative_divergence
-from .spectral_core import BoxGrid, Field, curl, leray_project
+from .spectral_core import BoxGrid, Field, _curl, _slabs, leray_project
 from .vorticity import VorticityField
 
 _MOLLIFIER_RATE = 9.0
@@ -93,12 +93,18 @@ def bump_vorticity(
         raise UsageError("bump direction must be a nonzero vector")
     e = e / norm
     g = mollifier(np.sqrt(grid.radius_sq()) / r) * spec.amplitude
-    # the potential's spectrum is e times that of the scalar profile
+    # the potential's spectrum is e times that of the scalar profile: it is
+    # made and curled one slab of rows at a time, never held whole
     ghat = Field.from_physical(grid, g).spectral
     del g
-    omega = curl(Field.from_spectral(grid, e[:, None, None, None] * ghat))
+    kx, ky, kz = grid.k_axes()
+    omega = np.empty((3,) + ghat.shape, complex)
+    for rows in _slabs(omega):
+        _curl(
+            e[:, None, None, None] * ghat[rows], (kx[rows], ky, kz), out=omega[:, rows]
+        )
     del ghat
-    return VorticityField(omega, r, support_tol=support_tol)
+    return VorticityField(Field(grid, spectral=omega), r, support_tol=support_tol)
 
 
 @dataclass(frozen=True)

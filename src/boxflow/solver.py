@@ -212,7 +212,7 @@ class _StepKernel:
         uw = np.zeros((6, n) + v.shape[2:], complex)  # u and omega, N rows
         for full, blk in self.halves:  # the curl is pointwise: row by row
             uw[:3, full] = v[:, blk]
-            uw[3:, full] = _curl(v[:, blk], (self.k[0][blk],) + self.k[1:])
+            _curl(v[:, blk], (self.k[0][blk],) + self.k[1:], out=uw[3:, full])
         _fft_split(uw, -3, inverse=True)
         f = np.empty((3, n, n, m + 1), complex)
 

@@ -164,6 +164,14 @@ def _chunks(a: np.ndarray, axis: int) -> list[slice]:
     return [slice(r, r + step) for r in range(0, n, step)]
 
 
+def _slabs(a: np.ndarray) -> list[slice]:
+    """a's rows along axis -3 in slabs of at most `_CHUNK` elements of a,
+    all components counted (at least one row): a pointwise pass run slab by
+    slab makes temporaries of one slab, not of the whole array."""
+    step = max(1, _CHUNK * a.shape[-3] // a.size)
+    return [slice(r, r + step) for r in range(0, a.shape[-3], step)]
+
+
 def _fft_split(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
     """`_fft` of a whole array along axis -3 or -2, on `_map`'s threads by
     `_chunks` of the other axis."""
@@ -401,7 +409,14 @@ def divergence(f: Field) -> Field:
         raise UsageError("divergence expects a vector field")
     kx, ky, kz = f.grid.k_axes()
     fh = f.spectral
-    return Field(f.grid, spectral=1j * (kx * fh[0] + ky * fh[1] + kz * fh[2]))
+    out = np.empty(fh.shape[1:], complex)
+    for rows in _slabs(fh):  # i(kx f_x + ky f_y + kz f_z), summed into out
+        o, f_r = out[rows], fh[:, rows]
+        np.multiply(kx[rows], f_r[0], out=o)
+        o += ky * f_r[1]
+        o += kz * f_r[2]
+        o *= 1j
+    return Field(f.grid, spectral=out)
 
 
 def curl(f: Field) -> Field:
@@ -411,13 +426,21 @@ def curl(f: Field) -> Field:
     return Field(f.grid, spectral=_curl(f.spectral, f.grid.k_axes()))
 
 
-def _curl(fh: np.ndarray, k) -> np.ndarray:
-    """The array core of `curl`, for wavevector components k on fh's modes."""
-    out = np.empty_like(fh)
-    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # (curl f)_i = i(k_j f_l - k_l f_j)
-        np.multiply(k[j], fh[l], out=out[i])
-        out[i] -= k[l] * fh[j]
-    out *= 1j
+def _curl(fh: np.ndarray, k, out=None) -> np.ndarray:
+    """The array core of `curl`, for wavevector components k on fh's modes:
+    k[0] runs along axis -3, k[1] and k[2] broadcast along it.
+
+    Writes the curl into out, fh's shape and possibly a view of a wider
+    array (a new array when None), and returns it.  It runs in `_slabs` of
+    fh's rows, so its only temporary is one slab's k_l f_j."""
+    out = np.empty_like(fh) if out is None else out
+    kx, ky, kz = k
+    for rows in _slabs(fh):
+        o, f_r, k_r = out[:, rows], fh[:, rows], (kx[rows], ky, kz)
+        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # (curl f)_i = i(k_j f_l - k_l f_j)
+            np.multiply(k_r[j], f_r[l], out=o[i])
+            o[i] -= k_r[l] * f_r[j]
+        o *= 1j
     return out
 
 

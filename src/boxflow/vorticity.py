@@ -118,8 +118,9 @@ def curl_inv_periodic(w: VorticityField) -> Field:
     can stand in for the whole-space one.
     """
     g = w.grid
+    inv_ksq = g.inv_ksq  # first: its mask dies before uhat is made beside omega
     uhat = curl(w.omega).spectral  # a fresh array: scaled in place
-    uhat *= g.inv_ksq
+    uhat *= inv_ksq
     return Field.from_spectral(g, uhat)
 
 

@@ -7,6 +7,7 @@ that must improve superalgebraically as the grid refines.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boxflow.errors import DomainTooSmallError, UsageError
 from boxflow.initial_data import (
@@ -16,7 +17,7 @@ from boxflow.initial_data import (
     mollifier,
     trefoil_vorticity,
 )
-from boxflow.spectral_core import BoxGrid
+from boxflow.spectral_core import BoxGrid, Field, curl
 from boxflow.vorticity import curl_identity_report, curl_inv_periodic
 
 
@@ -95,6 +96,34 @@ def test_bump_scales_linearly_and_normalizes_direction():
     assert np.allclose(two.omega.physical, 2.0 * one.omega.physical, rtol=1e-13)
     long_dir = bump_vorticity(BumpSpec(0.5, direction=(0.0, 0.0, 5.0)), grid)
     assert np.array_equal(long_dir.omega.physical, one.omega.physical)
+
+
+def potential_curl(spec: BumpSpec, grid: BoxGrid) -> np.ndarray:
+    """The bump's spectrum as the curl of the whole potential e ghat."""
+    e = np.asarray(spec.direction, dtype=np.float64)
+    e = e / np.sqrt(np.sum(e * e))
+    g = mollifier(np.sqrt(grid.radius_sq()) / spec.support_radius) * spec.amplitude
+    ghat = Field.from_physical(grid, g).spectral
+    return curl(Field.from_spectral(grid, e[:, None, None, None] * ghat)).spectral
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda e: np.linalg.norm(e) > 1e-3
+    ),
+    amplitude=st.floats(0.1, 10.0),
+    n=st.integers(4, 32).map(lambda k: 2 * k),
+)
+@example(direction=(0.0, 0.0, 1.0), amplitude=1.0, n=64)  # several slabs
+@example(direction=(-2.0, 0.0, 0.0), amplitude=3.0, n=40)
+def test_bump_spectrum_is_the_curl_of_its_whole_potential(direction, amplitude, n):
+    # the potential is made and curled a slab at a time; the bits are those
+    # of the curl of the whole potential
+    grid = BoxGrid(1.0, n)
+    spec = BumpSpec(0.5, amplitude, direction)
+    got = bump_vorticity(spec, grid, support_tol=np.inf).omega.spectral
+    assert got.tobytes() == potential_curl(spec, grid).tobytes()
 
 
 def test_bump_argument_errors():

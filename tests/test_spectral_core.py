@@ -20,10 +20,12 @@ from boxflow.norms import lebesgue_norm
 from boxflow.spectral_core import (
     BoxGrid,
     Field,
+    _curl,
     _fft,
     _irfftn,
     _map,
     _rfftn,
+    _slabs,
     curl,
     divergence,
     gradient,
@@ -509,3 +511,58 @@ class TestHalfSpectrumProperties:
         once = leray_project(random_samples(grid, seed)).spectral
         twice = leray_project(Field.from_spectral(grid, once)).spectral
         assert np.linalg.norm(twice - once) <= 1e-14 * np.linalg.norm(once)
+
+
+class TestSlabOperators:
+    """`_curl` and `divergence` run in `_slabs` of rows of axis -3; each
+    element goes through the whole-array formula's operations, so the
+    results match it bit for bit (tobytes: the sign of a zero counts)."""
+
+    # even N in [8, 96]: up to N=40 one slab, beyond it several
+    slab_grids = st.builds(
+        BoxGrid,
+        alpha=st.floats(0.25, 8.0),
+        N=st.integers(4, 48).map(lambda k: 2 * k),
+    )
+
+    @staticmethod
+    def random_spectrum(grid: BoxGrid, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        shape = (3, grid.N, grid.N, grid.N // 2 + 1)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_slabs_cover_the_rows_once(self):
+        a = np.empty((3, 64, 64, 33), complex)  # 10 rows of 6336 elements a slab
+        rows = _slabs(a)
+        assert [i for r in rows for i in range(64)[r]] == list(range(64))
+        assert rows[-1] == slice(60, 70)  # the last slab holds 4 rows
+        assert all(a[:, r].size <= spectral_core._CHUNK for r in rows)
+        assert len(_slabs(a[0])) == 3  # a scalar's slabs hold 31 rows
+
+    @properties
+    @given(grid=slab_grids, seed=seeds)
+    @example(grid=BoxGrid(1.0, 64), seed=11)  # slabs of 10 rows, the last of 4
+    def test_curl_into_a_view_is_the_whole_array_formula(self, grid, seed):
+        fh = self.random_spectrum(grid, seed)
+        k = grid.k_axes()
+        want = np.empty_like(fh)
+        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            want[i] = 1j * (k[j] * fh[l] - k[l] * fh[j])
+        n, m = fh.shape[1:3], fh.shape[3]
+        wide = np.full((4, n[0] + 1, n[1], m + 2), np.nan, complex)
+        out = wide[1:, 1:, :, 1:-1]
+        assert _curl(fh, k, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert np.isnan(wide[0]).all() and np.isnan(wide[:, 0]).all()
+        assert np.isnan(wide[..., 0]).all() and np.isnan(wide[..., -1]).all()
+        assert _curl(fh, k).tobytes() == want.tobytes()
+
+    @properties
+    @given(grid=slab_grids, seed=seeds)
+    @example(grid=BoxGrid(1.0, 64), seed=12)
+    def test_divergence_is_the_whole_array_formula(self, grid, seed):
+        fh = self.random_spectrum(grid, seed)
+        kx, ky, kz = grid.k_axes()
+        want = 1j * (kx * fh[0] + ky * fh[1] + kz * fh[2])
+        got = divergence(Field.from_spectral(grid, fh)).spectral
+        assert got.tobytes() == want.tobytes()

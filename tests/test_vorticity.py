@@ -20,7 +20,7 @@ from boxflow.vorticity import (
     curl_inv_periodic,
 )
 
-from conftest import div_free_field, smooth_field, taylor_green
+from conftest import div_free_field, smooth_field, taylor_green, traced_peak
 
 
 def sine_sheet(alpha, n, c=1.3):
@@ -50,6 +50,17 @@ def test_sine_sheet_inversion_matches_closed_form():
     expected = np.zeros((3, 32, 32, 32))
     expected[1] = -(c * alpha / np.pi) * np.cos(np.pi * x / alpha)
     assert np.abs(u.physical - expected).max() < 1e-12
+
+
+def test_bump_build_and_inversion_hold_no_vector_temporary():
+    # in units of one vector half-spectrum at N=64 (2.41): the inversion holds
+    # omega, uhat and the |k|^2 and 1/|k|^2 tables (2.33), and one slab of
+    # the curl; the whole k_l omega_j beside them, and the potential e ghat
+    # beside its curl in the build, gave 2.69
+    grid = BoxGrid(2.0, 64)
+    unit = 3 * 64 * 64 * 33 * 16
+    peak = traced_peak(lambda: curl_inv_periodic(bump_vorticity(BumpSpec(0.5), grid)))
+    assert peak <= 2.45 * unit
 
 
 def test_zero_vorticity_inverts_to_zero():
