@@ -99,7 +99,7 @@ from .norms import (
     tail_mass,
 )
 from .solver import SolverConfig, existence_time, nse_march, pressure_solve
-from .spectral_core import BoxGrid, Field
+from .spectral_core import BoxGrid, Field, _irfftn, _rfftn
 from .vorticity import (
     VorticityField,
     curl_identity_report,
@@ -577,10 +577,10 @@ def _gap_norms(u: Field, ref: Field, weights) -> list[float]:
 
 
 def _gap_component(u: Field, ref: Field, i: int) -> np.ndarray:
-    """Component i of the gap as a spectrum; its samples die on return."""
+    """Component i of the gap as a spectrum, written over its samples."""
     ext = extend_field(u.component(i), ref.grid).physical
     ext -= ref.component(i).physical
-    return Field.from_physical(ref.grid, ext).spectral
+    return _rfftn(ext, consume=True)
 
 
 def _tail_masses(u: Field, radii) -> list[float]:
@@ -675,24 +675,24 @@ def _inversion_study(cfg: StudyConfig) -> dict:
     per-row gradient and vorticity norms (equal by the curl identity) and
     asserts strict error decrease plus the halving ratio on H^1.
     """
-    # the spectrum, then its samples on a fresh grid: the build grid and the
-    # |k|^2 tables it cached die before the samples are made
+    # the spectrum, then its samples over it on a fresh grid: the build grid
+    # and the |k|^2 tables it cached die before the samples are made
     ref_grid = BoxGrid(cfg.beta, cfg.beta_n)
     u_ref = _initial_velocity(cfg, BoxGrid(cfg.beta, cfg.beta_n)).spectral
-    u_ref = Field.from_physical(ref_grid, Field.from_spectral(ref_grid, u_ref).physical)
-    h1_weight = 1.0 + ref_grid.ksq  # (1 + |k|^2)^1
+    u_ref = Field.from_physical(ref_grid, _irfftn(u_ref, ref_grid.N, consume=True))
+    h1_weight = 1.0 + BoxGrid(cfg.beta, cfg.beta_n).ksq  # (1 + |k|^2)^1; that |k|^2 dies here
 
     rows: list[dict] = []
     identity_worst = 0.0
     constants: dict[str, float] | None = None
     for alpha, grid in _box_grids(cfg):
         w = _build_vorticity(cfg, grid)
-        u = curl_inv_periodic(w)
+        omega_norm = l2_norm(w.omega)
+        u = curl_inv_periodic(w)  # over omega's spectrum
+        del w
         if constants is None:  # one set of samples for the constants and the gap
             u = Field(grid, physical=u.physical, spectral=u.spectral)
             constants = measure_constants([u])
-        omega_norm = l2_norm(w.omega)
-        del w
         grad_norm = math.sqrt(grad_l2_sq(u))
         err_l2, err_h1 = _gap_norms(u, u_ref, [1.0, h1_weight])
         del u

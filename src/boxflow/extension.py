@@ -103,11 +103,13 @@ def extend_field(u: Field, target: BoxGrid) -> Field:
             f"target box Q_{target.alpha} truncates the cutoff band of "
             f"Q_{alpha} (need beta >= alpha + 1)"
         )
-    idx = (np.arange(target.N) - offset) % u.grid.N
-    ext = u.physical
-    for axis in (-1, -2, -3):  # one gather per axis, the smallest first
-        ext = np.take(ext, idx, axis=axis)
+    n, idx = target.N, (np.arange(target.N) - offset) % u.grid.N
+    src = u.physical
+    buf = np.empty(src.shape[:-3] + (n, n, n // 2 + 1), complex)
+    ext = buf.view(np.float64)[..., :n]  # padded samples: transformed in place
     z = cutoff_profile(alpha, target.x1d)
-    for rows in _slabs(ext):  # psi = (z_x z_y) z_z, one slab of rows at a time
-        ext[..., rows, :, :] *= z[rows, None, None] * z[None, :, None] * z[None, None, :]
+    for rows in _slabs(ext):  # psi = (z_x z_y) z_z, then times the samples, a slab at a time
+        slab = ext[..., rows, :, :]
+        np.multiply(z[rows, None, None] * z[None, :, None], z[None, None, :], out=slab)
+        slab *= np.take(np.take(src[..., idx[rows], :, :], idx, axis=-2), idx, axis=-1)
     return Field.from_physical(target, ext)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import DataError, UsageError
-from .spectral_core import Field, _max_abs, divergence
+from .spectral_core import Field, _max_abs, _slabs, divergence
 
 _MEAN_RTOL = 1e-8
 
@@ -53,13 +53,15 @@ def spectral_moments(f: Field, weights) -> list[float]:
 def _moments(grid, spectra, weights) -> list[float]:
     """`spectral_moments` of the components `spectra`, scalar half-spectra
     on grid's modes, summed in the order they come.  Each is dropped once
-    its |c|^2 is formed, and one weight's product w * mult is alive at a
-    time: |c|^2 times it is written over it, or over |c|^2 by a constant
-    last weight."""
+    its |c|^2 is formed, with a temporary of one slab, and one weight's
+    product w * mult is alive at a time: |c|^2 times it is written over it,
+    or over |c|^2 by a constant last weight."""
     totals, last = [0.0] * len(weights), len(weights) - 1
     for c in spectra:
-        sq = c.real * c.real
-        sq += c.imag * c.imag
+        sq = np.empty(c.shape)
+        for rows in _slabs(c):
+            np.multiply(c[rows].real, c[rows].real, out=sq[rows])
+            sq[rows] += c[rows].imag * c[rows].imag
         del c
         for j, w in enumerate(weights):
             wm = w * grid.mult

@@ -376,13 +376,16 @@ def pressure_solve(u: Field) -> Field:
     """
     if u.rank != "vector":
         raise UsageError("pressure solve needs a velocity field")
-    samples = u.physical
-    f = np.zeros_like(samples)
+    samples, n = u.physical, u.grid.N
+    fhat = np.zeros(u.spectral.shape, complex)  # f's padded samples, then its spectrum
+    f = fhat.view(np.float64)[..., :n]
     for f_i, uhat_i in zip(f, u.spectral):  # u_0 d_0 u_i, + u_1 d_1 u_i, + u_2 d_2 u_i
         for u_j, k_j in zip(samples, u.grid.k_axes()):
-            f_i += u_j * _irfftn(1j * k_j * uhat_i, u.grid.N)
-    fhat = _rfftn(f)
-    del f
+            d = _irfftn(1j * k_j * uhat_i, n, consume=True)
+            d *= u_j
+            f_i += d
+            del d  # before the next term's spectrum is made
+    _rfftn(f, consume=True)
     fhat *= u.grid.two_thirds_mask
     # p_k = i (k.f_k) / |k|^2; the modes `inv_ksq` drops (zero and
     # all-Nyquist) get no pressure

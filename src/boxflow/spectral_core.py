@@ -20,6 +20,17 @@ A sum over the full spectrum counts the columns m_3 = 1..N/2-1 twice
 (`BoxGrid.mult`).  The last column is the +-N/2 plane: its entries stand for
 both m_3 = N/2 and m_3 = -N/2, counted once.
 
+Samples and half-spectra share one layout, FFTW's in-place real one: the N
+samples of a row sit in the float64 view of that row's N/2+1 complex slots.
+`_irfftn` writes the samples over its buffer (a copy of the spectrum, or the
+spectrum itself when the caller hands it over) and returns the `[..., :N]`
+view, "padded samples" whose rows are N+2 floats apart; `_rfftn` writes a
+spectrum over padded samples it is handed.  So a field moves between samples
+and spectrum in one buffer.  Padded samples are values like any others, but
+a sum or mean over them runs in another pairwise order than over a
+contiguous array: every sum whose bits the reports carry runs over a fresh
+contiguous array (a square, a product, a boolean selection) or a spectrum.
+
 The m_i = -N/2 (Nyquist) modes have no negation partner on the grid, so
 every differential operator here forces their wavevector component to zero
 (on the last axis: the whole +-N/2 column).  That keeps the operator algebra
@@ -103,10 +114,15 @@ _SLAB = 8  # rows of axis -3 per slab of the passes that run on `_map`'s threads
 _CHUNK = 1 << 16  # elements: a smaller chunk costs less than handing it to a thread
 
 
-def _rfftn(a: np.ndarray) -> np.ndarray:
-    """scipy.fft.rfftn(a, axes=(-3, -2, -1), norm="forward") bit for bit."""
+def _rfftn(a: np.ndarray, consume: bool = False) -> np.ndarray:
+    """scipy.fft.rfftn(a, axes=(-3, -2, -1), norm="forward") bit for bit.
+
+    When consume, a is padded samples the caller hands over, and the
+    spectrum is written over them into their buffer: each slab's r2c pass
+    reads a copy of its own rows, which numpy makes as it would for any
+    output that overlaps its input."""
     n = a.shape[-1]
-    out = np.empty(a.shape[:-1] + (n // 2 + 1,), complex)
+    out = _padded_buffer(a) if consume else np.empty(a.shape[:-1] + (n // 2 + 1,), complex)
     scale = float(1 / np.longdouble(n) ** 3)
 
     def chunk(rows):  # r2c and its scaling a slab at a time, while it is in cache
@@ -119,22 +135,37 @@ def _rfftn(a: np.ndarray) -> np.ndarray:
     return _fft_split(_fft_split(out, -3), -2)
 
 
-def _irfftn(a: np.ndarray, n: int) -> np.ndarray:
-    """scipy.fft.irfftn(a, (n, n, n), norm="forward") bit for bit, one
-    component at a time: c2c along axis -3 on a copy of the component, then
-    per slab of rows c2c along -2 in place and c2r along -1 into the rows of
-    the output, so no N^3 temporary is made beside the output."""
-    out = np.empty(a.shape[:-3] + (n, n, n))
-    for a_i, out_i in zip(a[None] if a.ndim == 3 else a, out.reshape(-1, n, n, n)):
-        x = _fft_split(a_i.copy(), -3, inverse=True)
+def _irfftn(a: np.ndarray, n: int, consume: bool = False) -> np.ndarray:
+    """scipy.fft.irfftn(a, (n, n, n), norm="forward") bit for bit, as padded
+    samples over one buffer: a copy of a or, when consume, a itself.  One
+    component at a time: c2c along axis -3, then per slab of rows c2c along
+    -2 and c2r along -1 written over the slab's own columns, so no N^3
+    temporary is made beside the buffer."""
+    buf = a if consume else a.copy()
+    for b in buf[None] if buf.ndim == 3 else buf:
+        _fft_split(b, -3, inverse=True)
 
         def slab(r):
-            rows = slice(r, r + _SLAB)
-            out_i[rows] = _irfft(_fft(x[rows], -2, inverse=True), n)
+            rows = _fft(b[r : r + _SLAB], -2, inverse=True)
+            _irfft(rows, n, out=rows.view(np.float64)[..., :n])
 
         _map(slab, range(0, n, _SLAB))
-        del x
-    return out
+    return buf.view(np.float64)[..., :n]
+
+
+def _padded_buffer(p: np.ndarray) -> np.ndarray:
+    """The half-spectrum buffer of the padded samples p (see the module
+    docstring); anything else is rejected."""
+    buf, n = p.base, p.shape[-1]
+    if not (
+        isinstance(buf, np.ndarray)
+        and buf.dtype == complex
+        and buf.flags.c_contiguous
+        and buf.shape == p.shape[:-1] + (n // 2 + 1,)
+        and buf.ctypes.data == p.ctypes.data
+    ):
+        raise UsageError("only padded samples can be transformed in place")
+    return buf
 
 
 # Unnormalized 1-d passes on the calling thread.  pocketfft runs irfftn as c2c
@@ -147,8 +178,8 @@ def _fft(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
     return fft(a, axis=axis, norm=norm, out=a)
 
 
-def _irfft(a: np.ndarray, n: int) -> np.ndarray:  # missing columns count as 0
-    return np.fft.irfft(a, n, axis=-1, norm="forward")
+def _irfft(a: np.ndarray, n: int, out=None) -> np.ndarray:  # missing columns count as 0
+    return np.fft.irfft(a, n, axis=-1, norm="forward", out=out)
 
 
 def _rfft(a: np.ndarray, out=None) -> np.ndarray:
@@ -313,6 +344,11 @@ class Field:
     and cached; the samples of a spectrum are computed on each read of
     `physical` and never kept, so a caller that reads them twice holds them
     in a local or a view `Field(grid, physical=..., spectral=...)`.
+
+    Samples read from a spectrum are padded samples, a fresh buffer of the
+    spectrum's shape seen as its `[..., :N]` float64 view, and the caller
+    may write to them.  Samples may be given in either layout; the field
+    never writes to the samples or the spectrum it was given.
     """
 
     def __init__(self, grid: BoxGrid, physical=None, spectral=None):
@@ -431,12 +467,14 @@ def _curl(fh: np.ndarray, k, out=None) -> np.ndarray:
     k[0] runs along axis -3, k[1] and k[2] broadcast along it.
 
     Writes the curl into out, fh's shape and possibly a view of a wider
-    array (a new array when None), and returns it.  It runs in `_slabs` of
-    fh's rows, so its only temporary is one slab's k_l f_j."""
+    array or fh itself (a new array when None), and returns it.  It runs in
+    `_slabs` of fh's rows, so its only temporaries are one slab's k_l f_j
+    and, when out is fh, a copy of the slab's input."""
     out = np.empty_like(fh) if out is None else out
     kx, ky, kz = k
     for rows in _slabs(fh):
-        o, f_r, k_r = out[:, rows], fh[:, rows], (kx[rows], ky, kz)
+        f_r = fh[:, rows].copy() if out is fh else fh[:, rows]
+        o, k_r = out[:, rows], (kx[rows], ky, kz)
         for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # (curl f)_i = i(k_j f_l - k_l f_j)
             np.multiply(k_r[j], f_r[l], out=o[i])
             o[i] -= k_r[l] * f_r[j]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, DomainTooSmallError, SupportError, UsageError
 from .norms import NormReport, grad_l2_sq, l2_norm, relative_divergence
-from .spectral_core import BoxGrid, Field, _max_abs, curl
+from .spectral_core import BoxGrid, Field, _curl, _max_abs, curl
 
 # Largest accepted |mean of omega| / max |omega|.
 _MEAN_RTOL = 1e-10
@@ -71,17 +71,24 @@ class VorticityField:
         self.support_radius = float(support_radius)
 
         # the scale and |omega| from one component's samples at a time, the
-        # squares summed in `Field.magnitude`'s order; a spectrum's are not kept
+        # squares summed in `Field.magnitude`'s order; a spectrum's samples
+        # are a fresh transform, squared in place, and are not kept
+        fresh = omega._physical is None
         scale, magnitude = 0.0, None
         for i in range(3):
             p = omega.component(i).physical
             scale = float(np.maximum(scale, _max_abs(p)))  # NaN propagates
+            sq = np.square(p, out=p) if fresh else p**2
             if magnitude is None:
-                magnitude = p**2
+                magnitude = sq
             else:
-                magnitude += p**2
-            del p
+                magnitude += sq
+            del p, sq
         np.sqrt(magnitude, out=magnitude)
+        # the leak before the divergence check, so |omega| dies first
+        outside = omega.grid.radius_sq() > self.support_radius**2
+        leak = float(np.max(magnitude, where=outside, initial=0.0))
+        del magnitude, outside
         if scale == 0.0:
             self.div_rel = self.mean_rel = self.support_leak_rel = 0.0
             return
@@ -97,8 +104,6 @@ class VorticityField:
             raise DataError(
                 f"vorticity carries a mean: relative mean {self.mean_rel:.3e}"
             )
-        outside = omega.grid.radius_sq() > self.support_radius**2
-        leak = float(magnitude[outside].max()) if np.any(outside) else 0.0
         self.support_leak_rel = leak / scale
         if self.support_leak_rel > support_tol:
             raise SupportError(
@@ -116,10 +121,15 @@ def curl_inv_periodic(w: VorticityField) -> Field:
 
     A `VorticityField` fits strictly inside its box, so the periodic field
     can stand in for the whole-space one.
+
+    Consumes w: u's spectrum is written over omega's, slab by slab, and w
+    is left without its `omega`.  A caller that reads omega afterwards
+    copies it first.
     """
     g = w.grid
-    inv_ksq = g.inv_ksq  # first: its mask dies before uhat is made beside omega
-    uhat = curl(w.omega).spectral  # a fresh array: scaled in place
+    inv_ksq = g.inv_ksq  # first: its mask dies before the curl runs
+    omega, w.omega = w.omega.spectral, None
+    uhat = _curl(omega, g.k_axes(), out=omega)
     uhat *= inv_ksq
     return Field.from_spectral(g, uhat)
 

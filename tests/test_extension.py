@@ -94,7 +94,10 @@ class TestExtendField:
                 ..., idx[:, None, None], idx[None, :, None], idx[None, None, :]
             ] * psi
             got = extend_field(u, dst).physical
-            assert got.flags.c_contiguous
+            # padded samples: the [..., :N] view of a half-spectrum buffer
+            assert got.base.shape == got.shape[:-1] + (dst.N // 2 + 1,)
+            assert got.base.dtype == np.complex128 and np.shares_memory(got, got.base)
+            assert got.strides[-2:] == ((dst.N + 2) * 8, 8)
             assert got.tobytes() == np.ascontiguousarray(old).tobytes()
 
     def test_zero_outside_padded_box(self, rng):

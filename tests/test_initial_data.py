@@ -72,8 +72,9 @@ def test_bump_velocity_satisfies_curl_identity():
 
 def helicity(w) -> float:
     """int u . omega by lattice quadrature, u the periodic inversion of omega."""
+    omega, h = w.omega.physical.copy(), w.grid.h  # the inversion consumes w
     u = curl_inv_periodic(w)
-    return float(np.sum(u.physical * w.omega.physical) * w.grid.h**3)
+    return float(np.sum(u.physical * omega) * h**3)
 
 
 def test_bump_helicity_vanishes():

@@ -194,6 +194,10 @@ class TestTransforms:
         assert given.physical is samples  # given samples are returned as they are
         assert given.spectral is given.spectral  # a spectrum is cached
 
+    def test_only_padded_samples_are_transformed_in_place(self, rng):
+        with pytest.raises(UsageError, match="padded"):
+            _rfftn(rng.standard_normal((8, 8, 8)), consume=True)
+
     def test_magnitude_is_the_root_of_the_summed_squares(self, rng):
         f = white_field(BoxGrid(1.0, 16), rng, rank="vector")
         p = f.physical
@@ -490,6 +494,44 @@ class TestHalfSpectrumProperties:
         assert got.tobytes() == want.tobytes()
 
     @properties
+    @given(
+        n=st.integers(4, 48).map(lambda k: 2 * k),
+        rank=st.sampled_from(["scalar", "vector"]),
+        workers=st.sampled_from([1, 2]),
+        seed=seeds,
+    )
+    @example(n=8, rank="scalar", workers=1, seed=10)
+    @example(n=96, rank="vector", workers=2, seed=11)  # split passes, 12 slabs
+    def test_padded_transforms_equal_scipy(self, n, rank, workers, seed):
+        """The copying and the consuming `_irfftn` write padded samples
+        over one buffer, and `_rfftn` writes a spectrum over padded samples
+        handed to it: each equals scipy bit for bit, component by component,
+        and the copying path leaves its input as it was."""
+        rng = np.random.default_rng(seed)
+        shape = (n, n, n // 2 + 1) if rank == "scalar" else (3, n, n, n // 2 + 1)
+        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept, handed = spectrum.tobytes(), spectrum.copy()
+        set_default_workers(workers)
+        try:
+            copied = _irfftn(spectrum, n)
+            consumed = _irfftn(handed, n, consume=True)
+            assert consumed.base is handed
+            consumed_bytes = consumed.tobytes()
+            forward = _rfftn(consumed, consume=True)
+        finally:
+            set_default_workers(1)
+        assert spectrum.tobytes() == kept
+        assert forward is handed
+        assert copied.strides[-2:] == ((n + 2) * 8, 8) and copied.base.shape == shape
+        want = [
+            scipy.fft.irfftn(a_i, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+            for a_i in spectrum.reshape((-1,) + shape[-3:])
+        ]
+        assert copied.tobytes() == consumed_bytes == b"".join(w.tobytes() for w in want)
+        again = scipy.fft.rfftn(np.stack(want), axes=(-3, -2, -1), norm="forward")
+        assert forward.tobytes() == again.tobytes()
+
+    @properties
     @given(grid=grids, seed=seeds)
     def test_parseval(self, grid, seed):
         f = random_samples(grid, seed)
@@ -556,6 +598,8 @@ class TestSlabOperators:
         assert np.isnan(wide[0]).all() and np.isnan(wide[:, 0]).all()
         assert np.isnan(wide[..., 0]).all() and np.isnan(wide[..., -1]).all()
         assert _curl(fh, k).tobytes() == want.tobytes()
+        assert _curl(fh, k, out=fh) is fh  # over its own input, last
+        assert fh.tobytes() == want.tobytes()
 
     @properties
     @given(grid=slab_grids, seed=seeds)
