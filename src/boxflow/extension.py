@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, GridCompatibilityError, SupportError
-from .spectral_core import BoxGrid, Field, _slabs
+from .spectral_core import BoxGrid, Field, _padded, _slabs
 
 # Per-axis profile bounds for the quintic smoothstep 6t^5 - 15t^4 + 10t^3:
 # max |zeta'| = 15/8 (at mid-band), max |zeta''| = 10/sqrt(3).
@@ -105,8 +105,7 @@ def extend_field(u: Field, target: BoxGrid) -> Field:
         )
     n, idx = target.N, (np.arange(target.N) - offset) % u.grid.N
     src = u.physical
-    buf = np.empty(src.shape[:-3] + (n, n, n // 2 + 1), complex)
-    ext = buf.view(np.float64)[..., :n]  # padded samples: transformed in place
+    ext = _padded(src.shape[:-3] + (n, n, n))  # the gap transforms them in place
     z = cutoff_profile(alpha, target.x1d)
     for rows in _slabs(ext):  # psi = (z_x z_y) z_z, then times the samples, a slab at a time
         slab = ext[..., rows, :, :]

@@ -73,6 +73,7 @@ from .spectral_core import (
     _leray_in_place,
     _map,
     _max_abs,
+    _padded,
     _rfft,
     _rfftn,
     divergence,
@@ -376,16 +377,15 @@ def pressure_solve(u: Field) -> Field:
     """
     if u.rank != "vector":
         raise UsageError("pressure solve needs a velocity field")
-    samples, n = u.physical, u.grid.N
-    fhat = np.zeros(u.spectral.shape, complex)  # f's padded samples, then its spectrum
-    f = fhat.view(np.float64)[..., :n]
+    samples = u.physical
+    f = _padded(samples.shape, zero=True)  # transformed in place
     for f_i, uhat_i in zip(f, u.spectral):  # u_0 d_0 u_i, + u_1 d_1 u_i, + u_2 d_2 u_i
         for u_j, k_j in zip(samples, u.grid.k_axes()):
-            d = _irfftn(1j * k_j * uhat_i, n, consume=True)
+            d = _irfftn(1j * k_j * uhat_i, u.grid.N, consume=True)
             d *= u_j
             f_i += d
             del d  # before the next term's spectrum is made
-    _rfftn(f, consume=True)
+    fhat = _rfftn(f, consume=True)
     fhat *= u.grid.two_thirds_mask
     # p_k = i (k.f_k) / |k|^2; the modes `inv_ksq` drops (zero and
     # all-Nyquist) get no pressure

@@ -153,6 +153,14 @@ def _irfftn(a: np.ndarray, n: int, consume: bool = False) -> np.ndarray:
     return buf.view(np.float64)[..., :n]
 
 
+def _padded(shape: tuple, zero: bool = False) -> np.ndarray:
+    """Padded samples of shape (..., N, N, N) over a fresh buffer, zeros or
+    unset, for a caller that builds samples to transform in place."""
+    n = shape[-1]
+    buf = (np.zeros if zero else np.empty)(shape[:-1] + (n // 2 + 1,), complex)
+    return buf.view(np.float64)[..., :n]
+
+
 def _padded_buffer(p: np.ndarray) -> np.ndarray:
     """The half-spectrum buffer of the padded samples p (see the module
     docstring); anything else is rejected."""
