@@ -58,7 +58,6 @@ from .vorticity import (
     BiotSavartResult,
     VorticityField,
     biot_savart_r3,
-    curl_identity_report,
     curl_inv_periodic,
 )
 from .initial_data import (
@@ -87,6 +86,5 @@ from .experiments import (
     load_config,
     measure_constants,
     parse_config,
-    run_snapshot_audit,
     run_study,
 )

@@ -1,10 +1,9 @@
 """Command-line entry point: ``boxflow <study> --config cfg.json --out dir``.
 
 Subcommands ``inversion``, ``solution``, ``tail``, and ``transfer`` run the
-matching study from :mod:`boxflow.experiments`; ``audit`` evaluates the
-functional-inequality ratios and the curl identity on the configured data.
-Every subcommand writes CSV tables, ``checks.csv``, and ``metadata.json``
-into the output directory and prints one PASS/FAIL line per assertion.
+matching study from :mod:`boxflow.experiments`.  Every subcommand writes
+CSV tables, ``checks.csv``, and ``metadata.json`` into the output
+directory and prints one PASS/FAIL line per assertion.
 
 Exit codes: 0 = all assertions passed, 1 = assertion failure (a blow-up or
 CFL violation on a box is a failed assertion with a written report; other
@@ -35,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solution": "trajectory convergence toward the reference run",
         "tail": "a-priori tail-mass bound audit",
         "transfer": "H^1 transfer-of-regularity sweep",
-        "audit": "inequality ratios and curl identity on the initial data",
     }
     for name, text in helps.items():
         cmd = sub.add_parser(name, help=text)
@@ -63,7 +61,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = experiments.load_config(args.config)
-        if args.command != "audit" and cfg.kind != args.command:
+        if cfg.kind != args.command:
             raise ConfigurationError(
                 f"config declares kind={cfg.kind!r} but the "
                 f"{args.command!r} subcommand was invoked"
@@ -74,10 +72,7 @@ def main(argv=None) -> int:
                 "no output directory: pass --out or set out_dir in the config"
             )
         set_default_workers(args.threads)
-        if args.command == "audit":
-            result = experiments.run_snapshot_audit(cfg)
-        else:
-            result = experiments.run_study(cfg)
+        result = experiments.run_study(cfg)
         paths = experiments.emit_report(result, out_dir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,9 +18,8 @@ stands in for the whole space, all driven by one declarative JSON config:
   for the first alpha* from which every larger box keeps its H^1 norm
   squared below twice the reference bound M.
 
-``run_study(cfg)`` runs the study that ``cfg.kind`` names, and
-``run_snapshot_audit(cfg)`` audits the initial data of any config; both
-return a `StudyResult`.
+``run_study(cfg)`` runs the study that ``cfg.kind`` names and returns a
+`StudyResult`.
 
 "R^3" is operationalised as the largest box Q_beta with beta >= 2*max(alpha);
 all boxes share one lattice spacing h = 2*alpha_1/N_1 so fields nest exactly.
@@ -100,11 +99,7 @@ from .norms import (
 )
 from .solver import SolverConfig, existence_time, nse_march, pressure_solve
 from .spectral_core import BoxGrid, Field, _irfftn, _rfftn
-from .vorticity import (
-    VorticityField,
-    curl_identity_report,
-    curl_inv_periodic,
-)
+from .vorticity import VorticityField, curl_inv_periodic
 
 __all__ = [
     "CheckRecord",
@@ -114,7 +109,6 @@ __all__ = [
     "load_config",
     "measure_constants",
     "parse_config",
-    "run_snapshot_audit",
     "run_study",
 ]
 
@@ -122,9 +116,6 @@ STUDY_KINDS = ("inversion", "solution", "tail", "transfer")
 
 #: Relative slack for curl-identity and consistency checks inside studies.
 _IDENTITY_TOL = 1e-10
-
-#: The `_ratio_row` columns of the audit report.
-_AUDIT_RATIOS = ("l2", "h1", "agmon_ratio", "l6_ratio", "interp_ratio", "pressure_ratio")
 
 #: sup-in-time tail columns of a solution study are taken at these fractions
 #: of the smallest box half-width (recorded per run in metadata).
@@ -765,7 +756,7 @@ def _solution_study(cfg: StudyConfig) -> dict:
         warnings.warn(
             f"integrating to t_end={t_end} beyond the guaranteed horizon "
             f"{t_min:.6g}",
-            stacklevel=4,
+            stacklevel=3,
         )
 
     tail_radii = tuple(f * cfg.alphas[0] for f in _SOLUTION_TAIL_FRACTIONS)
@@ -1066,57 +1057,6 @@ def _transfer_study(cfg: StudyConfig) -> dict:
     )
 
 
-def _snapshot_audit(cfg: StudyConfig) -> dict:
-    rows: list[dict] = []
-    checks: list[CheckRecord] = []
-    for alpha, grid in _box_grids(cfg):
-        u = _initial_velocity(cfg, grid)
-        ratios = _ratio_row(u)
-        identity = curl_identity_report(u)
-        degenerate = ratios["degenerate"]
-        rows.append(
-            {
-                "alpha": alpha,
-                **{c: ratios[c] for c in _AUDIT_RATIOS},
-                "grad_norm": identity.entries["grad_norm"],
-                "curl_norm": identity.entries["curl_norm"],
-                "curl_rel_diff": identity.entries["rel_diff"],
-                "degenerate": int(degenerate),
-            }
-        )
-        rel = identity.entries["rel_diff"]
-        applicable = not identity.flags["not_applicable"] and not degenerate
-        checks.append(
-            CheckRecord(
-                f"curl_identity_alpha_{alpha:g}",
-                (rel <= _IDENTITY_TOL) if applicable else True,
-                rel,
-                _IDENTITY_TOL,
-                note="" if applicable else "degenerate field; vacuous",
-            )
-        )
-    return dict(
-        columns=tuple(rows[0]),
-        rows=rows,
-        checks=checks,
-        constants=_largest_ratios(rows),
-        extras={"h": cfg.h},
-    )
-
-
-def _timed(kind: str, cfg: StudyConfig, body) -> StudyResult:
-    """Time ``body(cfg)`` and build the :class:`StudyResult` from the fields
-    it returns as a dict (all but ``kind``, ``config`` and ``wall_time_s``)."""
-    start = time.perf_counter()
-    parts = body(cfg)
-    return StudyResult(
-        kind=kind,
-        config=cfg.to_dict(),
-        wall_time_s=time.perf_counter() - start,
-        **parts,
-    )
-
-
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Run the study that ``cfg.kind`` names."""
     body = {
@@ -1125,15 +1065,14 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         "tail": _tail_study,
         "transfer": _transfer_study,
     }[cfg.kind]
-    return _timed(cfg.kind, cfg, body)
-
-
-def run_snapshot_audit(cfg: StudyConfig) -> StudyResult:
-    """Evaluate the inequality ratios and the curl identity per box.
-
-    Accepts any study config; only the boxes and the initial data are used.
-    """
-    return _timed("audit", cfg, _snapshot_audit)
+    start = time.perf_counter()
+    parts = body(cfg)
+    return StudyResult(
+        kind=cfg.kind,
+        config=cfg.to_dict(),
+        wall_time_s=time.perf_counter() - start,
+        **parts,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ never used inside any solver loop.
 For divergence-free u the gradient and the curl carry the same energy,
 ||grad u||_L2 = ||curl u||_L2 — spectrally this is the per-mode identity
 |k|^2 |uhat|^2 = |k x uhat|^2 + |k . uhat|^2 with the last term zero.
-`curl_identity_report` measures both sides.
+The inversion study checks it on every box (``curl_identity_per_row``).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainTooSmallError, SupportError, UsageError
-from .norms import NormReport, grad_l2_sq, l2_norm, relative_divergence
-from .spectral_core import BoxGrid, Field, _curl, _max_abs, curl
+from .norms import relative_divergence
+from .spectral_core import BoxGrid, Field, _curl, _max_abs
 
 # Largest accepted |mean of omega| / max |omega|.
 _MEAN_RTOL = 1e-10
@@ -177,31 +177,3 @@ def biot_savart_r3(w: VorticityField, query_points) -> BiotSavartResult:
             np.cross(weights[keep], dk) * inv3[:, None], axis=0
         )
     return BiotSavartResult(velocities, under)
-
-
-def curl_identity_report(u: Field) -> NormReport:
-    """Measure ||grad u|| against ||curl u|| (equal for div-free fields).
-
-    A field whose relative divergence exceeds 1e-8 gets the
-    `not_applicable` flag instead of an error — the numbers are still
-    reported, the equality just is not expected to hold.
-    """
-    if u.rank != "vector":
-        raise UsageError("curl identity applies to vector fields")
-    rel_div = relative_divergence(u)
-    grad = float(np.sqrt(grad_l2_sq(u)))
-    curl_norm = l2_norm(curl(u))
-    if grad == 0.0 and curl_norm == 0.0:
-        rel_diff = 0.0
-    else:
-        rel_diff = abs(grad - curl_norm) / max(curl_norm, 1e-300)
-    return NormReport(
-        entries={
-            "grad_norm": grad,
-            "curl_norm": curl_norm,
-            "rel_diff": rel_diff,
-            "rel_div": rel_div,
-        },
-        flags={"not_applicable": rel_div > 1e-8},
-    )
-

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from boxflow.norms import lebesgue_norm, spectral_moments
-from boxflow.spectral_core import BoxGrid, Field, gradient, leray_project
+from boxflow.errors import UsageError
+from boxflow.norms import (
+    NormReport,
+    grad_l2_sq,
+    l2_norm,
+    lebesgue_norm,
+    relative_divergence,
+    spectral_moments,
+)
+from boxflow.spectral_core import BoxGrid, Field, curl, gradient, leray_project
 
 
 @pytest.fixture
@@ -54,6 +62,33 @@ def dealias(f: Field) -> Field:
     keep = 3 * np.abs(f.grid.modes1d) < n
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, : n // 2 + 1]
     return Field(f.grid, spectral=f.spectral * mask)
+
+
+def curl_identity_report(u: Field) -> NormReport:
+    """Oracle: ||grad u|| against ||curl u|| (equal for div-free fields).
+
+    A field whose relative divergence exceeds 1e-8 gets the
+    `not_applicable` flag instead of an error — the numbers are still
+    reported, the equality just is not expected to hold.
+    """
+    if u.rank != "vector":
+        raise UsageError("curl identity applies to vector fields")
+    rel_div = relative_divergence(u)
+    grad = float(np.sqrt(grad_l2_sq(u)))
+    curl_norm = l2_norm(curl(u))
+    if grad == 0.0 and curl_norm == 0.0:
+        rel_diff = 0.0
+    else:
+        rel_diff = abs(grad - curl_norm) / max(curl_norm, 1e-300)
+    return NormReport(
+        entries={
+            "grad_norm": grad,
+            "curl_norm": curl_norm,
+            "rel_diff": rel_diff,
+            "rel_div": rel_div,
+        },
+        flags={"not_applicable": rel_div > 1e-8},
+    )
 
 
 def dilate(f: Field, alpha: float) -> Field:

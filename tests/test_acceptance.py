@@ -32,9 +32,15 @@ from boxflow.solver import (
     pressure_solve,
 )
 from boxflow.spectral_core import BoxGrid, Field
-from boxflow.vorticity import curl_identity_report, curl_inv_periodic
+from boxflow.vorticity import curl_inv_periodic
 
-from conftest import derivative_norm, dilate, div_free_field, taylor_green
+from conftest import (
+    curl_identity_report,
+    derivative_norm,
+    dilate,
+    div_free_field,
+    taylor_green,
+)
 
 REPORT: list[str] = []
 

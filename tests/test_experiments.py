@@ -6,6 +6,7 @@ cases (beyond-horizon, reference blow-up) use bump amplitudes tuned so the
 relevant guard trips within a step or two instead of an expensive run.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from boxflow.cli import main as cli_main
+from boxflow.cli import build_parser, main as cli_main
 from boxflow import experiments
 from boxflow.errors import BlowUpError, ConfigurationError, StepSizeError
 from boxflow.experiments import (
@@ -35,7 +36,6 @@ from boxflow.experiments import (
     load_config,
     measure_constants,
     parse_config,
-    run_snapshot_audit,
     run_study,
 )
 from boxflow import spectral_core
@@ -635,6 +635,7 @@ def test_inversion_zero_data_gives_zero_errors():
         assert row["err_H1"] == 0.0
         assert row["omega_norm"] == 0.0
     assert res.passed  # degenerate comparisons pass vacuously
+    assert all(math.isnan(c) for c in res.constants.values())  # no ratio measured
 
 
 # -------------------------------------------------------------- solution
@@ -985,34 +986,6 @@ def test_transfer_rejects_zero_data():
         run_study(parse_config(data))
 
 
-# -------------------------------------------------------------- audit
-
-
-def test_snapshot_audit_zero_data_is_vacuous():
-    cfg = parse_config(tiny_inversion_data(initial_data=ZERO_DATA))
-    res = run_snapshot_audit(cfg)
-    assert res.passed
-    assert res.rows[0]["degenerate"] == 1
-
-
-def test_snapshot_audit_reports_ratios():
-    cfg = parse_config(inversion_data())
-    res = run_snapshot_audit(cfg)
-    assert res.passed
-    for row in res.rows:
-        assert row["degenerate"] == 0
-        assert 0 < row["agmon_ratio"] < 10
-        assert 0 < row["l6_ratio"] < 10
-        assert row["curl_rel_diff"] <= 1e-10
-
-
-@pytest.mark.parametrize("amplitude", [1.0, 0.0], ids=["bump", "zero"])
-def test_snapshot_audit_constants_equal_measure_constants(amplitude):
-    cfg = parse_config(bump_data(amplitude=amplitude))
-    fields = [_initial_velocity(cfg, grid) for _, grid in _box_grids(cfg)]
-    np.testing.assert_equal(run_snapshot_audit(cfg).constants, measure_constants(fields))
-
-
 # -------------------------------------------------------------- reports
 
 
@@ -1090,20 +1063,19 @@ def restore_workers():
 
 
 def test_fft_worker_count_leaves_report_bytes_unchanged(tmp_path, restore_workers):
-    # every runner; the benchmark runs the transfer study at two
+    # every study; the benchmark runs the transfer study at two
     studies = {
-        "inversion": (run_study, tiny_inversion_data()),
-        "audit": (run_snapshot_audit, tiny_inversion_data()),
-        "solution": (run_study, solution_data(solver={"dt": 5e-3, "t_end": 0.01})),
-        "tail": (run_study, tail_data()),
-        "transfer": (run_study, transfer_data()),
+        "inversion": tiny_inversion_data(),
+        "solution": solution_data(solver={"dt": 5e-3, "t_end": 0.01}),
+        "tail": tail_data(),
+        "transfer": transfer_data(),
     }
-    for kind, (run, data) in studies.items():
+    for kind, data in studies.items():
         cfg = parse_config(data)
         for workers in (1, 2):
             set_default_workers(workers)
             assert spectral_core._workers == workers
-            emit_report(run(cfg), tmp_path / kind / f"w{workers}")
+            emit_report(run_study(cfg), tmp_path / kind / f"w{workers}")
         tables = sorted((tmp_path / kind / "w1").glob("*.csv"))
         assert len(tables) >= 2
         for path in tables:
@@ -1272,8 +1244,7 @@ def test_tail_margin_check_fails_when_no_snapshot_is_measured():
     assert record.note == "no snapshot measured"
 
 
-@pytest.mark.parametrize("command", ["inversion", "audit"])
-def test_cli_invalid_vorticity_is_config_error(tmp_path, capsys, command):
+def test_cli_invalid_vorticity_is_config_error(tmp_path, capsys):
     # a trefoil too coarse for the strict divergence tolerance
     data = inversion_data(
         alphas=[2],
@@ -1283,23 +1254,15 @@ def test_cli_invalid_vorticity_is_config_error(tmp_path, capsys, command):
     )
     path = write_config(tmp_path, data)
     out = tmp_path / "o"
-    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert cli_main(["inversion", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: trefoil initial data")
     assert "not divergence-free" in err
-    box = "alpha=2 box" if command == "audit" else "alpha=4 box"  # Q_beta first
-    assert box in err
+    assert "alpha=4 box" in err  # Q_beta first
     assert not out.exists()
 
 
-def test_cli_audit_accepts_any_kind(tmp_path):
-    path = write_config(tmp_path, tiny_inversion_data(initial_data=ZERO_DATA))
-    code = cli_main(["audit", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 0
-    assert (tmp_path / "o" / "audit.csv").exists()
-
-
-def test_cli_audit_runs_trefoil_that_fits_the_config_margin(tmp_path):
+def test_trefoil_that_fits_the_config_margin_builds_on_every_box():
     # support 1.5*0.3 + 3*0.16 = 0.93 is within min alpha - 2h = 0.9375, so
     # the config's margin is the only one the data must keep
     data = inversion_data(
@@ -1309,10 +1272,26 @@ def test_cli_audit_runs_trefoil_that_fits_the_config_margin(tmp_path):
                       "tube_radius": 0.16, "strength": 1.0,
                       "div_tol": 1e-4, "support_tol": 1e-4},
     )
-    path = write_config(tmp_path, data)
+    cfg = parse_config(data)
+    for alpha, grid in _box_grids(cfg):
+        u = _initial_velocity(cfg, grid)
+        assert u.grid.alpha == alpha
+        assert l2_norm(u) > 0.0
+
+
+def test_cli_has_no_audit_subcommand(tmp_path, capsys):
+    # the subcommands are exactly the study kinds; `audit` is an invalid choice
+    path = write_config(tmp_path, tiny_inversion_data())
     out = tmp_path / "o"
-    assert cli_main(["audit", "--config", str(path), "--out", str(out)]) == 0
-    assert (out / "audit.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["audit", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'audit'" in capsys.readouterr().err
+    assert not out.exists()
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert tuple(sub.choices) == experiments.STUDY_KINDS
 
 
 def test_cli_transfer_on_two_threads_exits_promptly(tmp_path):

@@ -18,7 +18,9 @@ from boxflow.initial_data import (
     trefoil_vorticity,
 )
 from boxflow.spectral_core import BoxGrid, Field, curl
-from boxflow.vorticity import curl_identity_report, curl_inv_periodic
+from boxflow.vorticity import curl_inv_periodic
+
+from conftest import curl_identity_report
 
 
 # ----------------------------------------------------------------- mollifier

@@ -13,14 +13,15 @@ from boxflow.errors import DataError, DomainTooSmallError, SupportError, UsageEr
 from boxflow.initial_data import BumpSpec, bump_vorticity
 from boxflow.norms import NormReport, l2_norm, relative_divergence
 from boxflow.spectral_core import BoxGrid, Field, curl, gradient
-from boxflow.vorticity import (
-    VorticityField,
-    biot_savart_r3,
-    curl_identity_report,
-    curl_inv_periodic,
-)
+from boxflow.vorticity import VorticityField, biot_savart_r3, curl_inv_periodic
 
-from conftest import div_free_field, smooth_field, taylor_green, traced_peak
+from conftest import (
+    curl_identity_report,
+    div_free_field,
+    smooth_field,
+    taylor_green,
+    traced_peak,
+)
 
 
 def sine_sheet(alpha, n, c=1.3):
