@@ -1,13 +1,14 @@
 """Command-line entry point: ``boxflow <study> --config cfg.json --out dir``.
 
-Subcommands ``inversion``, ``solution``, ``tail``, and ``transfer`` run the
-matching study from :mod:`boxflow.experiments`.  Every subcommand writes
-CSV tables, ``checks.csv``, and ``metadata.json`` into the output
-directory and prints one PASS/FAIL line per assertion.
+Each subcommand runs the study kind of that name in
+``experiments.STUDY_KINDS``, writes CSV tables, ``checks.csv``, and
+``metadata.json`` into the output directory and prints one PASS/FAIL line
+per assertion.
 
 Exit codes: 0 = all assertions passed, 1 = assertion failure (a blow-up or
 CFL violation on a box is a failed assertion with a written report; other
-runtime errors write none), 2 = configuration error.
+runtime errors write none), 2 = configuration error or a report that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "inversion": "curl-inversion convergence toward the reference box",
-        "solution": "trajectory convergence toward the reference run",
-        "tail": "a-priori tail-mass bound audit",
-        "transfer": "H^1 transfer-of-regularity sweep",
-    }
-    for name, text in helps.items():
+    for name, (_, text) in experiments.STUDY_KINDS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument(
             "--config", required=True, metavar="<file>", help="JSON study config"

@@ -40,9 +40,8 @@ error)::
       "beta": 8,                      # optional; default 2*max(alphas)
       "initial_data": {
         "family": "bump" | "trefoil",   # zero data: a bump, amplitude 0
-        # bump:    support_radius (req), amplitude, direction, support_tol
-        # trefoil: major_radius, tube_radius, strength (req),
-        #          resolution, div_tol, support_tol
+        # the other keys are the fields of BumpSpec or TrefoilSpec,
+        # with their defaults
       },
       "solver": {                     # solution/tail/transfer only
         "dt": 1e-3, "t_end": 0.05,    # transfer derives t_end; omit it there
@@ -54,10 +53,11 @@ error)::
       "out_dir": "reports"            # optional; CLI --out overrides
     }
 
-The per-key types, defaults, ranges and study kinds live in one table
-(``_CONFIG_KEYS`` and the section tables it names).  The data must stay
-within min(alphas) - 2h of the origin.  Inversion and solution studies
-report their errors in L^2 and H^1.
+The per-key types, ranges and study kinds live in one table
+(``_CONFIG_KEYS`` and the section tables it names); the ``initial_data``
+defaults are those of the spec classes.  The data must stay within
+min(alphas) - 2h of the origin.  Inversion and solution studies report
+their errors in L^2 and H^1.
 
 Reports are CSV files with stable schemas plus ``checks.csv`` (one
 machine-readable pass/fail record per assertion) and ``metadata.json``
@@ -112,8 +112,6 @@ __all__ = [
     "run_study",
 ]
 
-STUDY_KINDS = ("inversion", "solution", "tail", "transfer")
-
 #: Relative slack for curl-identity and consistency checks inside studies.
 _IDENTITY_TOL = 1e-10
 
@@ -140,7 +138,6 @@ class StudyConfig:
 
     kind: str
     alphas: tuple[float, ...]
-    base_n: int
     beta: float
     ns: tuple[int, ...]
     beta_n: int
@@ -179,13 +176,14 @@ class _Key:
     None marks a default that :func:`parse_config` derives from other
     fields; an optional section has ``{}`` and takes its keys' defaults.
     ``rule`` is a (predicate, phrase) pair applied to the converted value.
-    A key given to a study kind outside ``kinds`` is rejected.
+    A key given to a study kind outside ``kinds`` (None: every kind) is
+    rejected.
     """
 
     type: object
     default: object = _REQUIRED
     rule: tuple | None = None
-    kinds: tuple[str, ...] = STUDY_KINDS
+    kinds: tuple[str, ...] | None = None
 
 
 def _finite_number(value) -> bool:
@@ -236,22 +234,22 @@ _FAMILY_KEYS = {
     "bump": {
         "family": _Key("str"),
         "support_radius": _Key("number", rule=_POSITIVE),
-        "amplitude": _Key("number", 1.0),
+        "amplitude": _Key("number", BumpSpec.amplitude),
         "direction": _Key(
             "numbers",
-            (0.0, 0.0, 1.0),
+            BumpSpec.direction,
             (lambda v: len(v) == 3 and any(v), "a nonzero 3-vector"),
         ),
-        "support_tol": _Key("number", 1e-2, _NONNEGATIVE),
+        "support_tol": _Key("number", BumpSpec.support_tol, _NONNEGATIVE),
     },
     "trefoil": {
         "family": _Key("str"),
         "major_radius": _Key("number", rule=_POSITIVE),
         "tube_radius": _Key("number", rule=_POSITIVE),
         "strength": _Key("number"),
-        "resolution": _Key("int", 512, _AT_LEAST_ONE),
-        "div_tol": _Key("number", 1e-10, _NONNEGATIVE),
-        "support_tol": _Key("number", 1e-6, _NONNEGATIVE),
+        "resolution": _Key("int", TrefoilSpec.resolution, _AT_LEAST_ONE),
+        "div_tol": _Key("number", TrefoilSpec.div_tol, _NONNEGATIVE),
+        "support_tol": _Key("number", TrefoilSpec.support_tol, _NONNEGATIVE),
     },
 }
 
@@ -299,7 +297,7 @@ def _read(section: dict, table: dict, where: str, kind: str) -> dict:
     out = {}
     for key, spec in table.items():
         nested = isinstance(spec.type, dict)
-        if kind not in spec.kinds:
+        if spec.kinds is not None and kind not in spec.kinds:
             if key in section:
                 noun = "section" if nested else "key"
                 raise ConfigurationError(f"{kind} studies take no '{key}' {noun}")
@@ -382,7 +380,6 @@ def parse_config(data: dict) -> StudyConfig:
     cfg = StudyConfig(
         kind=kind,
         alphas=alphas,
-        base_n=top["base_n"],
         beta=beta,
         ns=tuple(lattice_points(a, "alpha") for a in alphas),
         beta_n=lattice_points(beta, "beta"),
@@ -494,35 +491,23 @@ def _box_grids(cfg: StudyConfig):
 
 
 def _data_spec(data: dict) -> BumpSpec | TrefoilSpec:
-    """The vorticity spec of a parsed ``initial_data`` section."""
-    if data["family"] == "bump":
-        return BumpSpec(
-            support_radius=data["support_radius"],
-            amplitude=data["amplitude"],
-            direction=tuple(data["direction"]),
-        )
-    return TrefoilSpec(
-        major_radius=data["major_radius"],
-        tube_radius=data["tube_radius"],
-        strength=data["strength"],
-        resolution=data["resolution"],
-    )
+    """The vorticity spec of a parsed ``initial_data`` section: its keys
+    other than ``family`` are the spec's fields."""
+    spec_class = BumpSpec if data["family"] == "bump" else TrefoilSpec
+    return spec_class(**{k: v for k, v in data.items() if k != "family"})
 
 
 def _build_vorticity(cfg: StudyConfig, grid: BoxGrid) -> VorticityField:
     """Realise the configured vorticity family on one grid.
 
     Data that fails the vorticity checks (divergence, mean, support) at this
-    resolution and these tolerances is a configuration error.
+    resolution and the spec's tolerances is a configuration error.  The
+    generator is read by its global name, so a wrapper bound there sees it.
     """
     data = cfg.initial_data
-    spec = _data_spec(data)
+    generate = bump_vorticity if data["family"] == "bump" else trefoil_vorticity
     try:
-        if data["family"] == "bump":
-            return bump_vorticity(spec, grid, support_tol=data["support_tol"])
-        return trefoil_vorticity(
-            spec, grid, div_tol=data["div_tol"], support_tol=data["support_tol"]
-        )
+        return generate(_data_spec(data), grid)
     except DataError as exc:
         raise ConfigurationError(
             f"{data['family']} initial data is rejected on the "
@@ -536,8 +521,8 @@ def _initial_velocity(cfg: StudyConfig, grid: BoxGrid) -> Field:
 
 
 def _solver_config(cfg: StudyConfig, t_end: float) -> SolverConfig:
-    sd = cfg.solver
-    return SolverConfig(sd["dt"], t_end, sd.get("snapshot_every", 0))
+    """The study's ``solver`` section as a `SolverConfig` up to ``t_end``."""
+    return SolverConfig(**{**cfg.solver, "t_end": t_end})
 
 
 def _until_failure(name, march, failed: dict):
@@ -1057,14 +1042,21 @@ def _transfer_study(cfg: StudyConfig) -> dict:
     )
 
 
+#: Study kind -> (the study's body, its one-line help for the CLI).
+STUDY_KINDS = {
+    "inversion": (
+        _inversion_study,
+        "curl-inversion convergence toward the reference box",
+    ),
+    "solution": (_solution_study, "trajectory convergence toward the reference run"),
+    "tail": (_tail_study, "a-priori tail-mass bound audit"),
+    "transfer": (_transfer_study, "H^1 transfer-of-regularity sweep"),
+}
+
+
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Run the study that ``cfg.kind`` names."""
-    body = {
-        "inversion": _inversion_study,
-        "solution": _solution_study,
-        "tail": _tail_study,
-        "transfer": _transfer_study,
-    }[cfg.kind]
+    body = STUDY_KINDS[cfg.kind][0]
     start = time.perf_counter()
     parts = body(cfg)
     return StudyResult(
@@ -1124,9 +1116,10 @@ def emit_report(result: StudyResult, out_dir) -> list[Path]:
     """Write the study's CSV tables, check records, and metadata.
 
     Each file is written atomically (temporary file, then rename), so an
-    interrupted run never leaves a truncated report.  Returns the written
-    paths.  CSV bytes depend only on the config on the single-threaded path;
-    ``metadata.json`` additionally records wall time.
+    interrupted run never leaves a truncated report; ``<kind>_times.csv`` is
+    written when the study has time rows and removed when it has none.
+    Returns the written paths.  CSV bytes depend only on the config on the
+    single-threaded path; ``metadata.json`` additionally records wall time.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1136,10 +1129,12 @@ def emit_report(result: StudyResult, out_dir) -> list[Path]:
     _write_csv(table, result.columns, result.rows)
     written.append(table)
 
+    times = out / f"{result.kind}_times.csv"
     if result.time_rows:
-        times = out / f"{result.kind}_times.csv"
         _write_csv(times, result.time_columns, result.time_rows)
         written.append(times)
+    else:  # no earlier run's table may stand for this one
+        times.unlink(missing_ok=True)
 
     checks = out / "checks.csv"
     _write_csv(

@@ -66,25 +66,27 @@ def mollifier(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """Mollifier vector potential: direction, size, and strength of the bump."""
-
-    support_radius: float
-    amplitude: float = 1.0
-    direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-
-def bump_vorticity(
-    spec: BumpSpec, grid: BoxGrid, support_tol: float = 1e-2
-) -> VorticityField:
-    """omega = curl(amplitude * g(|x|/r) * e), exactly div-free and mean-free.
+    """Mollifier vector potential: direction, size, and strength of the bump.
 
     `support_tol` bounds the acceptable spectral-truncation leak outside the
     support ball relative to max |omega|.  The default admits coarse grids
     (~4 points per support radius leak at the 1e-2 level); tighten it when
     the resolution is known to be generous — at 16 points per radius the
     measured leak is already below 1e-6, and it keeps falling
-    superalgebraically.  The constructed field records the actual leak in
-    `support_leak_rel` either way.
+    superalgebraically.
+    """
+
+    support_radius: float
+    amplitude: float = 1.0
+    direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    support_tol: float = 1e-2
+
+
+def bump_vorticity(spec: BumpSpec, grid: BoxGrid) -> VorticityField:
+    """omega = curl(amplitude * g(|x|/r) * e), exactly div-free and mean-free.
+
+    The field is checked against `spec.support_tol` and records the actual
+    leak outside the support ball in `support_leak_rel` either way.
     """
     r = float(spec.support_radius)
     e = np.asarray(spec.direction, dtype=np.float64)
@@ -104,7 +106,7 @@ def bump_vorticity(
             e[:, None, None, None] * ghat[rows], (kx[rows], ky, kz), out=omega[:, rows]
         )
     del ghat
-    return VorticityField(Field(grid, spectral=omega), r, support_tol=support_tol)
+    return VorticityField(Field(grid, spectral=omega), r, support_tol=spec.support_tol)
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,18 @@ class TrefoilSpec:
     half of it; `tube_radius` is the Gaussian core scale (support reaches
     3x that); `strength` is the signed circulation (sign = chirality);
     `resolution` is the number of quadrature samples along the curve.
+    `div_tol` and `support_tol` are the `VorticityField` tolerances the
+    final field must meet.  The strict default `div_tol` needs the tube
+    cross-section resolved by ~28 grid spacings (3a/h >= 28); coarser grids
+    should pass the tolerance their resolution actually delivers.
     """
 
     major_radius: float
     tube_radius: float
     strength: float
     resolution: int = 512
+    div_tol: float = 1e-10
+    support_tol: float = 1e-6
 
     @property
     def support_radius(self) -> float:
@@ -168,13 +176,7 @@ def _profile_cross_section(a: float) -> float:
     return float(2.0 * np.pi * np.trapezoid(_tube_profile(d, a) * d, d))
 
 
-def trefoil_vorticity(
-    spec: TrefoilSpec,
-    grid: BoxGrid,
-    *,
-    div_tol: float = 1e-10,
-    support_tol: float = 1e-6,
-) -> VorticityField:
+def trefoil_vorticity(spec: TrefoilSpec, grid: BoxGrid) -> VorticityField:
     """Sample the knotted tube, project once, re-truncate once.
 
     The returned field carries two audit attributes:
@@ -182,11 +184,9 @@ def trefoil_vorticity(
     (roundoff-level), and `truncation_leak_rel` — the largest relative
     magnitude the final support truncation removed.  The truncation is what
     limits the final field's divergence residual, at roughly the removed
-    magnitude; the strict default `div_tol` needs the tube cross-section
-    resolved by ~28 grid spacings (3a/h >= 28), and coarser grids should
-    pass the tolerance their resolution actually delivers.  Like every
-    `VorticityField`, the tube's ball B(0, `spec.support_radius`) must fit
-    strictly inside the box.
+    magnitude, which `spec.div_tol` bounds.  Like every `VorticityField`,
+    the tube's ball B(0, `spec.support_radius`) must fit strictly inside
+    the box.
     """
     a = float(spec.tube_radius)
     if a <= 0 or spec.major_radius <= 0 or spec.resolution < 1:
@@ -241,8 +241,8 @@ def trefoil_vorticity(
     result = VorticityField(
         Field.from_physical(grid, phys),
         support_radius,
-        div_tol=div_tol,
-        support_tol=support_tol,
+        div_tol=spec.div_tol,
+        support_tol=spec.support_tol,
     )
     result.projection_div_rel = projection_div_rel
     result.truncation_leak_rel = leak / peak if peak else 0.0

@@ -259,10 +259,6 @@ class BoxGrid:
         x2 = self.x1d**2
         return x2[:, None, None] + x2[None, :, None] + x2[None, None, :]
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full 3-d coordinate arrays indexed [x, y, z]."""
-        return np.meshgrid(self.x1d, self.x1d, self.x1d, indexing="ij")
-
     @cached_property
     def modes1d(self) -> np.ndarray:
         """Integer mode numbers m in FFT storage order, m in [-N/2, N/2)."""

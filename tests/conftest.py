@@ -35,6 +35,11 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def meshgrid(grid: BoxGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full 3-d coordinate arrays of the grid's samples, indexed [x, y, z]."""
+    return np.meshgrid(grid.x1d, grid.x1d, grid.x1d, indexing="ij")
+
+
 def white_field(grid: BoxGrid, rng, rank="scalar") -> Field:
     """Unfiltered white-noise samples (rough; fine for transform tests)."""
     shape = (grid.N,) * 3 if rank == "scalar" else (3,) + (grid.N,) * 3
@@ -138,7 +143,7 @@ def taylor_green(grid: BoxGrid, amplitude=1.0) -> Field:
     so the field is exactly periodic on any box.
     """
     s = np.pi / grid.alpha
-    x, y, z = grid.meshgrid()
+    x, y, z = meshgrid(grid)
     u = np.empty((3, grid.N, grid.N, grid.N))
     u[0] = amplitude * np.sin(s * x) * np.cos(s * y) * np.cos(s * z)
     u[1] = -amplitude * np.cos(s * x) * np.sin(s * y) * np.cos(s * z)

@@ -39,6 +39,7 @@ from conftest import (
     derivative_norm,
     dilate,
     div_free_field,
+    meshgrid,
     taylor_green,
 )
 
@@ -177,7 +178,7 @@ def test_criterion_04_alpha_uniform_inequalities(rng):
 
 def test_criterion_05_exact_solution():
     grid = BoxGrid(1.0, 16)
-    _, y, _ = grid.meshgrid()
+    _, y, _ = meshgrid(grid)
     arr = np.zeros((3, 16, 16, 16))
     arr[0] = np.sin(np.pi * y)
     u0 = Field.from_physical(grid, arr)

@@ -8,6 +8,7 @@ relevant guard trips within a step or two instead of an expensive run.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -26,6 +27,9 @@ from boxflow.cli import build_parser, main as cli_main
 from boxflow import experiments
 from boxflow.errors import BlowUpError, ConfigurationError, StepSizeError
 from boxflow.experiments import (
+    _FAMILY_KEYS,
+    _REQUIRED,
+    _SOLVER_KEYS,
     _box_grids,
     _build_vorticity,
     _format_cell,
@@ -41,6 +45,7 @@ from boxflow.experiments import (
 from boxflow import spectral_core
 from boxflow.solver import SolverConfig, existence_time, nse_march
 from boxflow.extension import extend_field
+from boxflow.initial_data import BumpSpec, TrefoilSpec
 from boxflow.norms import l2_norm, sobolev_norm, tail_mass
 from boxflow.spectral_core import BoxGrid, Field, set_default_workers
 
@@ -329,6 +334,37 @@ def test_config_support_radius_is_that_of_the_built_data(data):
     cfg = parse_config(data)
     for _, grid in _box_grids(cfg):
         assert _build_vorticity(cfg, grid).support_radius == cfg.support_radius
+
+
+@pytest.mark.parametrize("family, spec_class", [("bump", BumpSpec), ("trefoil", TrefoilSpec)])
+def test_initial_data_keys_are_the_spec_fields_with_their_defaults(family, spec_class):
+    # the spec owns every default; the key table adds only types and ranges
+    keys = {k: v for k, v in _FAMILY_KEYS[family].items() if k != "family"}
+    fields = {f.name: f for f in dataclasses.fields(spec_class)}
+    assert list(keys) == list(fields)
+    for name, key in keys.items():
+        default = fields[name].default
+        assert key.default == (_REQUIRED if default is dataclasses.MISSING else default)
+
+
+def test_solver_keys_are_solver_config_fields():
+    assert list(_SOLVER_KEYS) == [f.name for f in dataclasses.fields(SolverConfig)]
+
+
+def test_the_generator_is_called_through_its_module_name(monkeypatch):
+    # a wrapper bound over `experiments.bump_vorticity` from outside (as a
+    # tracer binds it) must see every build of the configured data
+    calls = []
+    original = experiments.bump_vorticity
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "bump_vorticity", counting)
+    cfg = parse_config(tiny_inversion_data())
+    _initial_velocity(cfg, BoxGrid(1.0, 16))
+    assert len(calls) == 1
 
 
 # One wrong value per case: a bool where a number goes, a float where an
@@ -1279,6 +1315,28 @@ def test_trefoil_that_fits_the_config_margin_builds_on_every_box():
         assert l2_norm(u) > 0.0
 
 
+def test_cli_rerun_without_time_rows_removes_the_earlier_times_table(tmp_path):
+    # the second run's reference blows up, so it has no time rows; the first
+    # run's table must not stay behind as if it were the second's
+    out = tmp_path / "out"
+    first = solution_data(alphas=[1], solver={"dt": 2e-3, "t_end": 2e-3, "snapshot_every": 1})
+    second = solution_data(
+        alphas=[1],
+        initial_data={"family": "bump", "support_radius": 0.5, "amplitude": 4e4},
+        solver={"dt": 1e-6, "t_end": 3e-6},
+        allow_beyond_guaranteed=True,
+    )
+    argv = ["solution", "--config", str(write_config(tmp_path, first)), "--out", str(out)]
+    assert cli_main(argv) == 0
+    times = out / "solution_times.csv"
+    assert [r["t"] for r in csv.DictReader(io.StringIO(times.read_text()))] == ["0.0", "0.002"]
+    argv[2] = str(write_config(tmp_path, second, "second.json"))
+    with pytest.warns(UserWarning):
+        assert cli_main(argv) == 1
+    assert json.loads((out / "metadata.json").read_text())["aborted"]
+    assert not times.exists()
+
+
 def test_cli_has_no_audit_subcommand(tmp_path, capsys):
     # the subcommands are exactly the study kinds; `audit` is an invalid choice
     path = write_config(tmp_path, tiny_inversion_data())
@@ -1291,7 +1349,7 @@ def test_cli_has_no_audit_subcommand(tmp_path, capsys):
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    assert tuple(sub.choices) == experiments.STUDY_KINDS
+    assert tuple(sub.choices) == tuple(experiments.STUDY_KINDS)
 
 
 def test_cli_transfer_on_two_threads_exits_promptly(tmp_path):

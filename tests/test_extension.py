@@ -24,7 +24,7 @@ from boxflow.extension import (
 )
 from boxflow.norms import grad_l2_sq
 
-from conftest import smooth_field
+from conftest import meshgrid, smooth_field
 
 
 class TestCutoff:
@@ -103,7 +103,7 @@ class TestExtendField:
     def test_zero_outside_padded_box(self, rng):
         u = smooth_field(self.src, rng, rank="vector")
         ext = extend_field(u, self.dst)
-        x, y, z = self.dst.meshgrid()
+        x, y, z = meshgrid(self.dst)
         outside = (
             (np.abs(x) >= self.src.alpha + 1)
             | (np.abs(y) >= self.src.alpha + 1)

@@ -25,6 +25,7 @@ from conftest import (
     div_free_field,
     full_ksq,
     full_spectrum,
+    meshgrid,
     smooth_field,
     taylor_green,
     traced_peak,
@@ -56,7 +57,7 @@ class TestLebesgue:
     def test_single_sine_analytic_values(self):
         # mean values of sin^2, sin^4, sin^6 over a period: 1/2, 3/8, 5/16
         g = BoxGrid(1.5, 16)
-        f = Field.from_physical(g, np.sin(np.pi * g.meshgrid()[0] / g.alpha))
+        f = Field.from_physical(g, np.sin(np.pi * meshgrid(g)[0] / g.alpha))
         vol = g.volume
         assert lebesgue_norm(f, 2) == pytest.approx(np.sqrt(vol / 2), rel=1e-12)
         assert lebesgue_norm(f, 4) == pytest.approx((vol * 3 / 8) ** 0.25, rel=1e-12)
@@ -80,7 +81,7 @@ class TestLebesgue:
 class TestSobolev:
     def test_single_mode_scaling(self):
         g = BoxGrid(2.0, 16)
-        x, _, _ = g.meshgrid()
+        x, _, _ = meshgrid(g)
         f = Field.from_physical(g, np.sin(3 * np.pi * x / g.alpha))
         k = 3 * np.pi / g.alpha
         l2 = l2_norm(f)
@@ -159,7 +160,7 @@ class TestTailMass:
 
     def test_compact_support_tail_vanishes(self):
         g = BoxGrid(4.0, 32)
-        x, y, z = g.meshgrid()
+        x, y, z = meshgrid(g)
         r2 = x**2 + y**2 + z**2
         samples = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1 - r2, 1e-30)), 0.0)
         f = Field.from_physical(g, samples)

@@ -61,13 +61,14 @@ from conftest import (
     div_free_field,
     full_ksq,
     full_spectrum,
+    meshgrid,
     taylor_green,
     traced_peak,
 )
 
 
 def shear_flow(grid: BoxGrid, amplitude: float = 1.0) -> Field:
-    _, y, _ = grid.meshgrid()
+    _, y, _ = meshgrid(grid)
     u = np.zeros((3, grid.N, grid.N, grid.N))
     u[0] = amplitude * np.sin(np.pi * y / grid.alpha)
     return Field.from_physical(grid, u)
@@ -487,7 +488,7 @@ def test_a_slab_that_overflows_blows_up_alike_on_the_pool(monkeypatch):
     # of x: there omega x u overflows and its r2c holds NaN, in the second
     # slab all stays finite, and the step raises alike at either worker count
     grid = BoxGrid(1e-6, 16)
-    x, _, z = grid.meshgrid()
+    x, _, z = meshgrid(grid)
     g = np.exp(3.0 * np.cos(np.pi * x / grid.alpha + 0.55 * np.pi))
     u = np.zeros((3,) + x.shape)
     u[1] = 1e150 * g * np.cos(np.pi * z / grid.alpha)

@@ -40,6 +40,7 @@ from conftest import (
     dilate,
     full_ksq,
     full_spectrum,
+    meshgrid,
     smooth_field,
     taylor_green,
     white_field,
@@ -120,7 +121,7 @@ class TestTransforms:
         """sin(pi x1 / alpha) lives at m = (+-1, 0, 0) alone, weight 1/2 each
         (corner phase origin flips the sign of odd modes)."""
         g = BoxGrid(2.0, 16)
-        x = g.meshgrid()[0]
+        x = meshgrid(g)[0]
         f = Field.from_physical(g, np.sin(np.pi * x / g.alpha))
         assert coeff(f, (1, 0, 0)) == pytest.approx(0.5j, abs=1e-14)
         assert coeff(f, (-1, 0, 0)) == pytest.approx(-0.5j, abs=1e-14)
@@ -218,7 +219,7 @@ class TestTransforms:
 class TestDiffOps:
     def test_gradient_of_sine(self):
         g = BoxGrid(3.0, 32)
-        x = g.meshgrid()[0]
+        x = meshgrid(g)[0]
         s = np.pi / g.alpha
         grad = gradient(Field.from_physical(g, np.sin(s * x)))
         np.testing.assert_allclose(grad.physical[0], s * np.cos(s * x), atol=1e-12)
@@ -353,7 +354,7 @@ class TestDealias:
         retained modes."""
         gN, g2N = BoxGrid(1.0, 16), BoxGrid(1.0, 32)
         def product_field(g):
-            x = g.meshgrid()[0]
+            x = meshgrid(g)[0]
             return Field.from_physical(
                 g, np.sin(4 * np.pi * x) * np.sin(5 * np.pi * x)
             )
@@ -388,7 +389,7 @@ class TestRescale:
     )
     def test_scaling_law(self, p, k, alpha):
         g = BoxGrid(1.0, 32)
-        f = Field.from_physical(g, np.sin(np.pi * g.meshgrid()[0]))
+        f = Field.from_physical(g, np.sin(np.pi * meshgrid(g)[0]))
         ratio = derivative_norm(dilate(f, alpha), p, k) / derivative_norm(f, p, k)
         assert ratio == pytest.approx(alpha ** (3.0 / p - k), rel=1e-10)
 

@@ -18,6 +18,7 @@ from boxflow.vorticity import VorticityField, biot_savart_r3, curl_inv_periodic
 from conftest import (
     curl_identity_report,
     div_free_field,
+    meshgrid,
     smooth_field,
     taylor_green,
     traced_peak,
@@ -31,7 +32,7 @@ def sine_sheet(alpha, n, c=1.3):
     is declarative (just under the box, which every `VorticityField` needs).
     """
     grid = BoxGrid(alpha, n)
-    x, _, _ = grid.meshgrid()
+    x, _, _ = meshgrid(grid)
     om = np.zeros((3, n, n, n))
     om[2] = c * np.sin(np.pi * x / alpha)
     return grid, VorticityField(
@@ -47,7 +48,7 @@ def test_sine_sheet_inversion_matches_closed_form():
     alpha, c = 2.0, 1.3
     grid, w = sine_sheet(alpha, 32, c)
     u = curl_inv_periodic(w)
-    x, _, _ = grid.meshgrid()
+    x, _, _ = meshgrid(grid)
     expected = np.zeros((3, 32, 32, 32))
     expected[1] = -(c * alpha / np.pi) * np.cos(np.pi * x / alpha)
     assert np.abs(u.physical - expected).max() < 1e-12
